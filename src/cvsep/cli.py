@@ -14,7 +14,9 @@ input, 66 missing file, 67 unphysical/invalid matrix, 73 unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -173,8 +175,12 @@ def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    state = load_state_file(args.path)
     tol = args.tol_decide if args.tol_decide is not None else EPS_DECIDE
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise CliError(
+            EXIT_USAGE, f"--tol-decide must be finite and >= 0, got {tol!r}"
+        )
+    state = load_state_file(args.path)
     verdict = decide_separability(state, tol_decide=tol)
     if args.json:
         print(json.dumps(_verdict_document(state, verdict, tol), indent=2))
@@ -253,8 +259,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     else:
         print(f"threshold time: {_fmt(t_star)}")
         if args.nbar > 10.0:
-            import math
-
             asym = (1.0 - math.exp(-2.0 * args.r)) / (4.0 * args.eta * args.nbar)
             print(f"large-nbar asymptote: {_fmt(asym)}")
     return 0
@@ -342,14 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the boundary-band tolerance",
     )
-    p_check.set_defaults(func=cmd_check)
 
     p_reduce = sub.add_parser("reduce", help="print a standard-form reduction")
     p_reduce.add_argument("path", help="state file (JSON)")
     p_reduce.add_argument(
         "--form", choices=["I", "II"], default="II", help="which standard form"
     )
-    p_reduce.set_defaults(func=cmd_reduce)
 
     p_thr = sub.add_parser(
         "threshold", help="closed-form entanglement lifetime of the thermal scenario"
@@ -357,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("r", type=float, help="squeezing parameter (> 0)")
     p_thr.add_argument("eta", type=float, help="damping coefficient (inverse time)")
     p_thr.add_argument("nbar", type=float, help="mean thermal occupation (>= 0)")
-    p_thr.set_defaults(func=cmd_threshold)
 
     p_scan = sub.add_parser(
         "scan", help="scan the decision pipeline over a time grid (CSV)"
@@ -371,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-min", type=float, default=0.0, help="grid start (default 0)"
     )
     p_scan.add_argument("--out", default=None, help="CSV output path")
-    p_scan.set_defaults(func=cmd_scan)
 
     p_sample = sub.add_parser("sample", help="write a seeded random state file")
     p_sample.add_argument("--seed", type=int, default=0)
@@ -385,15 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="components for --kind separable",
     )
     p_sample.add_argument("--out", default=None, help="output path (default stdout)")
-    p_sample.set_defaults(func=cmd_sample)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args only reads the parser and returns a fresh Namespace, so one
+    # parser serves every main() call in the process.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Resolved per call rather than stored in the cached parser, so a
+        # replaced cmd_* function (a test double, a tracer) still takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

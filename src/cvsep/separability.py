@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, variance_pair
+from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, _adj2, variance_pair
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, to_standard_form_II
 
@@ -167,7 +167,12 @@ def decide_separability(
     witness pair, whose variance margin is asserted consistent with the
     spectral decision.  Separable verdicts carry a P-representation
     certificate.
+
+    Raises:
+        ValueError: ``tol_decide`` is negative, NaN or infinite.
     """
+    if not (math.isfinite(tol_decide) and tol_decide >= 0.0):
+        raise ValueError(f"tol_decide must be finite and >= 0, got {tol_decide!r}")
     form = to_standard_form_II(state)
     lam_min, scale = _form_spectrum(form)
     band = tol_decide * scale
@@ -236,8 +241,8 @@ def p_representation(form: StandardFormII) -> PRepresentation:
     if w[0] < 0.0:
         cov = (v * np.clip(w, 0.0, None)) @ v.T
         cov = 0.5 * (cov + cov.T)
-    inv1 = _inv2(form.transform.h1)
-    inv2 = _inv2(form.transform.h2)
+    inv1 = _adj2(form.transform.h1)
+    inv2 = _adj2(form.transform.h2)
     if form.swapped_modes:
         back = Llubo(inv2, inv1)
     else:
@@ -255,7 +260,3 @@ def reconstruct_analytic(cert: PRepresentation) -> np.ndarray:
     """
     t = cert.transform_back.block_diagonal()
     return t @ (2.0 * cert.covariance + np.eye(4)) @ t.T
-
-
-def _inv2(a: np.ndarray) -> np.ndarray:
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])

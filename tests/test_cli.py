@@ -104,6 +104,17 @@ class TestCheck:
         path = write_state(tmp_path / "weak.json", tmsv_layout(0.1))
         assert cli.main(["check", path]) == cli.EXIT_ENTANGLED
         assert cli.main(["check", path, "--tol-decide", "10"]) == cli.EXIT_BOUNDARY
+        assert cli.main(["check", path]) == cli.EXIT_ENTANGLED
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_is_usage_error(self, tmsv_file, tmp_path, capsys, value):
+        assert cli.main(["check", tmsv_file, "--tol-decide", value]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        # Rejected before the state file is read.
+        missing = str(tmp_path / "nope.json")
+        assert cli.main(["check", missing, "--tol-decide", value]) == cli.EXIT_USAGE
 
     def test_json_boundary_state(self, tmp_path, capsys):
         t_star = cv.threshold_time(1.0, 1.0, 1.0)
@@ -226,3 +237,19 @@ class TestUsage:
 
     def test_missing_arguments(self, capsys):
         assert cli.main(["check"]) == cli.EXIT_USAGE
+
+    def test_repeated_calls_in_one_process(self, tmsv_file, capsys, monkeypatch):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+        assert cli.main(["check", "--no-such-flag", tmsv_file]) == cli.EXIT_USAGE
+        assert cli.main(["check", tmsv_file]) == cli.EXIT_ENTANGLED
+        capsys.readouterr()
+        assert cli.main(["check", tmsv_file, "--json"]) == cli.EXIT_ENTANGLED
+        assert json.loads(capsys.readouterr().out)["decision"] == "entangled"
+        assert cli.main(["check", tmsv_file]) == cli.EXIT_ENTANGLED
+        out = capsys.readouterr().out
+        assert out.startswith("decision: Entangled")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
+        assert cli.main(["check", tmsv_file]) == 42

@@ -141,6 +141,17 @@ class TestDecideSeparability:
         assert cv.decide_separability(state).decision is cv.Decision.ENTANGLED
         wide = cv.decide_separability(state, tol_decide=10.0)
         assert wide.decision is cv.Decision.BOUNDARY
+        exact = cv.decide_separability(state, tol_decide=0.0)
+        assert exact.decision is cv.Decision.ENTANGLED
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_invalid_tolerance_rejected_before_reduction(self, tol, monkeypatch):
+        def no_reduction(state):
+            raise AssertionError("reduced before checking tol_decide")
+
+        monkeypatch.setattr(cv.separability, "to_standard_form_II", no_reduction)
+        with pytest.raises(ValueError, match="tol_decide"):
+            cv.decide_separability(cv.validate(tmsv_layout(0.1)), tol_decide=tol)
 
 
 class TestPRepresentation:
