@@ -68,7 +68,7 @@ def _fmt(x: float) -> str:
 
 def _state_document(m: np.ndarray) -> dict:
     return {
-        "matrix": [[float(v) for v in row] for row in m],
+        "matrix": m.tolist(),
         "ordering": ORDERING_TAG,
         "scaling": SCALING_TAG,
     }
@@ -160,10 +160,10 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
     if verdict.certificate is not None:
         cert = verdict.certificate
         doc["certificate"] = {
-            "covariance": [[float(v) for v in row] for row in cert.covariance],
+            "covariance": cert.covariance.tolist(),
             "transform_back": {
-                "h1": [[float(v) for v in row] for row in cert.transform_back.h1],
-                "h2": [[float(v) for v in row] for row in cert.transform_back.h2],
+                "h1": cert.transform_back.h1.tolist(),
+                "h2": cert.transform_back.h2.tolist(),
             },
         }
     return doc

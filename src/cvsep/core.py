@@ -36,12 +36,7 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: Symplectic form for two modes in (x1, p1, x2, p2) ordering.
 OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 OMEGA.flags.writeable = False
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+_NEG_OMEGA = -OMEGA  # signed zeros as in min_eig_hermitian_pair's embedding
 
 
 def det2(a: np.ndarray) -> float:
@@ -64,7 +59,8 @@ def min_eig_hermitian_pair(a: np.ndarray, b: np.ndarray) -> float:
 class CorrelationMatrix:
     """Validated 4x4 correlation matrix of a two-mode Gaussian state.
 
-    Construct through :func:`validate`; the wrapped array is read-only.
+    Construct through :func:`validate`; the wrapped array is read-only and
+    may be a view into a stack validated in one call.
     """
 
     m: np.ndarray
@@ -102,16 +98,21 @@ class Llubo:
 
     def __post_init__(self) -> None:
         for name in ("h1", "h2"):
-            blk = np.asarray(getattr(self, name), dtype=float)
+            blk = np.array(getattr(self, name), dtype=float)
             if blk.shape != (2, 2):
                 raise InvalidLlubo(f"{name} must be 2x2, got {blk.shape}")
-            if not np.all(np.isfinite(blk)):
+            # Python floats: the same IEEE arithmetic as det2, without
+            # numpy's per-call overhead on four entries.
+            (a, b), (c, d) = blk.tolist()
+            if not all(map(math.isfinite, (a, b, c, d))):
                 raise InvalidLlubo(f"{name} has non-finite entries")
-            if abs(det2(blk) - 1.0) > EPS_DET:
+            det = a * d - b * c
+            if abs(det - 1.0) > EPS_DET:
                 raise InvalidLlubo(
-                    f"det({name}) = {det2(blk)!r} differs from 1 beyond {EPS_DET}"
+                    f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}"
                 )
-            object.__setattr__(self, name, _frozen(blk))
+            blk.flags.writeable = False
+            object.__setattr__(self, name, blk)
 
     @classmethod
     def identity(cls) -> "Llubo":
@@ -188,29 +189,55 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     arr = np.asarray(m, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return _validate_stack(arr[np.newaxis])[0]
+
+
+def _validate_stack(arr: np.ndarray) -> list[CorrelationMatrix]:
+    """:func:`validate` for each matrix of an (N, 4, 4) stack, in one eigensolve.
+
+    Raises what :func:`validate` raises for the first invalid matrix, with
+    the same message.  The results are read-only views into one stack.
+    """
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    # Matrices from the first non-finite one on are not checked further.
+    count = len(arr) if finite.all() else int(np.argmin(finite))
+    head = arr[:count]
+    head_t = head.transpose(0, 2, 1)
+    asym = np.abs(head - head_t).max(axis=(1, 2)).tolist()
+    sym = 0.5 * (head + head_t)
+    emb = np.empty((count, 8, 8))
+    emb[:, :4, :4] = sym
+    emb[:, :4, 4:] = _NEG_OMEGA
+    emb[:, 4:, :4] = OMEGA
+    emb[:, 4:, 4:] = sym
+    lam = np.linalg.eigvalsh(emb)[:, 0].tolist()
+    diag_max = np.diagonal(sym, axis1=1, axis2=2).max(axis=1)
+    scales = np.maximum(diag_max, 1.0).tolist()
+    for k in range(count):
+        if asym[k] > EPS_SYM:
+            raise NotSymmetric(f"asymmetry {asym[k]:.3e} exceeds {EPS_SYM}")
+        if lam[k] < -EPS_PSD * scales[k]:
+            raise NotPhysical(
+                f"M + i*Omega has eigenvalue {lam[k]:.3e}; state violates the "
+                "uncertainty relation"
+            )
+    if count < len(arr):
         raise NotFinite("correlation matrix has non-finite entries")
-    asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > EPS_SYM:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {EPS_SYM}")
-    sym = 0.5 * (arr + arr.T)
-    lam_min = min_eig_hermitian_pair(sym, OMEGA)
-    scale = max(float(np.max(np.diag(sym))), 1.0)
-    if lam_min < -EPS_PSD * scale:
-        raise NotPhysical(
-            f"M + i*Omega has eigenvalue {lam_min:.3e}; state violates the "
-            "uncertainty relation"
-        )
-    return CorrelationMatrix(_frozen(sym))
+    sym.flags.writeable = False
+    return [CorrelationMatrix(m) for m in sym]
 
 
 def apply_llubo(state: CorrelationMatrix, op: Llubo) -> CorrelationMatrix:
     """Congruence action of a local operation on the correlation matrix.
 
-    Returns ``blockdiag(h1, h2) @ M @ blockdiag(h1, h2).T`` revalidated.
+    Returns ``blockdiag(h1, h2) @ M @ blockdiag(h1, h2).T`` revalidated.  The
+    product is symmetrized first: its roundoff asymmetry grows with the
+    entries and the squeezes, so the absolute ``EPS_SYM`` check is meant for
+    inputs, not for this congruence.
     """
     b = op.block_diagonal()
-    return validate(b @ state.m @ b.T)
+    moved = b @ state.m @ b.T
+    return validate(0.5 * (moved + moved.T))
 
 
 def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Union
+from typing import List, NamedTuple, Sequence, Union
 
-from .core import CorrelationMatrix, validate
+import numpy as np
+
+from .core import CorrelationMatrix, _validate_stack, validate
 from .separability import Decision, decide_separability
 from .standard_form import form_i_layout
 
@@ -71,12 +73,26 @@ def evolve_thermal(scenario: ThermalScenario) -> CorrelationMatrix:
     ``c = -c' = sinh(2r) e^{-2 eta t}``; t = 0 reproduces the squeezed
     vacuum and t -> infinity the thermal product state.
     """
-    decay = math.exp(-2.0 * scenario.eta * scenario.t)
-    n = math.cosh(2.0 * scenario.r) * decay + (2.0 * scenario.nbar + 1.0) * (
-        1.0 - decay
-    )
-    c = math.sinh(2.0 * scenario.r) * decay
-    return validate(form_i_layout(n, n, c, -c))
+    layouts = _thermal_layouts(scenario.r, scenario.eta, scenario.nbar, [scenario.t])
+    return validate(layouts[0])
+
+
+def _thermal_layouts(
+    r: float, eta: float, nbar: float, times: Sequence[float]
+) -> np.ndarray:
+    """(len(times), 4, 4) stack of the form-I layouts :func:`evolve_thermal` names."""
+    cosh_2r = math.cosh(2.0 * r)
+    sinh_2r = math.sinh(2.0 * r)
+    bath = 2.0 * nbar + 1.0
+    decays = [math.exp(-2.0 * eta * t) for t in times]
+    n = np.array([cosh_2r * d + bath * (1.0 - d) for d in decays])
+    c = np.array([sinh_2r * d for d in decays])
+    out = np.zeros((len(decays), 4, 4))
+    for i in range(4):
+        out[:, i, i] = n
+    out[:, 0, 2] = out[:, 2, 0] = c
+    out[:, 1, 3] = out[:, 3, 1] = -c
+    return out
 
 
 def threshold_time(
@@ -118,16 +134,17 @@ def scan_boundary(
     Returns ``(t, margin, decision)`` per grid point over
     ``[t_min, t_max]``; with nbar > 0 and a grid straddling the threshold,
     the sign change of the margin brackets the closed form within one step.
+    The grid's states are built and validated in one call, then decided one
+    by one; each point equals ``decide_separability(evolve_thermal(...))``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if t_min < 0.0 or t_max < t_min:
         raise ValueError("need 0 <= t_min <= t_max")
+    ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)  # rejects bad r, eta, nbar
+    times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []
-    for i in range(resolution):
-        t = t_min + (t_max - t_min) * i / (resolution - 1)
-        verdict = decide_separability(
-            evolve_thermal(ThermalScenario(r=r, eta=eta, nbar=nbar, t=t))
-        )
+    for t, state in zip(times, _validate_stack(_thermal_layouts(r, eta, nbar, times))):
+        verdict = decide_separability(state)
         points.append(ScanPoint(t=t, margin=verdict.margin, decision=verdict.decision))
     return points

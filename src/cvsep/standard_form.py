@@ -40,6 +40,8 @@ MODE_SWAP = np.array(
 )
 MODE_SWAP.flags.writeable = False
 
+_EYE2 = np.eye(2)  # shared identity pass; every use multiplies it into a new array
+_EYE2.flags.writeable = False
 _ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])  # joint pi/2 rotation block
 _FLIP = np.array([[-1.0, 0.0], [0.0, -1.0]])  # rotation by pi
 
@@ -57,7 +59,7 @@ def _scalarize_block(g: np.ndarray) -> tuple[np.ndarray, float]:
     """
     b = float(g[0, 1])
     if b == 0.0:
-        rot = np.eye(2)
+        rot = _EYE2
         alpha, beta = float(g[0, 0]), float(g[1, 1])
     else:
         rot = _rotation(0.5 * math.atan2(2.0 * b, float(g[0, 0] - g[1, 1])))
@@ -80,7 +82,7 @@ def _signed_svd(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     exactly (only sign/swap rotations applied).
     """
     if c[0, 1] == 0.0 and c[1, 0] == 0.0:
-        o1, o2 = np.eye(2), np.eye(2)
+        o1, o2 = _EYE2, _EYE2
         d0, d1 = float(c[0, 0]), float(c[1, 1])
         if abs(d1) > abs(d0):
             # Joint pi/2 rotation on both modes exchanges the two entries.
@@ -321,12 +323,12 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
     if r1 == 1.0:
-        s1 = np.eye(2)
+        s1 = _EYE2
     else:
         q1 = math.sqrt(r1)
         s1 = np.diag([q1, 1.0 / q1])
     if r2 == 1.0:
-        s2 = np.eye(2)
+        s2 = _EYE2
     else:
         q2 = math.sqrt(r2)
         s2 = np.diag([q2, 1.0 / q2])

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cvsep as cv
+from cvsep.core import _validate_stack
 from _util import (
     COSH1,
     SINH1,
@@ -57,6 +58,8 @@ class TestValidate:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             cv.validate(np.eye(3))
+        with pytest.raises(ValueError, match=r"4x4 matrix, got shape \(1, 4, 4\)"):
+            cv.validate(np.eye(4)[np.newaxis])
 
     def test_result_is_read_only(self):
         state = cv.validate(np.eye(4))
@@ -70,18 +73,94 @@ class TestValidate:
         np.testing.assert_array_equal(state.c, state.m[:2, 2:])
 
 
+def _bad_matrices():
+    nonfinite = np.eye(4)
+    nonfinite[1, 2] = np.nan
+    asymmetric = np.eye(4)
+    asymmetric[0, 1] = 1e-6
+    return {
+        "nonfinite": nonfinite,
+        "asymmetric": asymmetric,
+        "unphysical": np.diag([0.5, 0.5, 1.0, 1.0]),
+    }
+
+
+def _scalar_error(m):
+    with pytest.raises(cv.CvsepError) as info:
+        cv.validate(m)
+    return type(info.value), str(info.value)
+
+
+class TestValidateStack:
+    def test_matches_scalar_validate(self):
+        ms = np.array(
+            [cv.sample_random_physical(s).m for s in range(40)]
+            + [tmsv_layout(3.0), np.eye(4), np.diag([2.0, 2.0, 2.0, 2.0])]
+        )
+        ms[-1, 0, 1] = 4e-11  # below EPS_SYM: symmetrized, not rejected
+        states = _validate_stack(ms)
+        assert len(states) == len(ms)
+        for m, state in zip(ms, states):
+            assert state.m.tobytes() == cv.validate(m).m.tobytes()
+            assert state.m.tobytes() == (0.5 * (m + m.T)).tobytes()
+            assert not state.m.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["nonfinite", "asymmetric", "unphysical"])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_bad_matrix_raises_like_validate(self, kind, k):
+        bad = _bad_matrices()[kind]
+        ms = np.array([cv.sample_random_physical(s).m for s in range(5)])
+        ms[k] = bad
+        kind_type, message = _scalar_error(bad)
+        with pytest.raises(kind_type) as info:
+            _validate_stack(ms)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ("nonfinite", "asymmetric", "unphysical"),
+            ("asymmetric", "unphysical", "nonfinite"),
+            ("unphysical", "nonfinite", "asymmetric"),
+            ("unphysical", "asymmetric", "nonfinite"),
+        ],
+    )
+    def test_earliest_bad_index_wins(self, order):
+        bad = _bad_matrices()
+        ms = np.array([cv.sample_random_physical(s).m for s in range(6)])
+        for k, kind in zip((1, 3, 4), order):
+            ms[k] = bad[kind]
+        kind_type, message = _scalar_error(bad[order[0]])
+        with pytest.raises(kind_type) as info:
+            _validate_stack(ms)
+        assert str(info.value) == message
+
+
 class TestLlubo:
     def test_identity(self):
         op = cv.Llubo.identity()
         np.testing.assert_array_equal(op.block_diagonal(), np.eye(4))
 
     def test_non_unit_determinant_rejected(self):
-        with pytest.raises(cv.InvalidLlubo):
+        with pytest.raises(cv.InvalidLlubo, match=r"det\(h1\) = 2\.0 differs from 1"):
             cv.Llubo(np.diag([2.0, 1.0]), np.eye(2))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(cv.InvalidLlubo):
+        with pytest.raises(cv.InvalidLlubo, match="h1 has non-finite entries"):
             cv.Llubo(np.array([[np.inf, 0.0], [0.0, 0.0]]), np.eye(2))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(cv.InvalidLlubo, match=r"h2 must be 2x2, got \(3,\)"):
+            cv.Llubo(np.eye(2), np.ones(3))
+        with pytest.raises(cv.InvalidLlubo, match=r"h1 must be 2x2, got \(3, 3\)"):
+            cv.Llubo(np.eye(3), np.eye(2))
+
+    def test_blocks_are_read_only_copies(self):
+        h1 = np.eye(2)
+        op = cv.Llubo(h1, np.eye(2))
+        h1[0, 0] = 5.0
+        assert op.h1[0, 0] == 1.0
+        assert h1.flags.writeable and not op.h1.flags.writeable
 
     def test_inverse_blocks(self):
         rng = np.random.default_rng(3)
@@ -127,6 +206,17 @@ class TestApplyLlubo:
             op = cv.Llubo(h1, h2)
             back = cv.apply_llubo(cv.apply_llubo(state, op), op.inverse())
             np.testing.assert_allclose(back.m, state.m, rtol=1e-9, atol=1e-9)
+
+    def test_strong_squeezes_on_thermal_squeezed_states(self):
+        # Congruence roundoff grows with the entries; it must not read as an
+        # asymmetric input.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            r, nu = rng.uniform(0.0, 3.0), rng.uniform(1.0, 3.0)
+            state = cv.validate(nu * tmsv_layout(r))
+            h1, h2 = random_llubo_blocks(rng, 6.0)
+            out = cv.apply_llubo(state, cv.Llubo(h1, h2))  # must not raise
+            np.testing.assert_array_equal(out.m, out.m.T)
 
     def test_preserves_physicality(self):
         rng = np.random.default_rng(12)

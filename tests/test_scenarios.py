@@ -146,6 +146,32 @@ class TestScanBoundary:
                 pair = cv.construct_epr_pair(form)
                 assert pair.a == pytest.approx(1.0, abs=1e-8)
 
+    def test_equals_per_point_loop(self):
+        # Reference: the scan as a loop of the public scalar calls.
+        rng = np.random.default_rng(7)
+        triples = [(10.0, 1.0, 1.0)] + [
+            (rng.uniform(0.1, 10.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0))
+            for _ in range(23)
+        ]
+        for k, (r, eta, nbar) in enumerate(triples):
+            t_max = float(rng.uniform(0.05, 1.5))
+            t_min = t_max * float(rng.uniform(0.1, 0.9)) if k % 2 else 0.0
+            resolution = 2 + k % 13
+            expected = []
+            for i in range(resolution):
+                t = t_min + (t_max - t_min) * i / (resolution - 1)
+                verdict = cv.decide_separability(
+                    cv.evolve_thermal(cv.ThermalScenario(r=r, eta=eta, nbar=nbar, t=t))
+                )
+                expected.append((t, verdict.margin, verdict.decision))
+            points = cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min)
+            assert [tuple(p) for p in points] == expected
+
+    @pytest.mark.parametrize("r, eta, nbar", [(-0.1, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0)])
+    def test_bad_scenario_rejected(self, r, eta, nbar):
+        with pytest.raises(ValueError):
+            cv.scan_boundary(r, eta, nbar, 0.4, 5)
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             cv.scan_boundary(1.0, 1.0, 1.0, 0.4, 1)

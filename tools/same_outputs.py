@@ -1,0 +1,159 @@
+"""Digest of cvsep's outputs on seeded inputs, for comparing two source trees.
+
+    python3 tools/same_outputs.py SRC_DIR
+
+Imports cvsep from ``SRC_DIR`` (the ``src`` directory of a checkout) and
+prints one sha256 over three sets of outputs:
+
+* ``scan_boundary`` points for seeded ``(r, eta, nbar)`` triples;
+* the fields of ``decide_separability`` (decision, margin, min eigenvalue,
+  variances, witness, standard form II with its transform, certificate
+  bytes) for ``sample_random_physical(0..2999)``;
+* stdout, stderr and exit code of ``cvsep.cli.main`` for ``check``,
+  ``check --json``, ``reduce --form I`` and ``reduce --form II`` on state
+  files written to a temporary directory, including rejected ones.
+
+Floats enter the digest bit for bit (``float.hex``, ``ndarray.tobytes``), so
+two trees print the same digest only if every output is identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+RANDOM_STATES = 3000
+SCAN_TRIPLES = 64
+CLI_RANDOM_FILES = 40
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def _scan_lines(cv):
+    rng = np.random.default_rng(0)
+    for k in range(SCAN_TRIPLES):
+        r = float(rng.uniform(0.1, 10.0))
+        eta = float(rng.uniform(0.5, 2.0))
+        nbar = float(rng.uniform(0.05, 3.0))
+        t_max = 2.0 * cv.threshold_time(r, eta, nbar)
+        # Every fourth scan starts inside the window rather than at t = 0.
+        t_min = 0.25 * t_max if k % 4 == 3 else 0.0
+        resolution = 12 + k % 5
+        yield f"scan {_hex(r)} {_hex(eta)} {_hex(nbar)} {_hex(t_min)}"
+        for p in cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min):
+            yield f"{_hex(p.t)} {_hex(p.margin)} {p.decision.value}"
+    for nbar in (0.0, 1.0):
+        for p in cv.scan_boundary(10.0, 1.0, nbar, 3.0, 7):
+            yield f"{_hex(p.t)} {_hex(p.margin)} {p.decision.value}"
+
+
+def _array(a) -> str:
+    return np.ascontiguousarray(a, dtype=float).tobytes().hex()
+
+
+def _verdict_lines(cv):
+    for seed in range(RANDOM_STATES):
+        v = cv.decide_separability(cv.sample_random_physical(seed))
+        f = v.form
+        w = v.witness
+        yield " ".join(
+            [
+                v.decision.value,
+                _hex(v.margin),
+                _hex(v.min_eigenvalue),
+                _hex(v.total_variance),
+                _hex(v.bound),
+                "-" if w is None else f"{_hex(w.a)} {w.sign_u} {w.sign_v}",
+                *(_hex(x) for x in (f.n1, f.n2, f.m1, f.m2, f.c1, f.c2, f.r1, f.r2)),
+                str(f.swapped_modes),
+                str(f.degenerate),
+                _array(f.transform.h1),
+                _array(f.transform.h2),
+            ]
+        )
+        cert = v.certificate
+        if cert is not None:
+            yield " ".join(
+                _array(a)
+                for a in (cert.covariance, cert.transform_back.h1, cert.transform_back.h2)
+            )
+
+
+def _state_files(cv, folder: Path):
+    """Write the state files the CLI is run on; return their (name, path) pairs."""
+    docs = []
+    for seed in range(CLI_RANDOM_FILES):
+        docs.append((f"random{seed}", cv.sample_random_physical(seed).m.tolist()))
+    for seed in range(5):
+        state = cv.ensemble_covariance(cv.sample_separable_ensemble(seed, 4))
+        docs.append((f"mixture{seed}", state.m.tolist()))
+    for r, nbar, t in ((1.0, 1.0, 0.1), (1.0, 1.0, 0.5), (10.0, 1.0, 0.3), (0.5, 0.0, 2.0)):
+        state = cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=nbar, t=t))
+        docs.append((f"thermal{r}-{nbar}-{t}", state.m.tolist()))
+    docs.append(("vacuum", np.eye(4).tolist()))
+    asym = np.eye(4)
+    asym[0, 1] = 0.5
+    docs.append(("asymmetric", asym.tolist()))
+    docs.append(("unphysical", np.diag([0.5, 0.5, 1.0, 1.0]).tolist()))
+    nonfinite = np.eye(4).tolist()
+    nonfinite[2][3] = math.nan
+    docs.append(("nonfinite", nonfinite))
+    paths = []
+    for name, matrix in docs:
+        path = folder / f"{name}.json"
+        doc = {"matrix": matrix, "ordering": "x1p1x2p2", "scaling": "vacuum-identity"}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append((name, str(path)))
+    return paths
+
+
+def _cli_lines(cv):
+    from cvsep import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, path in _state_files(cv, Path(tmp)):
+            for extra in (["check"], ["check", "--json"], ["reduce", "--form", "I"],
+                          ["reduce", "--form", "II"]):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main([extra[0], path, *extra[1:]])
+                # The temporary directory differs between runs.
+                text = (out.getvalue() + "\0" + err.getvalue()).replace(path, name)
+                yield f"{' '.join(extra)} {name} {code}\n{text}"
+
+
+def digest(cv) -> str:
+    h = hashlib.sha256()
+    for lines in (_scan_lines, _verdict_lines, _cli_lines):
+        for line in lines(cv):
+            h.update(line.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/same_outputs.py SRC_DIR", file=sys.stderr)
+        return 64
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    import cvsep
+
+    if not Path(cvsep.__file__).resolve().is_relative_to(src):
+        print(f"cvsep was imported from {cvsep.__file__}, not {src}", file=sys.stderr)
+        return 1
+    print(digest(cvsep))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
