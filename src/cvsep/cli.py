@@ -115,44 +115,18 @@ def load_state_file(path: str) -> CorrelationMatrix:
         raise CliError(EXIT_UNPHYSICAL, f"{path}: {exc}")
 
 
-def _witness_doc(verdict) -> Optional[dict]:
-    if verdict.witness is None:
-        return None
-    return {
-        "a": verdict.witness.a,
-        "sign_u": verdict.witness.sign_u,
-        "sign_v": verdict.witness.sign_v,
-    }
-
-
 def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
-    inv = llubo_invariants(state)
-    form = verdict.form
+    form = dict(vars(verdict.form))
+    del form["transform"]
     doc = {
         "decision": verdict.decision.value,
         "total_variance": verdict.total_variance,
         "bound": verdict.bound,
         "margin": verdict.margin,
         "min_eigenvalue": verdict.min_eigenvalue,
-        "witness": _witness_doc(verdict),
-        "invariants": {
-            "det_g1": inv.det_g1,
-            "det_g2": inv.det_g2,
-            "det_c": inv.det_c,
-            "det_m": inv.det_m,
-        },
-        "standard_form_ii": {
-            "n1": form.n1,
-            "n2": form.n2,
-            "m1": form.m1,
-            "m2": form.m2,
-            "c1": form.c1,
-            "c2": form.c2,
-            "r1": form.r1,
-            "r2": form.r2,
-            "swapped_modes": form.swapped_modes,
-            "degenerate": form.degenerate,
-        },
+        "witness": None if verdict.witness is None else dict(vars(verdict.witness)),
+        "invariants": dict(vars(llubo_invariants(state))),
+        "standard_form_ii": form,
         "certificate": None,
         "tol_decide": tol,
         "state": _state_document(state.m),
@@ -247,14 +221,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    if args.r <= 0.0:
+    if not args.r > 0.0:
         raise CliError(EXIT_USAGE, "r must be > 0")
-    if args.eta <= 0.0:
+    if not args.eta > 0.0:
         raise CliError(EXIT_USAGE, "eta must be > 0")
-    if args.nbar < 0.0:
+    if not args.nbar >= 0.0:
         raise CliError(EXIT_USAGE, "nbar must be >= 0")
     t_star = threshold_time(args.r, args.eta, args.nbar)
-    if t_star is INFINITE:
+    if t_star == INFINITE:
         print("threshold time: infinite (vacuum bath never disentangles the state)")
     else:
         print(f"threshold time: {_fmt(t_star)}")
@@ -267,9 +241,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise CliError(EXIT_USAGE, "steps must be >= 2")
-    if args.r <= 0.0 or args.eta <= 0.0 or args.nbar < 0.0:
+    if not (
+        0.0 < args.r < math.inf
+        and 0.0 < args.eta < math.inf
+        and 0.0 <= args.nbar < math.inf
+    ):
         raise CliError(EXIT_USAGE, "invalid scan parameters")
-    if args.t_min < 0.0 or args.t_max < args.t_min:
+    if not (0.0 <= args.t_min <= args.t_max < math.inf):
         raise CliError(EXIT_USAGE, "need 0 <= t-min <= t-max")
     points = scan_boundary(
         args.r, args.eta, args.nbar, args.t_max, args.steps, t_min=args.t_min
@@ -296,7 +274,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if bracket is not None:
         print(f"sign change bracket: [{_fmt(bracket[0])}, {_fmt(bracket[1])}]")
         t_star = threshold_time(args.r, args.eta, args.nbar)
-        if t_star is not INFINITE:
+        if t_star != INFINITE:
             mid = 0.5 * (bracket[0] + bracket[1])
             print(f"closed-form threshold: {_fmt(t_star)}")
             print(f"bracket-midpoint deviation: {_fmt(abs(mid - t_star))}")

@@ -29,7 +29,6 @@ from .exceptions import (
 EPS_SYM = 1e-10  # absolute asymmetry allowed before rejection
 EPS_PSD = 1e-9  # physicality slack, relative to the largest diagonal entry
 EPS_DET = 1e-10  # allowed departure of local-block determinants from 1
-EPS_INV = 1e-9  # relative tolerance on the four local invariants
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -128,10 +127,6 @@ class Llubo:
     def inverse(self) -> "Llubo":
         """Element-wise inverse pair (adjugate; the blocks have det 1)."""
         return Llubo(_adj2(self.h1), _adj2(self.h2))
-
-    def compose(self, first: "Llubo") -> "Llubo":
-        """The operation 'apply ``first``, then ``self``'."""
-        return Llubo(self.h1 @ first.h1, self.h2 @ first.h2)
 
 
 def _adj2(a: np.ndarray) -> np.ndarray:

@@ -24,8 +24,6 @@ from .core import (
 from .exceptions import NotPhysical
 from .separability import EPS_DECIDE, Decision, PRepresentation
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 #: Momentum reversal on mode 2 (the partial-transpose map on covariances).
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -63,7 +61,7 @@ class ModeSpec:
         arr = np.array(np.asarray(self.cov, dtype=float))
         if arr.shape != (2, 2):
             raise ValueError(f"mode covariance must be 2x2, got {arr.shape}")
-        lam_min = min_eig_hermitian_pair(arr, _J)
+        lam_min = min_eig_hermitian_pair(arr, OMEGA[:2, :2])
         if lam_min < -EPS_PSD * max(float(np.max(np.diag(arr))), 1.0):
             raise NotPhysical(f"mode covariance unphysical ({lam_min:.3e})")
         arr.flags.writeable = False

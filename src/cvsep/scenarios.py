@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Union
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,22 +19,8 @@ from .separability import Decision, decide_separability
 from .standard_form import form_i_layout
 
 
-class _Infinite:
-    """Marker for an unbounded entanglement lifetime (vacuum bath)."""
-
-    _instance = None
-
-    def __new__(cls) -> "_Infinite":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-
 #: Returned by :func:`threshold_time` when the state never disentangles.
-INFINITE = _Infinite()
+INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -47,13 +33,14 @@ class ThermalScenario:
     t: float
 
     def __post_init__(self) -> None:
-        if self.r < 0.0:
+        # Negated so that NaN fails too; t = inf is the thermal product state.
+        if not 0.0 <= self.r < math.inf:
             raise ValueError("squeezing parameter r must be >= 0")
-        if self.eta <= 0.0:
+        if not 0.0 < self.eta < math.inf:
             raise ValueError("damping coefficient eta must be > 0")
-        if self.nbar < 0.0:
+        if not 0.0 <= self.nbar < math.inf:
             raise ValueError("thermal occupation nbar must be >= 0")
-        if self.t < 0.0:
+        if not self.t >= 0.0:
             raise ValueError("elapsed time t must be >= 0")
 
 
@@ -95,20 +82,18 @@ def _thermal_layouts(
     return out
 
 
-def threshold_time(
-    r: float, eta: float, nbar: float
-) -> Union[float, _Infinite]:
+def threshold_time(r: float, eta: float, nbar: float) -> float:
     """Closed-form entanglement lifetime of the thermal scenario.
 
     The state is entangled exactly while
     ``t < ln(1 + (1 - e^{-2r}) / (2 nbar)) / (2 eta)``.  A vacuum bath
     (nbar = 0) never disentangles the state, reported as :data:`INFINITE`.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("squeezing parameter r must be > 0")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("damping coefficient eta must be > 0")
-    if nbar < 0.0:
+    if not nbar >= 0.0:
         raise ValueError("thermal occupation nbar must be >= 0")
     if nbar == 0.0:
         return INFINITE
@@ -139,7 +124,7 @@ def scan_boundary(
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if t_min < 0.0 or t_max < t_min:
+    if not 0.0 <= t_min <= t_max < math.inf:
         raise ValueError("need 0 <= t_min <= t_max")
     ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)  # rejects bad r, eta, nbar
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]

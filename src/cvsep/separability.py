@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, _adj2, variance_pair
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
-from .standard_form import EPS_FORM, StandardFormII, to_standard_form_II
+from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
 EPS_DECIDE = 1e-7  # half-width of the boundary band (relative to form scale)
 
@@ -140,6 +140,19 @@ def _block_min_eig(p: float, q: float, r: float) -> float:
     return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
 
 
+def _clip_psd(p: float, q: float, r: float) -> tuple[float, float, float]:
+    """[[p, q], [q, r]] with its negative eigenvalues set to zero."""
+    lo = _block_min_eig(p, q, r)
+    if lo >= 0.0:
+        return p, q, r
+    hi = p + r - lo
+    if hi <= 0.0:
+        return 0.0, 0.0, 0.0
+    # Keep hi times the projector (A - lo*I)/(hi - lo) onto its eigenvector.
+    k = hi / (hi - lo)
+    return k * (p - lo), k * q, k * (r - lo)
+
+
 def _form_spectrum(form: StandardFormII) -> tuple[float, float]:
     """(min eigenvalue of M_II - I, entry scale of M_II - I)."""
     lam_x = _block_min_eig(form.n1 - 1.0, form.c1, form.m1 - 1.0)
@@ -224,8 +237,9 @@ def p_representation(form: StandardFormII) -> PRepresentation:
     """Gaussian P-distribution parameters of a separable standard form II.
 
     The distribution of coherent-state labels is the centered Gaussian with
-    covariance ``(M_II - I)/2`` (original mode labels); eigenvalues within
-    tolerance of zero are clipped to keep the covariance PSD.
+    covariance ``(M_II - I)/2`` (original mode labels).  Its x and p sectors
+    are decoupled 2x2 blocks; a sector eigenvalue within tolerance below zero
+    is clipped to zero in closed form, keeping the covariance PSD.
 
     Raises:
         NotInSeparableRegime: ``M_II - I`` has an eigenvalue below
@@ -236,18 +250,21 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         raise NotInSeparableRegime(
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
-    cov = 0.5 * (form.unswapped_matrix() - np.eye(4))
-    w, v = np.linalg.eigh(cov)
-    if w[0] < 0.0:
-        cov = (v * np.clip(w, 0.0, None)) @ v.T
-        cov = 0.5 * (cov + cov.T)
+    n1, n2, m1, m2 = form.n1, form.n2, form.m1, form.m2
+    c1, c2 = form.c1, form.c2
     inv1 = _adj2(form.transform.h1)
     inv2 = _adj2(form.transform.h2)
     if form.swapped_modes:
+        n1, n2, m1, m2 = m1, m2, n1, n2
+        # + 0.0 turns an intermode -0.0 into 0.0, as the products in
+        # MODE_SWAP @ M @ MODE_SWAP do; the covariance keeps those bits.
+        c1, c2 = c1 + 0.0, c2 + 0.0
         back = Llubo(inv2, inv1)
     else:
         back = Llubo(inv1, inv2)
-    cov = np.array(cov)
+    xn, xc, xm = _clip_psd(n1 - 1.0, c1, m1 - 1.0)
+    pn, pc, pm = _clip_psd(n2 - 1.0, c2, m2 - 1.0)
+    cov = 0.5 * _layout(xn, pn, xm, pm, xc, pc)
     cov.flags.writeable = False
     return PRepresentation(covariance=cov, transform_back=back)
 

@@ -105,15 +105,22 @@ def _signed_svd(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return o1, o2, d0, d1
 
 
-def form_i_layout(n: float, m: float, c: float, c_prime: float) -> np.ndarray:
+def _layout(
+    n1: float, n2: float, m1: float, m2: float, c1: float, c2: float
+) -> np.ndarray:
+    """Layout with x sector [[n1, c1], [c1, m1]] and p sector [[n2, c2], [c2, m2]]."""
     return np.array(
         [
-            [n, 0.0, c, 0.0],
-            [0.0, n, 0.0, c_prime],
-            [c, 0.0, m, 0.0],
-            [0.0, c_prime, 0.0, m],
+            [n1, 0.0, c1, 0.0],
+            [0.0, n2, 0.0, c2],
+            [c1, 0.0, m1, 0.0],
+            [0.0, c2, 0.0, m2],
         ]
     )
+
+
+def form_i_layout(n: float, m: float, c: float, c_prime: float) -> np.ndarray:
+    return _layout(n, n, m, m, c, c_prime)
 
 
 @dataclass(frozen=True)
@@ -158,21 +165,7 @@ class StandardFormII:
 
     def matrix(self) -> np.ndarray:
         """The induced 4x4 layout."""
-        return np.array(
-            [
-                [self.n1, 0.0, self.c1, 0.0],
-                [0.0, self.n2, 0.0, self.c2],
-                [self.c1, 0.0, self.m1, 0.0],
-                [0.0, self.c2, 0.0, self.m2],
-            ]
-        )
-
-    def unswapped_matrix(self) -> np.ndarray:
-        """Layout with the original mode labels restored."""
-        m = self.matrix()
-        if self.swapped_modes:
-            m = MODE_SWAP @ m @ MODE_SWAP
-        return m
+        return _layout(self.n1, self.n2, self.m1, self.m2, self.c1, self.c2)
 
 
 def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:

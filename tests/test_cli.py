@@ -116,6 +116,25 @@ class TestCheck:
         missing = str(tmp_path / "nope.json")
         assert cli.main(["check", missing, "--tol-decide", value]) == cli.EXIT_USAGE
 
+    def test_json_key_order(self, tmp_path, capsys):
+        state = cv.evolve_thermal(cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=0.5))
+        path = write_state(tmp_path / "thermal.json", state.m)
+        assert cli.main(["check", path, "--json"]) == cli.EXIT_SEPARABLE
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [
+            "decision", "total_variance", "bound", "margin", "min_eigenvalue",
+            "witness", "invariants", "standard_form_ii", "certificate",
+            "tol_decide", "state",
+        ]
+        assert list(doc["witness"]) == ["a", "sign_u", "sign_v"]
+        assert list(doc["invariants"]) == ["det_g1", "det_g2", "det_c", "det_m"]
+        assert list(doc["standard_form_ii"]) == [
+            "n1", "n2", "m1", "m2", "c1", "c2", "r1", "r2",
+            "swapped_modes", "degenerate",
+        ]
+        assert list(doc["certificate"]) == ["covariance", "transform_back"]
+        assert list(doc["certificate"]["transform_back"]) == ["h1", "h2"]
+
     def test_json_boundary_state(self, tmp_path, capsys):
         t_star = cv.threshold_time(1.0, 1.0, 1.0)
         state = cv.evolve_thermal(
@@ -176,6 +195,13 @@ class TestThreshold:
         assert cli.main(["threshold", "0", "1", "1"]) == cli.EXIT_USAGE
         assert cli.main(["threshold", "1", "-1", "1"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("args", [["nan", "1", "1"], ["1", "nan", "1"], ["1", "1", "nan"]])
+    def test_nan_is_usage_error(self, args, capsys):
+        assert cli.main(["threshold", *args]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestScan:
     def test_csv_written_with_bracket(self, tmp_path, capsys):
@@ -203,6 +229,27 @@ class TestScan:
 
     def test_steps_floor_is_usage_error(self, capsys):
         assert cli.main(["scan", "1", "1", "1", "0.4", "1"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["nan", "1", "1", "1", "5"],
+            ["inf", "1", "1", "1", "5"],
+            ["1", "nan", "1", "1", "5"],
+            ["1", "inf", "1", "1", "5"],
+            ["1", "1", "nan", "1", "5"],
+            ["1", "1", "inf", "1", "5"],
+            ["1", "1", "1", "nan", "5"],
+            ["1", "1", "1", "inf", "5"],
+            ["1", "1", "1", "inf", "5", "--t-min", "inf"],
+            ["1", "1", "1", "1", "5", "--t-min", "nan"],
+        ],
+    )
+    def test_non_finite_parameters_are_usage_errors(self, args, capsys):
+        assert cli.main(["scan", *args]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "scan.csv"

@@ -9,6 +9,7 @@ import cvsep as cv
 from _util import COSH1, SINH1, tmsv_layout
 
 T_STAR_111 = 0.17965206772540485  # ln(1 + (1 - e^-2)/2) / 2
+NAN, INF = math.nan, math.inf
 
 
 class TestTmsvMatrix:
@@ -59,6 +60,20 @@ class TestEvolveThermal:
         with pytest.raises(ValueError):
             cv.ThermalScenario(r=1.0, eta=1.0, nbar=0.0, t=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", NAN), ("r", INF), ("eta", NAN), ("eta", INF),
+         ("nbar", NAN), ("nbar", INF), ("t", NAN)],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        params = {"r": 1.0, "eta": 1.0, "nbar": 1.0, "t": 0.5, field: value}
+        with pytest.raises(ValueError):
+            cv.ThermalScenario(**params)
+
+    def test_infinite_time_is_thermal_product_state(self):
+        sc = cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=INF)
+        np.testing.assert_array_equal(cv.evolve_thermal(sc).m, 3.0 * np.eye(4))
+
 
 class TestThresholdTime:
     def test_reference_point(self):
@@ -92,10 +107,39 @@ class TestThresholdTime:
             cv.threshold_time(1.0, 1.0, -1.0)
 
     def test_infinite_repr(self):
-        assert repr(cv.INFINITE) == "Infinite"
+        # INFINITE is math.inf, so it compares above every finite lifetime.
+        assert cv.INFINITE == math.inf
+        assert repr(cv.INFINITE) == "inf"
+        vacuum = cv.threshold_time(0.7, 2.0, 0.0)
+        for nbar in (1e-300, 1e-3, 1.0, 1e300):
+            assert vacuum > cv.threshold_time(0.7, 2.0, nbar)
+
+    @pytest.mark.parametrize("args", [(NAN, 1.0, 1.0), (1.0, NAN, 1.0), (1.0, 1.0, NAN)])
+    def test_nan_arguments_rejected(self, args):
+        with pytest.raises(ValueError):
+            cv.threshold_time(*args)
 
 
 class TestScanBoundary:
+    @pytest.mark.parametrize(
+        "r, eta, nbar, t_max, t_min",
+        [
+            (1.0, 1.0, 1.0, INF, 0.0),
+            (1.0, 1.0, 1.0, INF, INF),
+            (1.0, 1.0, 1.0, NAN, 0.0),
+            (1.0, 1.0, 1.0, 1.0, NAN),
+            (NAN, 1.0, 1.0, 1.0, 0.0),
+            (INF, 1.0, 1.0, 1.0, 0.0),
+            (1.0, NAN, 1.0, 1.0, 0.0),
+            (1.0, INF, 1.0, 1.0, 0.0),
+            (1.0, 1.0, NAN, 1.0, 0.0),
+            (1.0, 1.0, INF, 1.0, 0.0),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, r, eta, nbar, t_max, t_min):
+        with pytest.raises(ValueError):
+            cv.scan_boundary(r, eta, nbar, t_max, 5, t_min=t_min)
+
     def test_grid_straddles_threshold(self):
         points = cv.scan_boundary(1.0, 1.0, 1.0, 0.4, 41)
         assert len(points) == 41

@@ -10,11 +10,11 @@ import cvsep as cv
 from _util import random_llubo_blocks, tmsv_layout
 
 
-def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False):
+def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False, swapped=False):
     """Hand-built standard form II (identity transform)."""
     return cv.StandardFormII(
         n1=n1, n2=n2, m1=m1, m2=m2, c1=c1, c2=c2, r1=r1, r2=r2,
-        transform=cv.Llubo.identity(), swapped_modes=False,
+        transform=cv.Llubo.identity(), swapped_modes=swapped,
         degenerate=degenerate,
     )
 
@@ -172,6 +172,31 @@ class TestPRepresentation:
             [0.0, 0.0, 2.0, 2.0],
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize(
+        "n1, n2, m1, m2, c1, c2",
+        [
+            # x sector with det(A) < 0 by a few 1e-10: one eigenvalue just below 0.
+            (3.0, 1.5, 1.5, 1.2, 1.0 + 2e-10, 0.1),
+            (1.5, 2.0, 3.0, 1.25, -0.1, -(0.5 + 3e-10)),
+            # Both sectors clipped, mixed signs of the intermode entries.
+            (2.0, 1.25, 1.5, 1.5, -(math.sqrt(0.5) + 1e-10), math.sqrt(0.125) + 1e-10),
+            # p sector with both eigenvalues slightly negative: a zero block.
+            (2.0, 1.0 - 2e-10, 2.0, 1.0 - 5e-11, 0.5, 1e-11),
+        ],
+    )
+    def test_clipped_sectors_match_eigh_reference(self, n1, n2, m1, m2, c1, c2, swapped):
+        form = make_form(n1, n2, m1, m2, c1, c2, swapped=swapped)
+        layout = form.matrix()
+        if swapped:
+            layout = cv.MODE_SWAP @ layout @ cv.MODE_SWAP
+        w, v = np.linalg.eigh(0.5 * (layout - np.eye(4)))
+        assert w[0] < 0.0  # the clip is needed
+        reference = (v * np.clip(w, 0.0, None)) @ v.T
+        cov = cv.p_representation(form).covariance
+        np.testing.assert_allclose(cov, reference, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(cov)[0] >= -1e-12
 
     def test_entangled_form_rejected(self):
         form = cv.to_standard_form_II(cv.validate(tmsv_layout(0.5)))

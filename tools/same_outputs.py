@@ -11,7 +11,9 @@ prints one sha256 over three sets of outputs:
   bytes) for ``sample_random_physical(0..2999)``;
 * stdout, stderr and exit code of ``cvsep.cli.main`` for ``check``,
   ``check --json``, ``reduce --form I`` and ``reduce --form II`` on state
-  files written to a temporary directory, including rejected ones.
+  files written to a temporary directory, including rejected ones;
+* stdout, stderr and exit code of ``cvsep threshold`` and ``cvsep scan``
+  over a grid of arguments, including rejected ones.
 
 Floats enter the digest bit for bit (``float.hex``, ``ndarray.tobytes``), so
 two trees print the same digest only if every output is identical.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -101,6 +104,11 @@ def _state_files(cv, folder: Path):
         state = cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=nbar, t=t))
         docs.append((f"thermal{r}-{nbar}-{t}", state.m.tolist()))
     docs.append(("vacuum", np.eye(4).tolist()))
+    # A -0.0 intermode entry, with and without the n >= m mode swap.
+    for g1, g2 in ((1.3, 2.4), (2.4, 1.3)):
+        signed_zero = np.diag([g1, g1, g2, g2])
+        signed_zero[1, 3] = signed_zero[3, 1] = -0.06
+        docs.append((f"signed-zero{g1}", signed_zero.tolist()))
     asym = np.eye(4)
     asym[0, 1] = 0.5
     docs.append(("asymmetric", asym.tolist()))
@@ -132,9 +140,38 @@ def _cli_lines(cv):
                 yield f"{' '.join(extra)} {name} {code}\n{text}"
 
 
+def _scenario_argvs():
+    # nbar = 0 takes the INFINITE path; nbar = 50 prints the asymptote.
+    thresholds = (("0.3", "1", "4"), ("0.5", "2"), ("0", "0.2", "1", "50"))
+    for r, eta, nbar in itertools.product(*thresholds):
+        yield ["threshold", r, eta, nbar]
+    scans = (("0.5", "3"), ("0", "0.5", "2"), ("0.3", "2"), ("2", "9"))
+    for r, nbar, t_max, steps in itertools.product(*scans):
+        yield ["scan", r, "1", nbar, t_max, steps]
+        yield ["scan", r, "1", nbar, t_max, steps, "--t-min", "0.1"]
+    # Rejected usages.
+    for args in (("0", "1", "1"), ("-1", "1", "1"), ("1", "0", "1"), ("1", "1", "-0.5")):
+        yield ["threshold", *args]
+    for args in (("1", "1", "1", "0.4", "1"), ("0", "1", "1", "0.4", "5"),
+                 ("1", "0", "1", "0.4", "5"), ("1", "1", "-1", "0.4", "5"),
+                 ("1", "1", "1", "0.4", "5", "--t-min", "1"),
+                 ("1", "1", "1", "0.4", "5", "--t-min", "-0.1")):
+        yield ["scan", *args]
+
+
+def _scenario_cli_lines(cv):
+    from cvsep import cli
+
+    for argv in _scenario_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        yield f"{' '.join(argv)} {code}\n{out.getvalue()}\0{err.getvalue()}"
+
+
 def digest(cv) -> str:
     h = hashlib.sha256()
-    for lines in (_scan_lines, _verdict_lines, _cli_lines):
+    for lines in (_scan_lines, _verdict_lines, _cli_lines, _scenario_cli_lines):
         for line in lines(cv):
             h.update(line.encode("utf-8") + b"\n")
     return h.hexdigest()
