@@ -7,8 +7,8 @@ fails loudly instead of silently flipping verdicts:
      "ordering": "x1p1x2p2",
      "scaling": "vacuum-identity"}
 
-Exit codes: 0 separable, 1 entangled, 2 boundary; 64 usage, 65 unparseable
-input, 66 missing file, 67 unphysical/invalid matrix, 73 unwritable output.
+Exit codes: 0 separable, 1 entangled, 2 boundary; 64 usage, 65 unparseable input,
+66 missing file, 67 unphysical/invalid matrix, 70 internal error, 73 unwritable output.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_NOFILE = 66
 EXIT_UNPHYSICAL = 67
+EXIT_INTERNAL = 70
 EXIT_CANTWRITE = 73
 
 _DECISION_EXIT = {
@@ -249,9 +250,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, "invalid scan parameters")
     if not (0.0 <= args.t_min <= args.t_max < math.inf):
         raise CliError(EXIT_USAGE, "need 0 <= t-min <= t-max")
-    points = scan_boundary(
-        args.r, args.eta, args.nbar, args.t_max, args.steps, t_min=args.t_min
-    )
+    try:
+        points = scan_boundary(
+            args.r, args.eta, args.nbar, args.t_max, args.steps, t_min=args.t_min
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     lines = ["t,margin,decision"]
     lines += [f"{_fmt(p.t)},{_fmt(p.margin)},{p.decision.value}" for p in points]
     text = "\n".join(lines) + "\n"
@@ -385,6 +389,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CvsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNPHYSICAL
+    except Exception as exc:  # a bug: report it, never exit with a verdict code
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -29,12 +29,8 @@ class DegenerateMode(CvsepError):
     """A mode sits at vacuum purity; the squeeze-balance equation is vacuous."""
 
 
-class NoPositiveRoot(CvsepError):
-    """The squeeze-balance quadratic has no admissible positive root."""
-
-
 class RootNotBracketed(CvsepError):
-    """Bracketing of the balance-function root failed (numerical pathology)."""
+    """The balance function is positive at the end of its bracket (unphysical input)."""
 
 
 class DegenerateForm(CvsepError):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import CorrelationMatrix, _validate_stack, validate
 from .separability import Decision, decide_separability
-from .standard_form import form_i_layout
 
 
 #: Returned by :func:`threshold_time` when the state never disentangles.
@@ -36,6 +35,10 @@ class ThermalScenario:
         # Negated so that NaN fails too; t = inf is the thermal product state.
         if not 0.0 <= self.r < math.inf:
             raise ValueError("squeezing parameter r must be >= 0")
+        try:  # cosh(2r)**2, the scale of det M, overflows from r = 177.79...
+            math.cosh(2.0 * self.r) ** 2
+        except OverflowError:
+            raise ValueError(f"cosh(2r)**2 overflows for r = {self.r!r}") from None
         if not 0.0 < self.eta < math.inf:
             raise ValueError("damping coefficient eta must be > 0")
         if not 0.0 <= self.nbar < math.inf:
@@ -46,11 +49,7 @@ class ThermalScenario:
 
 def tmsv_matrix(r: float) -> CorrelationMatrix:
     """Two-mode squeezed vacuum: n = m = cosh 2r, c = -c' = sinh 2r."""
-    if r < 0.0:
-        raise ValueError("squeezing parameter r must be >= 0")
-    n = math.cosh(2.0 * r)
-    c = math.sinh(2.0 * r)
-    return validate(form_i_layout(n, n, c, -c))
+    return evolve_thermal(ThermalScenario(r=r, eta=1.0, nbar=0.0, t=0.0))
 
 
 def evolve_thermal(scenario: ThermalScenario) -> CorrelationMatrix:
@@ -97,7 +96,11 @@ def threshold_time(r: float, eta: float, nbar: float) -> float:
         raise ValueError("thermal occupation nbar must be >= 0")
     if nbar == 0.0:
         return INFINITE
-    return math.log1p((1.0 - math.exp(-2.0 * r)) / (2.0 * nbar)) / (2.0 * eta)
+    gap = 1.0 - math.exp(-2.0 * r)
+    ratio = gap / (2.0 * nbar)
+    if ratio == math.inf:  # subnormal nbar: the ratio overflows, its log does not
+        return (math.log(gap) - math.log(2.0 * nbar)) / (2.0 * eta)
+    return math.log1p(ratio) / (2.0 * eta)
 
 
 class ScanPoint(NamedTuple):

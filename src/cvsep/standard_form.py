@@ -3,7 +3,7 @@
 Form I has scalar diagonal blocks ``n*I``, ``m*I`` and a diagonal intermode
 block ``diag(c, c')`` with ``c >= |c'|``; form II applies one more diagonal
 squeeze per mode, with the squeeze parameters ``(r1, r2)`` solving a balance
-condition located by bracketing and bisection.
+condition located by bisection on the physical bracket ``1 <= r1 <= n``.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CorrelationMatrix, Llubo
-from .exceptions import (
-    DegenerateMode,
-    NoPositiveRoot,
-    NotPhysical,
-    RootNotBracketed,
-)
+from .exceptions import DegenerateMode, NotPhysical, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
-EPS_ROOT = 1e-10  # residual bound for the balance equations
 
 # Diagonal excess below a few ulp of the vacuum value 1 is a float
 # representation artifact (the intermode block, built from products, keeps
@@ -198,37 +192,28 @@ def solve_r2_given_r1(n: float, m: float, r1: float) -> float:
 
     Solves ``k*m*r2**2 + (1 - k)*r2 - m = 0`` with
     ``k = (n/r1 - 1)/(n*r1 - 1)``, returning the positive root on the branch
-    continuous with ``r2(1) = 1`` (evaluated in a cancellation-free form).
+    continuous with ``r2(1) = 1`` (evaluated in a cancellation-free form;
+    ``1 <= r1 <= n`` keeps ``0 <= k <= 1`` in floats, so it is always real).
 
     Raises:
         DegenerateMode: ``n`` or ``m`` within ``EPS_FORM`` of 1.
-        NoPositiveRoot: no admissible root (requires ``n >= m``).
+        ValueError: ``r1`` outside ``[1, n]``.
     """
     if n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM:
         raise DegenerateMode("a mode at vacuum purity has no balance ratio")
-    if r1 < 1.0:
-        raise ValueError(f"r1 must be >= 1, got {r1!r}")
+    if not 1.0 <= r1 <= n:
+        raise ValueError(f"r1 must lie in [1, n] = [1, {n!r}], got {r1!r}")
     if r1 == 1.0:
         return 1.0
     k = (n / r1 - 1.0) / (n * r1 - 1.0)
     disc = (1.0 - k) ** 2 + 4.0 * k * m * m
-    if disc < 0.0:
-        # Grazes zero when n == m at the extremal r1; genuine negatives mean
-        # the caller violated the n >= m convention.
-        if disc > -1e-12 * (1.0 - k) ** 2:
-            disc = 0.0
-        else:
-            raise NoPositiveRoot(f"no real squeeze balance at r1 = {r1!r}")
-    denom = (1.0 - k) + math.sqrt(disc)
-    if denom <= 0.0:
-        raise NoPositiveRoot(f"no positive squeeze balance at r1 = {r1!r}")
-    return 2.0 * m / denom
+    return 2.0 * m / ((1.0 - k) + math.sqrt(disc))
 
 
 def _balance_residual(
     n: float, m: float, abs_c: float, abs_cp: float, r1: float
-) -> tuple[float, float]:
-    """f(r1) = LHS - RHS of the squeeze-balance condition, plus r2(r1)."""
+) -> float:
+    """f(r1) = LHS - RHS of the squeeze-balance condition."""
     r2 = solve_r2_given_r1(n, m, r1)
     s = math.sqrt(r1 * r2)
     lhs = s * abs_c - abs_cp / s
@@ -236,7 +221,7 @@ def _balance_residual(
     t_dn = (n / r1 - 1.0) * (m / r2 - 1.0)
     # Both products are nonnegative along the branch; clamp roundoff.
     rhs = math.sqrt(max(t_up, 0.0)) - math.sqrt(max(t_dn, 0.0))
-    return lhs - rhs, r2
+    return lhs - rhs
 
 
 def solve_form_II_root(
@@ -244,47 +229,35 @@ def solve_form_II_root(
 ) -> tuple[float, float]:
     """Locate the squeeze pair (r1, r2) balancing standard form I.
 
-    Requires the canonical orientation ``n >= m`` and ``|c| >= |c'|``.
-    ``f(1) = |c| - |c'| >= 0`` and f eventually turns negative (guaranteed by
-    the physicality bound ``|c| <= sqrt(n(m - 1/m))``), so the root is
-    bracketed by doubling and then bisected to machine width.
+    Requires ``n >= m``.  ``f(1) = |c| - |c'|``, and ``f(n) <= 0`` for any
+    physical state (at r1 = n, r2 = m; Simon's ``n^2 + m^2 + 2cc' <= 1 + det M``
+    with ``nm(nm - c^2) >= det M >= 1`` gives ``nm(n^2-1)(m^2-1) >= (nm|c| - |c'|)^2``),
+    so ``[1, n]`` is bisected until its midpoint equals an endpoint.
 
     Raises:
-        RootNotBracketed: the sign change was not found within the
-            iteration cap (cannot occur for physical, non-degenerate input).
+        RootNotBracketed: ``f(n)`` is positive beyond rounding or NaN
+            (unphysical input, or overflow).
     """
     abs_c, abs_cp = abs(c), abs(c_prime)
     if n < m - EPS_FORM:
         raise ValueError("canonical orientation requires n >= m")
-    f_lo, _ = _balance_residual(n, m, abs_c, abs_cp, 1.0)
-    if f_lo <= 0.0:
+    if _balance_residual(n, m, abs_c, abs_cp, 1.0) <= 0.0:
         # |c| == |c'| family (f(1) is exactly their difference): root at 1.
         return 1.0, 1.0
-    lo, hi = 1.0, 2.0
-    f_hi, _ = _balance_residual(n, m, abs_c, abs_cp, hi)
-    doublings = 0
-    while f_hi > 0.0:
-        doublings += 1
-        if doublings > 200:
-            raise RootNotBracketed(
-                f"no sign change of the balance function up to r1 = {hi!r}"
-            )
-        lo, hi = hi, hi * 2.0
-        f_hi, _ = _balance_residual(n, m, abs_c, abs_cp, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval at machine width
-        f_mid, _ = _balance_residual(n, m, abs_c, abs_cp, mid)
+    f_n = _balance_residual(n, m, abs_c, abs_cp, n)
+    # A small positive f(n) is rounding at a root exactly at n.
+    if not f_n <= EPS_FORM * max(1.0, n * abs_c):
+        raise RootNotBracketed(f"no sign change of f on [1, n]: f(n) = {f_n!r}")
+    lo, hi = 1.0, n
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = _balance_residual(n, m, abs_c, abs_cp, mid)
         if f_mid > 0.0:
             lo = mid
         elif f_mid < 0.0:
             hi = mid
         else:
             lo = hi = mid
-            break
-    r1 = 0.5 * (lo + hi)
-    return r1, solve_r2_given_r1(n, m, r1)
+    return mid, solve_r2_given_r1(n, m, mid)
 
 
 def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:

@@ -195,6 +195,10 @@ class TestThreshold:
         assert cli.main(["threshold", "0", "1", "1"]) == cli.EXIT_USAGE
         assert cli.main(["threshold", "1", "-1", "1"]) == cli.EXIT_USAGE
 
+    def test_subnormal_occupation_prints_finite_time(self, capsys):
+        assert cli.main(["threshold", "1", "1", "1e-320"]) == 0
+        assert capsys.readouterr().out == "threshold time: 367.99434\n"
+
     @pytest.mark.parametrize("args", [["nan", "1", "1"], ["1", "nan", "1"], ["1", "1", "nan"]])
     def test_nan_is_usage_error(self, args, capsys):
         assert cli.main(["threshold", *args]) == cli.EXIT_USAGE
@@ -251,6 +255,13 @@ class TestScan:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("r", ["178", "400"])
+    def test_squeezing_beyond_float_range_is_usage_error(self, r, capsys):
+        assert cli.main(["scan", r, "1", "1", "1", "3"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "scan.csv"
         code = cli.main(["scan", "1", "1", "1", "0.4", "5", "--out", str(target)])
@@ -276,6 +287,38 @@ class TestSample:
         ])
         assert code == 0
         assert cli.main(["check", str(out_path)]) == cli.EXIT_SEPARABLE
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_70(self, tmsv_file, capsys, monkeypatch):
+        def broken(args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        assert cli.main(["check", tmsv_file]) == cli.EXIT_INTERNAL == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: ZeroDivisionError: float division by zero\n"
+        )
+
+    def test_overflowing_state_never_exits_entangled(self, tmp_path, capsys):
+        # Separable (n - |c| >= 1 with c' = -c), but its balance function
+        # overflows: that failure must not surface as exit 1, the code of an
+        # entangled verdict.
+        big = [
+            [1e160, 0.0, 9e159, 0.0],
+            [0.0, 1e160, 0.0, -9e159],
+            [9e159, 0.0, 1e160, 0.0],
+            [0.0, -9e159, 0.0, 1e160],
+        ]
+        path = write_state(tmp_path / "big.json", big)
+        code = cli.main(["check", path])
+        assert code in (cli.EXIT_SEPARABLE, cli.EXIT_UNPHYSICAL, cli.EXIT_INTERNAL)
+        if code != cli.EXIT_SEPARABLE:
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
 
 
 class TestUsage:

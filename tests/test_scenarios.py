@@ -31,6 +31,15 @@ class TestTmsvMatrix:
         with pytest.raises(ValueError):
             cv.tmsv_matrix(-0.1)
 
+    @pytest.mark.parametrize("r", [178.0, 400.0, INF, NAN])
+    def test_squeezing_beyond_float_range_rejected(self, r):
+        # cosh(2r)**2 overflows from r = 177.79...; cosh itself from ~355.
+        with pytest.raises(ValueError):
+            cv.tmsv_matrix(r)
+
+    def test_largest_squeezing_accepted(self):
+        assert math.isfinite(cv.tmsv_matrix(177.7).m[0, 0] ** 2)
+
 
 class TestEvolveThermal:
     def test_time_zero_is_exactly_tmsv(self):
@@ -69,6 +78,11 @@ class TestEvolveThermal:
         params = {"r": 1.0, "eta": 1.0, "nbar": 1.0, "t": 0.5, field: value}
         with pytest.raises(ValueError):
             cv.ThermalScenario(**params)
+
+    @pytest.mark.parametrize("r", [178.0, 400.0])
+    def test_squeezing_beyond_float_range_rejected(self, r):
+        with pytest.raises(ValueError):
+            cv.ThermalScenario(r=r, eta=1.0, nbar=1.0, t=0.0)
 
     def test_infinite_time_is_thermal_product_state(self):
         sc = cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=INF)
@@ -113,6 +127,14 @@ class TestThresholdTime:
         vacuum = cv.threshold_time(0.7, 2.0, 0.0)
         for nbar in (1e-300, 1e-3, 1.0, 1e300):
             assert vacuum > cv.threshold_time(0.7, 2.0, nbar)
+
+    def test_subnormal_occupation_stays_finite(self):
+        # (1 - e^-2) / (2 nbar) overflows; ln(1 + x) ~ ln x does not.
+        t = cv.threshold_time(1.0, 1.0, 1e-320)
+        expected = (math.log(1.0 - math.exp(-2.0)) - math.log(2e-320)) / 2.0
+        assert t == pytest.approx(expected, rel=1e-15)
+        assert t == pytest.approx(367.994, abs=1e-3)
+        assert cv.threshold_time(1.0, 1.0, 1e-300) < t < cv.INFINITE
 
     @pytest.mark.parametrize("args", [(NAN, 1.0, 1.0), (1.0, NAN, 1.0), (1.0, 1.0, NAN)])
     def test_nan_arguments_rejected(self, args):
@@ -211,10 +233,18 @@ class TestScanBoundary:
             points = cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min)
             assert [tuple(p) for p in points] == expected
 
-    @pytest.mark.parametrize("r, eta, nbar", [(-0.1, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0)])
+    @pytest.mark.parametrize(
+        "r, eta, nbar",
+        [(-0.1, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0), (178.0, 1.0, 1.0), (400.0, 1.0, 1.0)],
+    )
     def test_bad_scenario_rejected(self, r, eta, nbar):
         with pytest.raises(ValueError):
             cv.scan_boundary(r, eta, nbar, 0.4, 5)
+
+    def test_largest_squeezing_scans(self):
+        points = cv.scan_boundary(177.7, 1.0, 1.0, 1.0, 3)
+        assert len(points) == 3
+        assert all(math.isfinite(p.margin) for p in points)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,17 @@ class TestDecideSeparability:
                 continue
             assert base == other
 
+    def test_near_vacuum_tmsv_under_local_operations_entangled(self):
+        # n - 1 ~ 2 r^2 lies in [2e-8, 2e-6], so the balance root sits in a
+        # bracket [1, n] barely wider than the vacuum snap.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            r = rng.uniform(1e-4, 1e-3)
+            h1, h2 = random_llubo_blocks(rng, 1.0)
+            state = cv.apply_llubo(cv.tmsv_matrix(r), cv.Llubo(h1, h2))
+            assert cv.decide_separability(state).decision is cv.Decision.ENTANGLED
+            assert cv.ppt_decision(state) is cv.Decision.ENTANGLED
+
     def test_tolerance_override_widens_band(self):
         # A mildly entangled state becomes boundary under a huge band.
         state = cv.validate(tmsv_layout(0.1))

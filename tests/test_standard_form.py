@@ -120,20 +120,30 @@ class TestSolveR2:
             cv.solve_r2_given_r1(2.0, 2.0, 0.5)
 
     def test_no_real_root_when_orientation_violated(self):
-        # n < m at the extremal r1 = n + sqrt(n^2 - 1) pushes the quadratic
-        # discriminant negative; the n >= m convention prevents this.
-        with pytest.raises(cv.NoPositiveRoot):
+        # With n < m the quadratic has no real root at the extremal
+        # r1 = n + sqrt(n^2 - 1); that r1 lies beyond the physical bracket
+        # [1, n], so it is rejected before the quadratic is formed.
+        with pytest.raises(ValueError):
             cv.solve_r2_given_r1(1.5, 3.0, 1.5 + math.sqrt(1.25))
+
+    @pytest.mark.parametrize(
+        "n, m, r1",
+        [(2.0, 2.0, math.nextafter(2.0, 3.0)), (2.0, 1.5, 3.0), (1.5, 3.0, 1.6)],
+    )
+    def test_r1_above_domain_rejected(self, n, m, r1):
+        with pytest.raises(ValueError):
+            cv.solve_r2_given_r1(n, m, r1)
 
     @settings(max_examples=200)
     @given(
         n=st.floats(min_value=1.001, max_value=50.0),
-        ratio=st.floats(min_value=0.0, max_value=1.0),
-        r1=st.floats(min_value=1.0, max_value=30.0),
+        m=st.floats(min_value=1.001, max_value=50.0),
+        frac=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_branch_residual_property(self, n, ratio, r1):
-        # m <= n keeps the branch real for every r1 >= 1.
-        m = 1.001 + ratio * (n - 1.001)
+    def test_branch_residual_property(self, n, m, frac):
+        # Every r1 in the physical bracket [1, n] has a real branch, for
+        # either mode order.
+        r1 = 1.0 + frac * (n - 1.0)
         r2 = cv.solve_r2_given_r1(n, m, r1)
         assert r2 > 0.0
         k1 = (n / r1 - 1.0) / (n * r1 - 1.0)
@@ -210,14 +220,29 @@ class TestFormII:
             np.testing.assert_allclose(after, before, rtol=1e-9, atol=1e-9)
 
     def test_solver_root_is_bracketed_for_physical_states(self):
-        # The balance function root exists for every physical state.
-        for seed in range(40):
+        # The balance function root lies in [1, n] for every physical state.
+        for seed in range(1000):
             f1 = cv.to_standard_form_I(cv.sample_random_physical(seed))
             n, m = max(f1.n, f1.m), min(f1.n, f1.m)
             if m - 1.0 < cv.EPS_FORM or max(abs(f1.c), abs(f1.c_prime)) < cv.EPS_FORM:
                 continue
             r1, r2 = cv.solve_form_II_root(n, m, f1.c, f1.c_prime)
-            assert r1 >= 1.0 and r2 >= 1.0 - 1e-12
+            assert 1.0 <= r1 <= n and r2 >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+    def test_anticorrelated_scatter_root_at_bracket_end(self, d):
+        # I + 2 d^2 v v^T with v = (1, 0, -1, 0): c' = 0 and a saturated x
+        # sector put the root exactly at r1 = n, where f(n) is rounding.
+        plus = (0.5, cv.ModeSpec(d, 0.0, np.eye(2)), cv.ModeSpec(-d, 0.0, np.eye(2)))
+        minus = (0.5, cv.ModeSpec(-d, 0.0, np.eye(2)), cv.ModeSpec(d, 0.0, np.eye(2)))
+        state = cv.ensemble_covariance(cv.SeparableEnsemble((plus, minus)))
+        f1 = cv.to_standard_form_I(state)
+        n = max(f1.n, f1.m)
+        assert f1.c_prime == 0.0
+        form = cv.to_standard_form_II(state)
+        assert not form.degenerate
+        assert 1.0 <= form.r1 <= n
+        assert form.r1 == pytest.approx(n, rel=1e-14)
 
     def test_form_matrix_is_physical(self):
         for seed in range(30):
@@ -230,6 +255,6 @@ class TestFormII:
 
     def test_unphysical_coefficient_never_brackets(self):
         # |c| beyond sqrt(n(m - 1/m)) keeps the balance function positive
-        # forever; physical states cannot get here.
+        # at the end r1 = n of the bracket; physical states cannot get here.
         with pytest.raises(cv.RootNotBracketed):
             cv.solve_form_II_root(2.0, 2.0, 3.0, 0.1)

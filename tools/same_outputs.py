@@ -104,6 +104,18 @@ def _state_files(cv, folder: Path):
         state = cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=nbar, t=t))
         docs.append((f"thermal{r}-{nbar}-{t}", state.m.tolist()))
     docs.append(("vacuum", np.eye(4).tolist()))
+    # Near-vacuum squeezed pair (n - 1 ~ 5e-7) under local rotations and squeezes.
+    c1, s1, c2, s2 = math.cos(0.3), math.sin(0.3), math.cos(0.2), math.sin(0.2)
+    op = cv.Llubo(
+        np.array([[c1, s1], [-s1, c1]]) @ np.diag([math.exp(-0.6), math.exp(0.6)]),
+        np.array([[c2, s2], [-s2, c2]]) @ np.diag([math.exp(-0.4), math.exp(0.4)]),
+    )
+    docs.append(("near-vacuum", cv.apply_llubo(cv.tmsv_matrix(5e-4), op).m.tolist()))
+    # Anticorrelated mean scatter, d = 0.3: c' = 0, balance root exactly at r1 = n.
+    plus = (0.5, cv.ModeSpec(0.3, 0.0, np.eye(2)), cv.ModeSpec(-0.3, 0.0, np.eye(2)))
+    minus = (0.5, cv.ModeSpec(-0.3, 0.0, np.eye(2)), cv.ModeSpec(0.3, 0.0, np.eye(2)))
+    scatter = cv.ensemble_covariance(cv.SeparableEnsemble((plus, minus)))
+    docs.append(("anticorrelated-scatter", scatter.m.tolist()))
     # A -0.0 intermode entry, with and without the n >= m mode swap.
     for g1, g2 in ((1.3, 2.4), (2.4, 1.3)):
         signed_zero = np.diag([g1, g1, g2, g2])
