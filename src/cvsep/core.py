@@ -114,6 +114,19 @@ class Llubo:
             object.__setattr__(self, name, blk)
 
     @classmethod
+    def _trusted(cls, h1: np.ndarray, h2: np.ndarray) -> "Llubo":
+        """Unchecked, uncopied Llubo of fresh float 2x2 blocks of det 1.
+
+        For cvsep's own products and adjugates of det-1 factors; user input
+        goes through ``Llubo(h1, h2)``.  The blocks become read-only.
+        """
+        op = object.__new__(cls)
+        h1.flags.writeable = h2.flags.writeable = False
+        object.__setattr__(op, "h1", h1)
+        object.__setattr__(op, "h2", h2)
+        return op
+
+    @classmethod
     def identity(cls) -> "Llubo":
         return cls(np.eye(2), np.eye(2))
 
@@ -126,7 +139,7 @@ class Llubo:
 
     def inverse(self) -> "Llubo":
         """Element-wise inverse pair (adjugate; the blocks have det 1)."""
-        return Llubo(_adj2(self.h1), _adj2(self.h2))
+        return Llubo._trusted(_adj2(self.h1), _adj2(self.h2))
 
 
 def _adj2(a: np.ndarray) -> np.ndarray:

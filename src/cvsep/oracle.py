@@ -38,7 +38,12 @@ def ppt_decision(
     still physical.  The physicality margin is tested like ``validate``
     (down to ``-EPS_PSD`` relative to the largest diagonal entry), with
     anything between that and ``-tol_decide`` reported as boundary.
+
+    Raises:
+        ValueError: ``tol_decide`` is negative, NaN or infinite.
     """
+    if not (math.isfinite(tol_decide) and tol_decide >= 0.0):
+        raise ValueError(f"tol_decide must be finite and >= 0, got {tol_decide!r}")
     mt = _PT @ state.m @ _PT
     lam_min = min_eig_hermitian_pair(mt, OMEGA)
     scale = max(float(np.max(np.diag(mt))), 1.0)
@@ -58,9 +63,13 @@ class ModeSpec:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean_x) and math.isfinite(self.mean_p)):
+            raise ValueError("mode means must be finite")
         arr = np.array(np.asarray(self.cov, dtype=float))
         if arr.shape != (2, 2):
             raise ValueError(f"mode covariance must be 2x2, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("mode covariance has non-finite entries")
         lam_min = min_eig_hermitian_pair(arr, OMEGA[:2, :2])
         if lam_min < -EPS_PSD * max(float(np.max(np.diag(arr))), 1.0):
             raise NotPhysical(f"mode covariance unphysical ({lam_min:.3e})")
@@ -82,9 +91,10 @@ class SeparableEnsemble:
         if not self.components:
             raise ValueError("ensemble needs at least one component")
         weights = [w for w, _, _ in self.components]
-        if any(w <= 0.0 or w > 1.0 for w in weights):
+        # Negated comparisons, so that a NaN weight fails them too.
+        if not all(0.0 < w <= 1.0 for w in weights):
             raise ValueError("weights must lie in (0, 1]")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1")
 
 

@@ -10,13 +10,14 @@ P-representation serves as a constructive certificate.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, _adj2, variance_pair
+from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, variance_pair
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -60,7 +61,8 @@ class SeparabilityVerdict:
     ``witness`` is the optimal pair when the form is non-degenerate and
     ``None`` otherwise (the variance data then refer to the fallback a = 1
     pair and are informational only; the decision always comes from the
-    spectrum of ``M_II - I``).
+    spectrum of ``M_II - I``).  ``certificate`` is not a constructor
+    argument: it is computed from ``form`` on first read and cached.
     """
 
     decision: Decision
@@ -68,9 +70,19 @@ class SeparabilityVerdict:
     bound: float
     witness: Optional[EprPair]
     margin: float
-    certificate: Optional[PRepresentation]
     form: StandardFormII
     min_eigenvalue: float
+
+    @functools.cached_property
+    def certificate(self) -> Optional[PRepresentation]:
+        """P-representation of a SEPARABLE verdict's form, ``None`` otherwise.
+
+        Never raises for a verdict of :func:`decide_separability`: each of
+        its SEPARABLE branches has ``min_eigenvalue >= 0``.
+        """
+        if self.decision is not Decision.SEPARABLE:
+            return None
+        return p_representation(self.form)
 
 
 def total_variance_check(
@@ -179,7 +191,7 @@ def decide_separability(
     their intrinsic precision.  Non-degenerate forms also carry the optimal
     witness pair, whose variance margin is asserted consistent with the
     spectral decision.  Separable verdicts carry a P-representation
-    certificate.
+    certificate, built when first read.
 
     Raises:
         ValueError: ``tol_decide`` is negative, NaN or infinite.
@@ -218,16 +230,12 @@ def decide_separability(
         if decision is Decision.SEPARABLE and margin > slack:
             raise CvsepError("witness margin contradicts spectral decision")
 
-    certificate = (
-        p_representation(form) if decision is Decision.SEPARABLE else None
-    )
     return SeparabilityVerdict(
         decision=decision,
         total_variance=total,
         bound=bound,
         witness=witness,
         margin=margin,
-        certificate=certificate,
         form=form,
         min_eigenvalue=lam_min,
     )
@@ -252,16 +260,13 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         )
     n1, n2, m1, m2 = form.n1, form.n2, form.m1, form.m2
     c1, c2 = form.c1, form.c2
-    inv1 = _adj2(form.transform.h1)
-    inv2 = _adj2(form.transform.h2)
+    back = form.transform.inverse()
     if form.swapped_modes:
         n1, n2, m1, m2 = m1, m2, n1, n2
         # + 0.0 turns an intermode -0.0 into 0.0, as the products in
         # MODE_SWAP @ M @ MODE_SWAP do; the covariance keeps those bits.
         c1, c2 = c1 + 0.0, c2 + 0.0
-        back = Llubo(inv2, inv1)
-    else:
-        back = Llubo(inv1, inv2)
+        back = Llubo._trusted(back.h2, back.h1)
     xn, xc, xm = _clip_psd(n1 - 1.0, c1, m1 - 1.0)
     pn, pc, pm = _clip_psd(n2 - 1.0, c2, m2 - 1.0)
     cov = 0.5 * _layout(xn, pn, xm, pm, xc, pc)

@@ -30,6 +30,17 @@ class TestPptDecision:
         assert cv.ppt_decision(state) is cv.Decision.ENTANGLED
         assert cv.ppt_decision(state, tol_decide=1.0) is cv.Decision.BOUNDARY
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
+    def test_invalid_tolerance_rejected(self, tol):
+        # Same message as decide_separability; a NaN band used to report an
+        # entangled state as boundary.
+        state = cv.tmsv_matrix(0.5)
+        msg = f"tol_decide must be finite and >= 0, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            cv.ppt_decision(state, tol)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            cv.decide_separability(state, tol)
+
 
 class TestSeparableEnsemble:
     def test_single_component_is_full_weight(self):
@@ -57,9 +68,29 @@ class TestSeparableEnsemble:
         with pytest.raises(ValueError):
             cv.SeparableEnsemble(((0.5, mode, mode), (0.6, mode, mode)))
 
+    @pytest.mark.parametrize(
+        "weights", [(math.nan,), (0.5, math.nan), (math.nan, 1.0), (0.5, 0.5, math.nan)]
+    )
+    def test_nan_weights_rejected(self, weights):
+        mode = cv.ModeSpec(0.0, 0.0, np.eye(2))
+        with pytest.raises(ValueError, match="weights must lie in"):
+            cv.SeparableEnsemble(tuple((w, mode, mode) for w in weights))
+
     def test_unphysical_mode_rejected(self):
         with pytest.raises(cv.NotPhysical):
             cv.ModeSpec(0.0, 0.0, 0.25 * np.eye(2))
+
+    @pytest.mark.parametrize("means", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_mean_rejected(self, means):
+        with pytest.raises(ValueError, match="mode means must be finite"):
+            cv.ModeSpec(*means, np.eye(2))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_mode_covariance_rejected(self, entry):
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = entry
+        with pytest.raises(ValueError, match="mode covariance has non-finite entries"):
+            cv.ModeSpec(0.0, 0.0, cov)
 
 
 class TestEnsembleCovariance:

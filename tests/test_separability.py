@@ -112,6 +112,26 @@ class TestDecideSeparability:
                 verdict.decision is cv.Decision.SEPARABLE
             )
 
+    def test_certificate_built_on_first_read_only(self, monkeypatch):
+        calls = []
+        build = cv.separability.p_representation
+
+        def counted(form):
+            calls.append(form)
+            return build(form)
+
+        monkeypatch.setattr(cv.separability, "p_representation", counted)
+        points = cv.scan_boundary(1.0, 1.0, 1.0, 2.0, 20)
+        assert cv.Decision.SEPARABLE in {p.decision for p in points}
+        verdict = cv.decide_separability(cv.validate(np.eye(4)))
+        entangled = cv.decide_separability(cv.validate(tmsv_layout(0.5)))
+        assert calls == []
+        cert = verdict.certificate
+        assert verdict.certificate is cert
+        assert len(calls) == 1 and calls[0] is verdict.form
+        assert entangled.certificate is None
+        assert len(calls) == 1
+
     def test_witness_consistency_with_decision(self):
         # Violation by the optimal pair is equivalent to entanglement.
         for seed in range(120):

@@ -258,3 +258,35 @@ class TestFormII:
         # at the end r1 = n of the bracket; physical states cannot get here.
         with pytest.raises(cv.RootNotBracketed):
             cv.solve_form_II_root(2.0, 2.0, 3.0, 0.1)
+
+
+class TestInternalTransforms:
+    """Transforms cvsep composes itself skip ``Llubo``'s checks; they hold anyway."""
+
+    @staticmethod
+    def _assert_det_one_read_only(op):
+        assert isinstance(op, cv.Llubo)
+        for blk in (op.h1, op.h2):
+            assert blk.shape == (2, 2) and blk.dtype == np.float64
+            assert not blk.flags.writeable
+            (a, b), (c, d) = blk.tolist()
+            assert abs(a * d - b * c - 1.0) <= cv.EPS_DET
+
+    def test_det_one_and_read_only(self):
+        states = [cv.sample_random_physical(seed) for seed in range(1000)]
+        for r in (0.1, 1.0, 3.0, 10.0):
+            for nbar in (0.0, 0.5, 3.0):
+                for t in np.linspace(0.0, 2.0, 9):
+                    scenario = cv.ThermalScenario(r=r, eta=1.0, nbar=nbar, t=float(t))
+                    states.append(cv.evolve_thermal(scenario))
+        certificates = 0
+        for state in states:
+            verdict = cv.decide_separability(state)
+            ops = [cv.to_standard_form_I(state).transform, verdict.form.transform]
+            if verdict.certificate is not None:
+                ops.append(verdict.certificate.transform_back)
+                certificates += 1
+            for op in ops:
+                self._assert_det_one_read_only(op)
+                self._assert_det_one_read_only(op.inverse())
+        assert certificates > 300
