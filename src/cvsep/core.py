@@ -100,26 +100,19 @@ class Llubo:
             blk = np.array(getattr(self, name), dtype=float)
             if blk.shape != (2, 2):
                 raise InvalidLlubo(f"{name} must be 2x2, got {blk.shape}")
-            # Python floats: the same IEEE arithmetic as det2, without
-            # numpy's per-call overhead on four entries.
-            (a, b), (c, d) = blk.tolist()
-            if not all(map(math.isfinite, (a, b, c, d))):
-                raise InvalidLlubo(f"{name} has non-finite entries")
-            det = a * d - b * c
-            if abs(det - 1.0) > EPS_DET:
-                raise InvalidLlubo(
-                    f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}"
-                )
+            _check_unit_det(name, blk)
             blk.flags.writeable = False
             object.__setattr__(self, name, blk)
 
     @classmethod
-    def _trusted(cls, h1: np.ndarray, h2: np.ndarray) -> "Llubo":
-        """Unchecked, uncopied Llubo of fresh float 2x2 blocks of det 1.
+    def _fresh(cls, h1: np.ndarray, h2: np.ndarray) -> "Llubo":
+        """Llubo of fresh float 2x2 blocks built by cvsep, without a copy.
 
-        For cvsep's own products and adjugates of det-1 factors; user input
-        goes through ``Llubo(h1, h2)``.  The blocks become read-only.
+        The blocks are still checked as in ``Llubo(h1, h2)``: rounding under
+        strong squeezes can move a product's determinant away from 1.
         """
+        _check_unit_det("h1", h1)
+        _check_unit_det("h2", h2)
         op = object.__new__(cls)
         h1.flags.writeable = h2.flags.writeable = False
         object.__setattr__(op, "h1", h1)
@@ -139,7 +132,18 @@ class Llubo:
 
     def inverse(self) -> "Llubo":
         """Element-wise inverse pair (adjugate; the blocks have det 1)."""
-        return Llubo._trusted(_adj2(self.h1), _adj2(self.h2))
+        return Llubo._fresh(_adj2(self.h1), _adj2(self.h2))
+
+
+def _check_unit_det(name: str, blk: np.ndarray) -> None:
+    # Python floats: the same IEEE arithmetic as det2, without numpy's
+    # per-call overhead on four entries.
+    (a, b), (c, d) = blk.tolist()
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise InvalidLlubo(f"{name} has non-finite entries")
+    det = a * d - b * c
+    if abs(det - 1.0) > EPS_DET:
+        raise InvalidLlubo(f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}")
 
 
 def _adj2(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, variance_pair
+from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, _adj2, variance_pair
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -77,8 +77,9 @@ class SeparabilityVerdict:
     def certificate(self) -> Optional[PRepresentation]:
         """P-representation of a SEPARABLE verdict's form, ``None`` otherwise.
 
-        Never raises for a verdict of :func:`decide_separability`: each of
-        its SEPARABLE branches has ``min_eigenvalue >= 0``.
+        Raises :class:`NotInSeparableRegime` as :func:`p_representation`
+        does, which only a hand-built verdict can meet: every SEPARABLE
+        verdict of :func:`decide_separability` has ``min_eigenvalue >= 0``.
         """
         if self.decision is not Decision.SEPARABLE:
             return None
@@ -260,13 +261,15 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         )
     n1, n2, m1, m2 = form.n1, form.n2, form.m1, form.m2
     c1, c2 = form.c1, form.c2
-    back = form.transform.inverse()
+    inv1 = _adj2(form.transform.h1)
+    inv2 = _adj2(form.transform.h2)
     if form.swapped_modes:
         n1, n2, m1, m2 = m1, m2, n1, n2
         # + 0.0 turns an intermode -0.0 into 0.0, as the products in
         # MODE_SWAP @ M @ MODE_SWAP do; the covariance keeps those bits.
         c1, c2 = c1 + 0.0, c2 + 0.0
-        back = Llubo._trusted(back.h2, back.h1)
+        inv1, inv2 = inv2, inv1
+    back = Llubo._fresh(inv1, inv2)
     xn, xc, xm = _clip_psd(n1 - 1.0, c1, m1 - 1.0)
     pn, pc, pm = _clip_psd(n2 - 1.0, c2, m2 - 1.0)
     cov = 0.5 * _layout(xn, pn, xm, pm, xc, pc)

@@ -183,7 +183,7 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
         m=m,
         c=c,
         c_prime=c_prime,
-        transform=Llubo._trusted(o1 @ h1a, o2 @ h2a),
+        transform=Llubo._fresh(o1 @ h1a, o2 @ h2a),
     )
 
 
@@ -308,7 +308,7 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         c2=cp / geo,
         r1=r1,
         r2=r2,
-        transform=Llubo._trusted(s1 @ h1, s2 @ h2),
+        transform=Llubo._fresh(s1 @ h1, s2 @ h2),
         swapped_modes=swapped,
         degenerate=degenerate,
     )

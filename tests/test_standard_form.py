@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvsep as cv
-from _util import COSH1, SINH1, complex_min_eig, layout, random_llubo_blocks, tmsv_layout
+from _util import (
+    COSH1,
+    SINH1,
+    blockdiag,
+    complex_min_eig,
+    layout,
+    random_llubo_blocks,
+    tmsv_layout,
+)
 
 
 def _form_ii_balance(n, m, c, cp, r1, r2):
@@ -261,7 +269,7 @@ class TestFormII:
 
 
 class TestInternalTransforms:
-    """Transforms cvsep composes itself skip ``Llubo``'s checks; they hold anyway."""
+    """Transforms cvsep builds itself skip ``Llubo``'s copy but not its checks."""
 
     @staticmethod
     def _assert_det_one_read_only(op):
@@ -290,3 +298,32 @@ class TestInternalTransforms:
                 self._assert_det_one_read_only(op)
                 self._assert_det_one_read_only(op.inverse())
         assert certificates > 300
+
+    def test_strong_local_squeezes_raise_or_agree(self):
+        # Squeezes up to e^12 round the form-I and form-II products away
+        # from det 1; that must raise InvalidLlubo, not yield a verdict.
+        rng = np.random.default_rng(6)
+        eps = np.finfo(float).eps
+        invalid = 0
+        for seed in range(1000):
+            base = cv.sample_random_physical(seed)
+            b = blockdiag(*random_llubo_blocks(rng, max_log_squeeze=12.0))
+            m = b @ base.m @ b.T
+            try:
+                state = cv.validate(0.5 * (m + m.T))
+                verdict = cv.decide_separability(state)
+            except cv.InvalidLlubo:
+                invalid += 1
+                continue
+            except cv.CvsepError:
+                continue
+            op = verdict.form.transform
+            self._assert_det_one_read_only(cv.to_standard_form_I(state).transform)
+            self._assert_det_one_read_only(op)
+            if verdict.decision is not cv.ppt_decision(base):
+                # Known defect (ROADMAP item 3): a wrong verdict here has its
+                # eigenvalue inside the rounding error of the reduction.
+                norm2 = max(float((op.h1**2).sum()), float((op.h2**2).sum()))
+                band = 64 * eps * max(float(np.abs(m).max()) * norm2, 1.0)
+                assert abs(verdict.min_eigenvalue) < band
+        assert invalid > 100
