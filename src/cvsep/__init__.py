@@ -65,12 +65,9 @@ from .separability import (
 )
 from .standard_form import (
     EPS_FORM,
-    MODE_SWAP,
     StandardFormI,
     StandardFormII,
     balance_residuals,
-    form_i_layout,
-    reduction_input,
     solve_form_II_root,
     solve_r2_given_r1,
     to_standard_form_I,
@@ -95,7 +92,6 @@ __all__ = [
     "InvalidLlubo",
     "Llubo",
     "LluboInvariants",
-    "MODE_SWAP",
     "ModeSpec",
     "NotFinite",
     "NotInSeparableRegime",
@@ -118,13 +114,11 @@ __all__ = [
     "decide_separability",
     "ensemble_covariance",
     "evolve_thermal",
-    "form_i_layout",
     "llubo_invariants",
     "p_representation",
     "ppt_decision",
     "reconstruct_analytic",
     "reconstruct_from_p_samples",
-    "reduction_input",
     "sample_random_physical",
     "sample_separable_ensemble",
     "scan_boundary",

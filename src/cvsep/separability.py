@@ -104,17 +104,19 @@ def construct_epr_pair(form: StandardFormII) -> EprPair:
 
     ``a0**2 = sqrt((m1-1)/(n1-1))`` with the mode-2 signs opposing the
     intermode correlations: ``u = a0 x1 - sgn(c1)/a0 x2`` and
-    ``v = a0 p1 - sgn(c2)/a0 p2``.
+    ``v = a0 p1 - sgn(c2)/a0 p2``.  A zero ``c2`` drops out of the variance,
+    so either sign of ``v`` is optimal there; it gets ``sign_v = +1``, as
+    the fallback pair does.
 
     Raises:
-        DegenerateForm: a mode at vacuum purity or a vanishing intermode
-            coefficient; callers must fall back to the spectral decision.
+        DegenerateForm: a mode at vacuum purity or a vanishing ``c1``;
+            callers must fall back to the spectral decision.
     """
     if form.degenerate:
         raise DegenerateForm("trivial form has no optimal pair")
     if form.n1 - 1.0 <= EPS_FORM or form.m1 - 1.0 <= EPS_FORM:
         raise DegenerateForm("a mode at vacuum purity has no optimal pair")
-    if form.c1 == 0.0 or form.c2 == 0.0:
+    if form.c1 == 0.0:
         raise DegenerateForm("vanishing intermode coefficient")
     a0_sq = math.sqrt((form.m1 - 1.0) / (form.n1 - 1.0))
     if form.n2 - 1.0 > EPS_FORM and form.m2 - 1.0 > EPS_FORM:
@@ -265,8 +267,8 @@ def p_representation(form: StandardFormII) -> PRepresentation:
     inv2 = _adj2(form.transform.h2)
     if form.swapped_modes:
         n1, n2, m1, m2 = m1, m2, n1, n2
-        # + 0.0 turns an intermode -0.0 into 0.0, as the products in
-        # MODE_SWAP @ M @ MODE_SWAP do; the covariance keeps those bits.
+        # + 0.0 turns an intermode -0.0 into 0.0, as swapping the modes by
+        # permutation-matrix products does; the covariance keeps those bits.
         c1, c2 = c1 + 0.0, c2 + 0.0
         inv1, inv2 = inv2, inv1
     back = Llubo._fresh(inv1, inv2)

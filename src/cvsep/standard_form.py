@@ -18,85 +18,66 @@ from .exceptions import DegenerateMode, NotPhysical, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
 
-# Diagonal excess below a few ulp of the vacuum value 1 is a float
-# representation artifact (the intermode block, built from products, keeps
-# full relative precision and carries the decision there).
+# Rounding allowance of a form-I diagonal block, in units of the products it
+# is computed from: see _scalarize_block.
 _VACUUM_SNAP = 8.0 * np.finfo(float).eps
 
-#: Permutation exchanging the two modes, (x1, p1, x2, p2) -> (x2, p2, x1, p1).
-MODE_SWAP = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
-MODE_SWAP.flags.writeable = False
 
-_EYE2 = np.eye(2)  # shared identity pass; every use multiplies it into a new array
-_EYE2.flags.writeable = False
-_ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])  # joint pi/2 rotation block
-_FLIP = np.array([[-1.0, 0.0], [0.0, -1.0]])  # rotation by pi
+def _scalarize_block(
+    a: float, b: float, d: float
+) -> tuple[float, float, float, float]:
+    """``(n, u, v, w)`` with ``h = [[u, v], [v, w]]``, ``det h = 1`` and
+    ``h g h^T = n I`` for the block ``g = [[a, b], [b, d]]``.
 
+    ``n = sqrt(det g)`` and
+    ``h = sqrt(n) g^(-1/2) = adj(g + nI) / sqrt(n (tr g + 2n))``, the
+    symmetric positive definite choice.  The denominator is evaluated
+    as ``2n sqrt((tr g + 2n) / 4n)``, which stays finite wherever ``det g``
+    does (entries up to ~1e154) and is exactly ``2n`` when ``g = nI``, so
+    that h is then exactly I.
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    A physical block has ``det g >= 1``.  The rounding estimate of the
+    computed ``det g = a*d - b*b`` is ``8 eps (a*d + b*b)``: a deficit below 1
+    within it is rounding and gives ``n = 1``, as does an excess of ``n``
+    over 1 below ``8 eps``.
 
-
-def _scalarize_block(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-determinant h with ``h @ g @ h.T = value * I`` for symmetric g > 0.
-
-    Rotation to principal axes followed by the squeeze that equalizes the
-    two variances.  Exact pass-through (h = I) when g is already scalar.
+    Raises:
+        NotPhysical: ``det g`` below 1 by more than its rounding estimate.
     """
-    b = float(g[0, 1])
-    if b == 0.0:
-        rot = _EYE2
-        alpha, beta = float(g[0, 0]), float(g[1, 1])
-    else:
-        rot = _rotation(0.5 * math.atan2(2.0 * b, float(g[0, 0] - g[1, 1])))
-        d = rot @ g @ rot.T
-        alpha, beta = float(d[0, 0]), float(d[1, 1])
-    if alpha <= 0.0 or beta <= 0.0:
-        raise NotPhysical("diagonal block is not positive definite")
-    if alpha == beta:
-        return rot, alpha
-    s = (beta / alpha) ** 0.25
-    h = np.diag([s, 1.0 / s]) @ rot
-    return h, math.sqrt(alpha * beta)
+    det = a * d - b * b
+    if 1.0 - det > _VACUUM_SNAP * (a * d + b * b):
+        raise NotPhysical(
+            f"diagonal block has determinant {det!r} < 1; state violates the "
+            "uncertainty relation"
+        )
+    n = math.sqrt(max(det, 1.0))
+    if n - 1.0 <= _VACUUM_SNAP:
+        n = 1.0
+    k = 2.0 * n * math.sqrt((a + d + 2.0 * n) / (4.0 * n))
+    # 0.0 - b, not -b: a zero b gives +0.0, so an identity h has no -0.0.
+    return n, (d + n) / k, (0.0 - b) / k, (a + n) / k
 
 
-def _signed_svd(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Rotations (det +1) with ``o1 @ c @ o2.T = diag(d0, d1)``, ``d0 >= |d1|``.
+def _signed_svd(
+    p: float, q: float, r: float, s: float
+) -> tuple[float, float, float, float]:
+    """``(c, c', x, y)`` with ``[[p, q], [r, s]] = R(x) diag(c, c') R(y)``.
 
-    Restricting to proper rotations leaves the sign of the smaller value
-    free; ``d0`` is made nonnegative.  Already-diagonal input passes through
-    exactly (only sign/swap rotations applied).
+    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``, and ``c >= |c'|``, ``c >= 0``.
+    The block is ``E I + F Z + G X + H J`` with ``Z = diag(1, -1)``,
+    ``X = [[0, 1], [1, 0]]``, ``J = [[0, -1], [1, 0]]``; its rotation part
+    ``E I + H J`` is ``hypot(E, H) R(alpha)`` and its reflection part
+    ``F Z + G X`` is ``hypot(F, G) R(beta) Z``, so ``x = (alpha + beta)/2`` and
+    ``y = (alpha - beta)/2``, with ``alpha = atan2(H, E)`` and
+    ``beta = atan2(G, F)`` taken in ``(-pi, pi]``.  That choice fixes the
+    joint pi rotation ``(x, y) -> (x + pi, y + pi)`` the values leave free.
+    A diagonal block with ``p >= |s|`` gives ``x = y = 0``.
     """
-    if c[0, 1] == 0.0 and c[1, 0] == 0.0:
-        o1, o2 = _EYE2, _EYE2
-        d0, d1 = float(c[0, 0]), float(c[1, 1])
-        if abs(d1) > abs(d0):
-            # Joint pi/2 rotation on both modes exchanges the two entries.
-            o1, o2 = _ROT90.copy(), _ROT90.copy()
-            d0, d1 = d1, d0
-        if d0 < 0.0:
-            o2 = _FLIP @ o2  # pi rotation on mode 2 flips both signs
-            d0, d1 = -d0, -d1
-        return o1, o2, d0, d1
-    u, sig, vt = np.linalg.svd(c)
-    d0, d1 = float(sig[0]), float(sig[1])
-    o1 = u.T
-    o2 = vt
-    if np.linalg.det(u) < 0.0:
-        o1 = np.diag([1.0, -1.0]) @ o1
-        d1 = -d1
-    if np.linalg.det(vt) < 0.0:
-        o2 = np.diag([1.0, -1.0]) @ o2
-        d1 = -d1
-    return o1, o2, d0, d1
+    e, f = 0.5 * (p + s), 0.5 * (p - s)
+    g, h = 0.5 * (r + q), 0.5 * (r - q)
+    rot, ref = math.hypot(e, h), math.hypot(f, g)
+    alpha, beta = math.atan2(h, e), math.atan2(g, f)
+    return rot + ref, rot - ref, 0.5 * (alpha + beta), 0.5 * (alpha - beta)
 
 
 def _layout(
@@ -113,10 +94,6 @@ def _layout(
     )
 
 
-def form_i_layout(n: float, m: float, c: float, c_prime: float) -> np.ndarray:
-    return _layout(n, n, m, m, c, c_prime)
-
-
 @dataclass(frozen=True)
 class StandardFormI:
     """Reduced parameters (n, m, c, c') plus the local operation that
@@ -131,7 +108,7 @@ class StandardFormI:
 
     def matrix(self) -> np.ndarray:
         """The induced 4x4 layout."""
-        return form_i_layout(self.n, self.m, self.c, self.c_prime)
+        return _layout(self.n, self.n, self.m, self.m, self.c, self.c_prime)
 
 
 @dataclass(frozen=True)
@@ -163,27 +140,49 @@ class StandardFormII:
 
 
 def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
-    """Reduce to standard form I by the three-stage local construction.
+    """Reduce to standard form I in closed form.
 
-    (i) rotate each mode to the principal axes of its diagonal block,
-    (ii) squeeze each mode so the blocks become ``n*I`` and ``m*I``,
-    (iii) diagonalize the intermode block with a pair of proper rotations.
-    The result satisfies ``n, m >= 1`` and ``c >= |c'|``.
+    Each mode gets the symmetric squeeze ``S_i = sqrt(n_i) G_i^(-1/2)`` that
+    makes its diagonal block ``n*I`` or ``m*I`` (``n = sqrt(det G1)``,
+    ``m = sqrt(det G2)``), then a proper rotation that diagonalizes the
+    intermode block ``C~ = S1 C S2 = R(x) diag(c, c') R(y)`` (see
+    :func:`_signed_svd`).  The transform is ``h1 = R(x)^T S1``,
+    ``h2 = R(y) S2``; the angles' fixed range (not a solver's choice)
+    decides between it and ``(-h1, -h2)``, which gives the same form.  An
+    input already in the form-I layout keeps ``h1 = h2 = I`` and its ``n``
+    and ``m`` exactly; ``c`` and ``c'`` are exact when ``|c'| = c`` (the
+    squeezed vacuum and its thermal evolution) and may otherwise move by
+    rounding, as ``c = hypot(E, H) + hypot(F, G)``.  The result satisfies
+    ``n, m >= 1`` and ``c >= |c'|``.
+
+    Raises:
+        NotPhysical: ``det G1`` or ``det G2`` below 1 by more than its
+            rounding estimate (see :func:`_scalarize_block`).
     """
-    h1a, n = _scalarize_block(state.g1)
-    h2a, m = _scalarize_block(state.g2)
-    c_rot = h1a @ state.c @ h2a.T
-    o1, o2, c, c_prime = _signed_svd(c_rot)
-    # Physical states have n, m >= 1; sub-1 values are roundoff, and
-    # excesses at the representation floor snap to vacuum.
-    n = 1.0 if n - 1.0 <= _VACUUM_SNAP else n
-    m = 1.0 if m - 1.0 <= _VACUUM_SNAP else m
+    (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = state.m.tolist()
+    n, u1, v1, w1 = _scalarize_block(a1, b1, d1)
+    m, u2, v2, w2 = _scalarize_block(a2, b2, d2)
+    # Rows of S1 C, then S1 C S2 (S2 is symmetric).
+    x0, y0 = u1 * p + v1 * r, u1 * q + v1 * s
+    x1, y1 = v1 * p + w1 * r, v1 * q + w1 * s
+    c, c_prime, x, y = _signed_svd(
+        x0 * u2 + y0 * v2, x0 * v2 + y0 * w2, x1 * u2 + y1 * v2, x1 * v2 + y1 * w2
+    )
+    cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
+    h1 = np.array(
+        [
+            [cx * u1 + sx * v1, cx * v1 + sx * w1],
+            [cx * v1 - sx * u1, cx * w1 - sx * v1],
+        ]
+    )
+    h2 = np.array(
+        [
+            [cy * u2 - sy * v2, cy * v2 - sy * w2],
+            [sy * u2 + cy * v2, sy * v2 + cy * w2],
+        ]
+    )
     return StandardFormI(
-        n=n,
-        m=m,
-        c=c,
-        c_prime=c_prime,
-        transform=Llubo._fresh(o1 @ h1a, o2 @ h2a),
+        n=n, m=m, c=c, c_prime=c_prime, transform=Llubo._fresh(h1, h2)
     )
 
 
@@ -260,6 +259,14 @@ def solve_form_II_root(
     return mid, solve_r2_given_r1(n, m, mid)
 
 
+def _squeezed(h: np.ndarray, r: float) -> np.ndarray:
+    """``diag(sqrt(r), 1/sqrt(r)) @ h``; ``r = 1`` copies h exactly."""
+    q = math.sqrt(r)
+    iq = 1.0 / q
+    (a, b), (c, d) = h.tolist()
+    return np.array([[q * a, q * b], [iq * c, iq * d]])
+
+
 def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     """Reduce to standard form II via form I plus the balance squeezes.
 
@@ -288,16 +295,6 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         r1, r2 = 1.0, 1.0
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
-    if r1 == 1.0:
-        s1 = _EYE2
-    else:
-        q1 = math.sqrt(r1)
-        s1 = np.diag([q1, 1.0 / q1])
-    if r2 == 1.0:
-        s2 = _EYE2
-    else:
-        q2 = math.sqrt(r2)
-        s2 = np.diag([q2, 1.0 / q2])
     geo = math.sqrt(r1 * r2)
     return StandardFormII(
         n1=n * r1,
@@ -308,17 +305,10 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         c2=cp / geo,
         r1=r1,
         r2=r2,
-        transform=Llubo._fresh(s1 @ h1, s2 @ h2),
+        transform=Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2)),
         swapped_modes=swapped,
         degenerate=degenerate,
     )
-
-
-def reduction_input(state: CorrelationMatrix, form: StandardFormII) -> np.ndarray:
-    """The matrix ``form.transform`` actually acts on (mode-swapped if flagged)."""
-    if form.swapped_modes:
-        return MODE_SWAP @ state.m @ MODE_SWAP
-    return np.array(state.m)
 
 
 def balance_residuals(form: StandardFormII) -> tuple[float, float]:

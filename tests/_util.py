@@ -15,6 +15,16 @@ SINH1 = 1.1752011936438014  # sinh(1)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA4 = np.block([[J2, np.zeros((2, 2))], [np.zeros((2, 2)), J2]])
 
+#: Permutation exchanging the two modes, (x1, p1, x2, p2) -> (x2, p2, x1, p1).
+MODE_SWAP = np.array(
+    [
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ]
+)
+
 
 def rot2(theta):
     c, s = math.cos(theta), math.sin(theta)

@@ -49,6 +49,15 @@ class TestCheck:
         path = write_state(tmp_path / "edge.json", state.m)
         assert cli.main(["check", path]) == cli.EXIT_BOUNDARY
 
+    def test_anisotropic_block_certified(self, tmp_path, capsys):
+        # A product state whose mode-1 block has entries 1e-155 and 1e155.
+        m = np.diag([1e-155, 1e155, 2.0, 2.0])
+        code = cli.main(["check", write_state(tmp_path / "aniso.json", m)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SEPARABLE
+        assert "decision: Separable" in captured.out
+        assert captured.err == ""
+
     def test_asymmetric_matrix_rejected(self, tmp_path, capsys):
         m = np.eye(4)
         m[0, 1] = 0.5

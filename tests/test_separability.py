@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cvsep as cv
-from _util import random_llubo_blocks, tmsv_layout
+from _util import MODE_SWAP, random_llubo_blocks, tmsv_layout
 
 
 def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False, swapped=False):
@@ -221,7 +221,7 @@ class TestPRepresentation:
         form = make_form(n1, n2, m1, m2, c1, c2, swapped=swapped)
         layout = form.matrix()
         if swapped:
-            layout = cv.MODE_SWAP @ layout @ cv.MODE_SWAP
+            layout = MODE_SWAP @ layout @ MODE_SWAP
         w, v = np.linalg.eigh(0.5 * (layout - np.eye(4)))
         assert w[0] < 0.0  # the clip is needed
         reference = (v * np.clip(w, 0.0, None)) @ v.T

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cvsep as cv
 from _util import (
     COSH1,
+    MODE_SWAP,
     SINH1,
     blockdiag,
     complex_min_eig,
@@ -95,6 +96,31 @@ class TestFormI:
                 rtol=1e-9,
                 atol=1e-9,
             )
+
+    def test_anisotropic_block_reduced(self):
+        # det G1 = 1 from entries 1e-155 and 1e155: the mode-1 squeeze is
+        # ~3e77, past where a fourth root of the entries' ratio overflows.
+        m = np.diag([1e-155, 1e155, 2.0, 2.0])
+        state = cv.validate(m)
+        form = cv.to_standard_form_I(state)
+        assert (form.n, form.m, form.c, form.c_prime) == (1.0, 2.0, 0.0, 0.0)
+        verdict = cv.decide_separability(state)
+        assert verdict.decision is cv.Decision.SEPARABLE
+        np.testing.assert_allclose(
+            cv.reconstruct_analytic(verdict.certificate), m, rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("nu, k", [(0.9, 5.0), (0.99, 5.0), (0.5, 8.0)])
+    def test_sub_vacuum_block_rejected(self, nu, k):
+        # nu*I squeezed by diag(e^k, e^-k) on both modes has det G = nu^2 < 1,
+        # far beyond rounding; it passes validate, whose tolerance grows
+        # with the squeezed entries.
+        s = np.diag([math.exp(k), math.exp(-k)] * 2)
+        state = cv.validate(s @ (nu * np.eye(4)) @ s)
+        with pytest.raises(cv.NotPhysical):
+            cv.to_standard_form_I(state)
+        with pytest.raises(cv.NotPhysical):
+            cv.decide_separability(state)
 
     def test_physicality_bound_on_c(self):
         # |c| <= sqrt(n(m - 1/m)) in the n >= m orientation.
@@ -183,22 +209,16 @@ class TestFormII:
         form = cv.to_standard_form_II(state)
         assert form.swapped_modes
         b = form.transform.block_diagonal()
-        swapped = cv.MODE_SWAP @ state.m @ cv.MODE_SWAP
+        swapped = MODE_SWAP @ state.m @ MODE_SWAP
         np.testing.assert_allclose(b @ swapped @ b.T, form.matrix(), atol=1e-8)
-        np.testing.assert_allclose(
-            cv.reduction_input(state, form), swapped, atol=0
-        )
 
     def test_random_states_balance_and_roundtrip(self):
         for seed in range(60):
             state = cv.sample_random_physical(seed)
             form = cv.to_standard_form_II(state)
             b = form.transform.block_diagonal()
-            np.testing.assert_allclose(
-                b @ cv.reduction_input(state, form) @ b.T,
-                form.matrix(),
-                atol=1e-8,
-            )
+            source = MODE_SWAP @ state.m @ MODE_SWAP if form.swapped_modes else state.m
+            np.testing.assert_allclose(b @ source @ b.T, form.matrix(), atol=1e-8)
             if form.degenerate:
                 continue
             ratio_res, gap_res = cv.balance_residuals(form)
@@ -251,6 +271,13 @@ class TestFormII:
         assert not form.degenerate
         assert 1.0 <= form.r1 <= n
         assert form.r1 == pytest.approx(n, rel=1e-14)
+        # c2 = 0 drops out of the variance, so the optimal pair exists (with
+        # sign_v = +1); the mixture is on the separability edge, and the
+        # pair saturates its bound as the spectrum does.
+        verdict = cv.decide_separability(state)
+        assert verdict.witness == cv.EprPair(1.0, -1, 1)
+        assert verdict.decision is cv.Decision.BOUNDARY
+        assert verdict.margin == pytest.approx(0.0, abs=1e-14)
 
     def test_form_matrix_is_physical(self):
         for seed in range(30):

@@ -116,6 +116,22 @@ def _state_files(cv, folder: Path):
     minus = (0.5, cv.ModeSpec(-0.3, 0.0, np.eye(2)), cv.ModeSpec(0.3, 0.0, np.eye(2)))
     scatter = cv.ensemble_covariance(cv.SeparableEnsemble((plus, minus)))
     docs.append(("anticorrelated-scatter", scatter.m.tolist()))
+    # The same scatter along generic directions: a rank-1 intermode block, so
+    # c' = 0 up to rounding.
+    x1, p1 = 0.8 * math.cos(0.7), 0.8 * math.sin(0.7)
+    x2, p2 = math.cos(2.1), math.sin(2.1)
+    plus = (0.5, cv.ModeSpec(x1, p1, np.eye(2)), cv.ModeSpec(-x2, -p2, np.eye(2)))
+    minus = (0.5, cv.ModeSpec(-x1, -p1, np.eye(2)), cv.ModeSpec(x2, p2, np.eye(2)))
+    scatter = cv.ensemble_covariance(cv.SeparableEnsemble((plus, minus)))
+    docs.append(("rank-one-scatter", scatter.m.tolist()))
+    # A product state with det G1 = 1 from entries 1e-155 and 1e155.
+    docs.append(("anisotropic", np.diag([1e-155, 1e155, 2.0, 2.0]).tolist()))
+    # nu*I squeezed by diag(e^k, e^-k) on both modes: det G = nu^2 < 1, yet
+    # it passes the entry-scaled tolerance of validate.
+    for nu, k in ((0.9, 5.0), (0.99, 5.0), (0.5, 8.0)):
+        squeeze = np.diag([math.exp(k), math.exp(-k)] * 2)
+        sub_vacuum = squeeze @ (nu * np.eye(4)) @ squeeze
+        docs.append((f"sub-vacuum{nu}-{k}", sub_vacuum.tolist()))
     # A -0.0 intermode entry, with and without the n >= m mode swap.
     for g1, g2 in ((1.3, 2.4), (2.4, 1.3)):
         signed_zero = np.diag([g1, g1, g2, g2])
