@@ -192,7 +192,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 _fmt(form.n), _fmt(form.m), _fmt(form.c), _fmt(form.c_prime)
             )
         )
-        print(f"swapped_modes: {form.swapped_modes}")
         print("transform h1:")
         _print_matrix(form.transform.h1)
         print("transform h2:")
@@ -206,7 +205,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             )
         )
         print(f"squeezes: r1 = {_fmt(form.r1)}, r2 = {_fmt(form.r2)}")
-        print(f"swapped_modes: {form.swapped_modes}")
         print(f"degenerate: {form.degenerate}")
         ratio_res, gap_res = balance_residuals(form)
         print(

@@ -26,7 +26,7 @@ from .exceptions import (
 )
 
 # Tolerances (double-precision headroom on 4x4 problems).
-EPS_SYM = 1e-10  # absolute asymmetry allowed before rejection
+EPS_SYM = 1e-10  # asymmetry allowed, relative to max(1, largest diagonal entry)
 EPS_PSD = 1e-9  # physicality slack, relative to the largest diagonal entry
 EPS_DET = 1e-10  # allowed departure of local-block determinants from 1
 
@@ -188,14 +188,16 @@ class EprPair:
 def validate(m: np.ndarray) -> CorrelationMatrix:
     """Validate a 4x4 array as a physical two-mode correlation matrix.
 
-    The input is symmetrized as ``(m + m.T)/2`` (rejection only beyond
-    ``EPS_SYM``) and physicality ``M + i*Omega >= 0`` is checked through the
-    real symmetric embedding, with the smallest eigenvalue allowed down to
-    ``-EPS_PSD`` relative to the largest diagonal entry.
+    The input is symmetrized as ``(m + m.T)/2`` and physicality
+    ``M + i*Omega >= 0`` is checked through the real symmetric embedding.
+    Both tolerances are relative to ``max(1, largest diagonal entry)``, the
+    entry scale of a physical matrix: the largest asymmetry ``|m - m.T|``
+    may reach ``EPS_SYM`` times it, and the smallest eigenvalue may go down
+    to ``-EPS_PSD`` times it.
 
     Raises:
         NotFinite: non-finite entries.
-        NotSymmetric: asymmetry beyond ``EPS_SYM``.
+        NotSymmetric: asymmetry beyond ``EPS_SYM`` relative tolerance.
         NotPhysical: uncertainty relation violated beyond tolerance.
     """
     arr = np.asarray(m, dtype=float)
@@ -226,8 +228,10 @@ def _validate_stack(arr: np.ndarray) -> list[CorrelationMatrix]:
     diag_max = np.diagonal(sym, axis1=1, axis2=2).max(axis=1)
     scales = np.maximum(diag_max, 1.0).tolist()
     for k in range(count):
-        if asym[k] > EPS_SYM:
-            raise NotSymmetric(f"asymmetry {asym[k]:.3e} exceeds {EPS_SYM}")
+        if asym[k] > EPS_SYM * scales[k]:
+            raise NotSymmetric(
+                f"asymmetry {asym[k]:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
+            )
         if lam[k] < -EPS_PSD * scales[k]:
             raise NotPhysical(
                 f"M + i*Omega has eigenvalue {lam[k]:.3e}; state violates the "
@@ -244,8 +248,8 @@ def apply_llubo(state: CorrelationMatrix, op: Llubo) -> CorrelationMatrix:
 
     Returns ``blockdiag(h1, h2) @ M @ blockdiag(h1, h2).T`` revalidated.  The
     product is symmetrized first: its roundoff asymmetry grows with the
-    entries and the squeezes, so the absolute ``EPS_SYM`` check is meant for
-    inputs, not for this congruence.
+    squeezes, so the entry-scaled ``EPS_SYM`` check is meant for inputs, not
+    for this congruence.
     """
     b = op.block_diagonal()
     moved = b @ state.m @ b.T

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, _adj2, variance_pair
+from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, variance_pair
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -43,9 +43,8 @@ class PRepresentation:
     """Gaussian parameters of a positive P-distribution.
 
     ``covariance`` is the covariance of the coherent-state labels in
-    quadrature coordinates, ``(M - I)/2`` of the reduced matrix (with the
-    original mode labels); ``transform_back`` maps label space back to the
-    original frame, so ``transform_back (2*cov + I) transform_back^T``
+    quadrature coordinates, ``(M - I)/2`` of the reduced matrix;
+    ``transform_back`` maps label space back to the original frame, so ``transform_back (2*cov + I) transform_back^T``
     reconstructs the input matrix.
     """
 
@@ -248,9 +247,9 @@ def p_representation(form: StandardFormII) -> PRepresentation:
     """Gaussian P-distribution parameters of a separable standard form II.
 
     The distribution of coherent-state labels is the centered Gaussian with
-    covariance ``(M_II - I)/2`` (original mode labels).  Its x and p sectors
-    are decoupled 2x2 blocks; a sector eigenvalue within tolerance below zero
-    is clipped to zero in closed form, keeping the covariance PSD.
+    covariance ``(M_II - I)/2``.  Its x and p sectors are decoupled 2x2
+    blocks; a sector eigenvalue within tolerance below zero is clipped to
+    zero in closed form, keeping the covariance PSD.
 
     Raises:
         NotInSeparableRegime: ``M_II - I`` has an eigenvalue below
@@ -261,22 +260,11 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         raise NotInSeparableRegime(
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
-    n1, n2, m1, m2 = form.n1, form.n2, form.m1, form.m2
-    c1, c2 = form.c1, form.c2
-    inv1 = _adj2(form.transform.h1)
-    inv2 = _adj2(form.transform.h2)
-    if form.swapped_modes:
-        n1, n2, m1, m2 = m1, m2, n1, n2
-        # + 0.0 turns an intermode -0.0 into 0.0, as swapping the modes by
-        # permutation-matrix products does; the covariance keeps those bits.
-        c1, c2 = c1 + 0.0, c2 + 0.0
-        inv1, inv2 = inv2, inv1
-    back = Llubo._fresh(inv1, inv2)
-    xn, xc, xm = _clip_psd(n1 - 1.0, c1, m1 - 1.0)
-    pn, pc, pm = _clip_psd(n2 - 1.0, c2, m2 - 1.0)
+    xn, xc, xm = _clip_psd(form.n1 - 1.0, form.c1, form.m1 - 1.0)
+    pn, pc, pm = _clip_psd(form.n2 - 1.0, form.c2, form.m2 - 1.0)
     cov = 0.5 * _layout(xn, pn, xm, pm, xc, pc)
     cov.flags.writeable = False
-    return PRepresentation(covariance=cov, transform_back=back)
+    return PRepresentation(covariance=cov, transform_back=form.transform.inverse())
 
 
 def reconstruct_analytic(cert: PRepresentation) -> np.ndarray:

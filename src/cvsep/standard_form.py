@@ -3,7 +3,8 @@
 Form I has scalar diagonal blocks ``n*I``, ``m*I`` and a diagonal intermode
 block ``diag(c, c')`` with ``c >= |c'|``; form II applies one more diagonal
 squeeze per mode, with the squeeze parameters ``(r1, r2)`` solving a balance
-condition located by bisection on the physical bracket ``1 <= r1 <= n``.
+condition located by bisection on the physical bracket ``[1, n]`` of the
+larger mode's squeeze.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class StandardFormI:
     c: float
     c_prime: float
     transform: Llubo
-    swapped_modes: bool = False
 
     def matrix(self) -> np.ndarray:
         """The induced 4x4 layout."""
@@ -115,11 +115,9 @@ class StandardFormI:
 class StandardFormII:
     """Squeeze-balanced reduction.
 
-    ``transform`` maps the (possibly mode-swapped) original matrix onto the
-    layout; ``swapped_modes`` records whether the balance convention
-    ``n >= m`` required exchanging the modes, which is not a local operation
-    and is therefore kept as a flag.  ``degenerate`` marks states where the
-    balance solve is vacuous (r1 = r2 = 1 returned).
+    ``transform`` maps the original matrix onto the layout, in the input's
+    own mode order.  ``degenerate`` marks states where the balance solve is
+    vacuous (r1 = r2 = 1 returned).
     """
 
     n1: float
@@ -131,7 +129,6 @@ class StandardFormII:
     r1: float
     r2: float
     transform: Llubo
-    swapped_modes: bool
     degenerate: bool
 
     def matrix(self) -> np.ndarray:
@@ -228,18 +225,23 @@ def solve_form_II_root(
 ) -> tuple[float, float]:
     """Locate the squeeze pair (r1, r2) balancing standard form I.
 
-    Requires ``n >= m``.  ``f(1) = |c| - |c'|``, and ``f(n) <= 0`` for any
-    physical state (at r1 = n, r2 = m; Simon's ``n^2 + m^2 + 2cc' <= 1 + det M``
-    with ``nm(nm - c^2) >= det M >= 1`` gives ``nm(n^2-1)(m^2-1) >= (nm|c| - |c'|)^2``),
-    so ``[1, n]`` is bisected until its midpoint equals an endpoint.
+    The balance conditions treat the two modes alike, so either order is
+    accepted: ``solve_form_II_root(m, n, c, c')`` is the ``(n, m, c, c')``
+    pair mirrored.  The bracket is proved for the larger mode first, which
+    is the one bisected: with ``n >= m``, ``f(1) = |c| - |c'|``, and
+    ``f(n) <= 0`` for any physical state (at r1 = n, r2 = m; Simon's
+    ``n^2 + m^2 + 2cc' <= 1 + det M`` with ``nm(nm - c^2) >= det M >= 1``
+    gives ``nm(n^2-1)(m^2-1) >= (nm|c| - |c'|)^2``), so ``[1, n]`` is
+    bisected until its midpoint equals an endpoint.
 
     Raises:
         RootNotBracketed: ``f(n)`` is positive beyond rounding or NaN
             (unphysical input, or overflow).
     """
     abs_c, abs_cp = abs(c), abs(c_prime)
-    if n < m - EPS_FORM:
-        raise ValueError("canonical orientation requires n >= m")
+    swapped = n < m
+    if swapped:
+        n, m = m, n
     if _balance_residual(n, m, abs_c, abs_cp, 1.0) <= 0.0:
         # |c| == |c'| family (f(1) is exactly their difference): root at 1.
         return 1.0, 1.0
@@ -256,7 +258,8 @@ def solve_form_II_root(
             hi = mid
         else:
             lo = hi = mid
-    return mid, solve_r2_given_r1(n, m, mid)
+    r2 = solve_r2_given_r1(n, m, mid)
+    return (r2, mid) if swapped else (mid, r2)
 
 
 def _squeezed(h: np.ndarray, r: float) -> np.ndarray:
@@ -270,22 +273,13 @@ def _squeezed(h: np.ndarray, r: float) -> np.ndarray:
 def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     """Reduce to standard form II via form I plus the balance squeezes.
 
-    Canonicalizes ``n >= m`` by a mode swap recorded in ``swapped_modes``
-    (separability is symmetric under mode exchange, so downstream decisions
-    are unaffected).  Degenerate inputs -- vanishing intermode block or a
-    mode at vacuum purity -- skip the solve and return the trivial
-    ``r1 = r2 = 1`` form flagged ``degenerate``.
+    Degenerate inputs -- vanishing intermode block or a mode at vacuum
+    purity -- skip the solve and return the trivial ``r1 = r2 = 1`` form
+    flagged ``degenerate``.
     """
     form1 = to_standard_form_I(state)
     n, m, c, cp = form1.n, form1.m, form1.c, form1.c_prime
     h1, h2 = form1.transform.h1, form1.transform.h2
-    swapped = False
-    if n < m:
-        # Diagonal intermode block is symmetric, so the swap only
-        # exchanges the roles of n and m (and of the local blocks).
-        n, m = m, n
-        h1, h2 = h2, h1
-        swapped = True
     degenerate = (
         max(abs(c), abs(cp)) < EPS_FORM
         or n - 1.0 < EPS_FORM
@@ -306,7 +300,6 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         r1=r1,
         r2=r2,
         transform=Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2)),
-        swapped_modes=swapped,
         degenerate=degenerate,
     )
 

@@ -74,3 +74,48 @@ def blockdiag(h1, h2):
     out[:2, :2] = h1
     out[2:, 2:] = h2
     return out
+
+
+def edge_family_matrices(seed):
+    """One seeded matrix per adversarial family, under a random local operation.
+
+    The families: a thermal two-mode squeezed state with squeeze r up to 12;
+    a balanced layout with M - I >= 0 within 1e-6 of the separability edge;
+    a mode a hair above vacuum (product state) and a weak two-mode squeezed
+    vacuum; c' = c and c' = -c layouts.  The congruences are not
+    symmetrized, so they carry their roundoff asymmetry.
+    """
+    rng = np.random.default_rng(seed)
+    r, nu = rng.uniform(0.0, 12.0), rng.uniform(1.0, 3.0)
+    k, a1, a2 = rng.uniform(1.0, 4.0), *rng.uniform(0.1, 3.0, size=2)
+    eps = rng.uniform(0.0, 1e-6) * (k + 1.0) / (2.0 * math.sqrt(k))
+    c1, c2 = math.sqrt(k) * a1 - eps, -(math.sqrt(k) * a2 - eps)
+    near_edge = np.array(
+        [
+            [1.0 + k * a1, 0.0, c1, 0.0],
+            [0.0, 1.0 + k * a2, 0.0, c2],
+            [c1, 0.0, 1.0 + a1, 0.0],
+            [0.0, c2, 0.0, 1.0 + a2],
+        ]
+    )
+    n, m = rng.uniform(1.0, 4.0, size=2)
+    c = rng.uniform(0.0, 1.0) * math.sqrt((n - 1.0) * (m - 1.0))
+    n_sym = rng.uniform(1.0, 5.0)
+    c_sym = math.sqrt(n_sym**2 - rng.uniform(1.0, n_sym) ** 2)
+    bases = {
+        "large_squeeze": (nu * tmsv_layout(r), 6.0),
+        "near_edge": (near_edge, 2.0),
+        "near_vacuum_product": (
+            np.diag([1.0 + 10.0 ** rng.uniform(-12.0, -6.0)] * 2
+                    + [rng.uniform(1.0, 3.0)] * 2),
+            1.0,
+        ),
+        "near_vacuum_tmsv": (tmsv_layout(10.0 ** rng.uniform(-6.0, -3.0)), 1.0),
+        "equal_c": (layout(n, m, c, c), 1.0),
+        "opposite_c": (layout(n_sym, n_sym, c_sym, -c_sym), 1.0),
+    }
+    out = {}
+    for name, (base, max_log_squeeze) in bases.items():
+        b = blockdiag(*random_llubo_blocks(rng, max_log_squeeze))
+        out[name] = b @ base @ b.T
+    return out

@@ -138,8 +138,7 @@ class TestCheck:
         assert list(doc["witness"]) == ["a", "sign_u", "sign_v"]
         assert list(doc["invariants"]) == ["det_g1", "det_g2", "det_c", "det_m"]
         assert list(doc["standard_form_ii"]) == [
-            "n1", "n2", "m1", "m2", "c1", "c2", "r1", "r2",
-            "swapped_modes", "degenerate",
+            "n1", "n2", "m1", "m2", "c1", "c2", "r1", "r2", "degenerate",
         ]
         assert list(doc["certificate"]) == ["covariance", "transform_back"]
         assert list(doc["certificate"]["transform_back"]) == ["h1", "h2"]

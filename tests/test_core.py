@@ -55,6 +55,27 @@ class TestValidate:
         np.testing.assert_array_equal(state.m, state.m.T)
         assert state.m[0, 1] == pytest.approx(2e-11, rel=1e-12)
 
+    @staticmethod
+    def _large_thermal_congruence():
+        # Thermal two-mode squeezed state (nu = 1e9, r = 0.5) under a local
+        # operation, left unsymmetrized: entries ~1e10, roundoff asymmetry
+        # ~1e-6, far above 1e-10 in absolute terms.
+        b = blockdiag(*random_llubo_blocks(np.random.default_rng(0)))
+        return b @ (1e9 * tmsv_layout(0.5)) @ b.T
+
+    def test_congruence_roundoff_at_large_entry_scale_accepted(self):
+        m = self._large_thermal_congruence()
+        assert np.diagonal(m).max() > 1e9
+        assert np.abs(m - m.T).max() > 1e3 * cv.EPS_SYM
+        state = cv.validate(m)
+        assert cv.decide_separability(state).decision is cv.Decision.SEPARABLE
+
+    def test_asymmetry_beyond_entry_scale_rejected(self):
+        m = self._large_thermal_congruence()
+        m[0, 1] += 1e-9 * np.diagonal(m).max()
+        with pytest.raises(cv.NotSymmetric):
+            cv.validate(m)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             cv.validate(np.eye(3))

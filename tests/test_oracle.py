@@ -178,8 +178,7 @@ class TestReconstruction:
     def test_symmetric_separable_form_monte_carlo(self):
         form = cv.StandardFormII(
             n1=2.0, n2=2.0, m1=2.0, m2=2.0, c1=1.0, c2=-1.0,
-            r1=1.0, r2=1.0, transform=cv.Llubo.identity(),
-            swapped_modes=False, degenerate=False,
+            r1=1.0, r2=1.0, transform=cv.Llubo.identity(), degenerate=False,
         )
         cert = cv.p_representation(form)
         recon = cv.reconstruct_from_p_samples(cert, 1_000_000, 77)

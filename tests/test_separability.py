@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 import cvsep as cv
-from _util import MODE_SWAP, random_llubo_blocks, tmsv_layout
+from _util import MODE_SWAP, edge_family_matrices, random_llubo_blocks, tmsv_layout
 
 
-def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False, swapped=False):
+def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False):
     """Hand-built standard form II (identity transform)."""
     return cv.StandardFormII(
         n1=n1, n2=n2, m1=m1, m2=m2, c1=c1, c2=c2, r1=r1, r2=r2,
-        transform=cv.Llubo.identity(), swapped_modes=swapped,
-        degenerate=degenerate,
+        transform=cv.Llubo.identity(), degenerate=degenerate,
     )
 
 
@@ -185,6 +184,52 @@ class TestDecideSeparability:
             cv.decide_separability(cv.validate(tmsv_layout(0.1)), tol_decide=tol)
 
 
+def _outcomes(m):
+    """(validate error, decision or its error, PPT decision) for a raw matrix."""
+    try:
+        state = cv.validate(m)
+    except cv.CvsepError as exc:
+        return type(exc), None, None
+    try:
+        decision = cv.decide_separability(state).decision
+    except cv.CvsepError as exc:
+        decision = type(exc)
+    return None, decision, cv.ppt_decision(state)
+
+
+class TestModeSwap:
+    """Exchanging the modes is not a local operation, but physicality,
+    separability and the balance conditions of form II are symmetric in
+    the two modes."""
+
+    def test_random_states(self):
+        for seed in range(500):
+            m = cv.sample_random_physical(seed).m
+            swapped = MODE_SWAP @ m @ MODE_SWAP
+            assert _outcomes(swapped) == _outcomes(m)
+            form = cv.to_standard_form_II(cv.validate(m))
+            other = cv.to_standard_form_II(cv.validate(swapped))
+            assert other.degenerate == form.degenerate
+            np.testing.assert_allclose(
+                [other.n1, other.n2, other.m1, other.m2, other.c1, other.c2,
+                 other.r1, other.r2],
+                [form.m1, form.m2, form.n1, form.n2, form.c1, form.c2,
+                 form.r2, form.r1],
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize(
+        "family",
+        ["large_squeeze", "near_edge", "near_vacuum_product", "near_vacuum_tmsv",
+         "equal_c", "opposite_c"],
+    )
+    def test_edge_families(self, family):
+        # Only the outcomes: on a strongly squeezed input, form I of the two
+        # mode orders differs by its own rounding error.
+        m = edge_family_matrices(7)[family]
+        assert _outcomes(MODE_SWAP @ m @ MODE_SWAP) == _outcomes(m)
+
+
 class TestPRepresentation:
     def test_vacuum_point_mass(self):
         form = cv.to_standard_form_II(cv.validate(np.eye(4)))
@@ -204,7 +249,6 @@ class TestPRepresentation:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize(
         "n1, n2, m1, m2, c1, c2",
         [
@@ -217,12 +261,9 @@ class TestPRepresentation:
             (2.0, 1.0 - 2e-10, 2.0, 1.0 - 5e-11, 0.5, 1e-11),
         ],
     )
-    def test_clipped_sectors_match_eigh_reference(self, n1, n2, m1, m2, c1, c2, swapped):
-        form = make_form(n1, n2, m1, m2, c1, c2, swapped=swapped)
-        layout = form.matrix()
-        if swapped:
-            layout = MODE_SWAP @ layout @ MODE_SWAP
-        w, v = np.linalg.eigh(0.5 * (layout - np.eye(4)))
+    def test_clipped_sectors_match_eigh_reference(self, n1, n2, m1, m2, c1, c2):
+        form = make_form(n1, n2, m1, m2, c1, c2)
+        w, v = np.linalg.eigh(0.5 * (form.matrix() - np.eye(4)))
         assert w[0] < 0.0  # the clip is needed
         reference = (v * np.clip(w, 0.0, None)) @ v.T
         cov = cv.p_representation(form).covariance

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import cvsep as cv
 from _util import (
     COSH1,
-    MODE_SWAP,
     SINH1,
     blockdiag,
     complex_min_eig,
@@ -189,7 +188,7 @@ class TestFormII:
     def test_tmsv_symmetric_family(self):
         form = cv.to_standard_form_II(cv.validate(tmsv_layout(0.5)))
         assert form.r1 == 1.0 and form.r2 == 1.0
-        assert not form.degenerate and not form.swapped_modes
+        assert not form.degenerate
         assert form.n1 == pytest.approx(COSH1, abs=1e-14)
         assert form.n2 == pytest.approx(COSH1, abs=1e-14)
         assert form.m1 == pytest.approx(COSH1, abs=1e-14)
@@ -204,21 +203,22 @@ class TestFormII:
         assert form.c1 == 0.0 and form.c2 == 0.0
         assert form.n1 == 1.0 and form.m1 == 1.0
 
-    def test_mode_swap_flagged_and_invertible(self):
+    def test_transform_maps_input_with_smaller_first_mode(self):
+        # n < m: form II and its transform keep the input's mode order.
         state = cv.validate(layout(1.3, 2.5, 0.4, -0.2))
         form = cv.to_standard_form_II(state)
-        assert form.swapped_modes
+        assert not form.degenerate and form.r1 != 1.0
+        assert form.n1 * form.n2 == pytest.approx(1.3**2, rel=1e-14)
+        assert form.m1 * form.m2 == pytest.approx(2.5**2, rel=1e-14)
         b = form.transform.block_diagonal()
-        swapped = MODE_SWAP @ state.m @ MODE_SWAP
-        np.testing.assert_allclose(b @ swapped @ b.T, form.matrix(), atol=1e-8)
+        np.testing.assert_allclose(b @ state.m @ b.T, form.matrix(), atol=1e-8)
 
     def test_random_states_balance_and_roundtrip(self):
         for seed in range(60):
             state = cv.sample_random_physical(seed)
             form = cv.to_standard_form_II(state)
             b = form.transform.block_diagonal()
-            source = MODE_SWAP @ state.m @ MODE_SWAP if form.swapped_modes else state.m
-            np.testing.assert_allclose(b @ source @ b.T, form.matrix(), atol=1e-8)
+            np.testing.assert_allclose(b @ state.m @ b.T, form.matrix(), atol=1e-8)
             if form.degenerate:
                 continue
             ratio_res, gap_res = cv.balance_residuals(form)
@@ -226,9 +226,8 @@ class TestFormII:
             assert abs(gap_res) < 1e-8
             # Solver residuals of the two balance equations at (r1, r2).
             f1 = cv.to_standard_form_I(state)
-            n, m = max(f1.n, f1.m), min(f1.n, f1.m)
             k_res, f_res = _form_ii_balance(
-                n, m, f1.c, f1.c_prime, form.r1, form.r2
+                f1.n, f1.m, f1.c, f1.c_prime, form.r1, form.r2
             )
             assert k_res < 1e-10
             assert f_res < 1e-10
@@ -238,10 +237,6 @@ class TestFormII:
             state = cv.sample_random_physical(seed)
             form = cv.to_standard_form_II(state)
             before = np.array(cv.llubo_invariants(state).as_tuple())
-            if form.swapped_modes:
-                # The flagged mode exchange swaps the two diagonal-block
-                # determinants; det C and det M are symmetric under it.
-                before = before[[1, 0, 2, 3]]
             after = np.array(
                 cv.llubo_invariants(cv.validate(form.matrix())).as_tuple()
             )
@@ -284,9 +279,16 @@ class TestFormII:
             form = cv.to_standard_form_II(cv.sample_random_physical(seed))
             assert complex_min_eig(form.matrix()) >= -1e-8
 
-    def test_orientation_violation_rejected(self):
-        with pytest.raises(ValueError):
-            cv.solve_form_II_root(1.5, 3.0, 0.5, 0.1)
+    def test_either_mode_order_mirrors_the_root(self):
+        mirrored = 0
+        for seed in range(60):
+            f1 = cv.to_standard_form_I(cv.sample_random_physical(seed))
+            if min(f1.n, f1.m) - 1.0 < cv.EPS_FORM or f1.n == f1.m:
+                continue
+            r1, r2 = cv.solve_form_II_root(f1.n, f1.m, f1.c, f1.c_prime)
+            assert cv.solve_form_II_root(f1.m, f1.n, f1.c, f1.c_prime) == (r2, r1)
+            mirrored += r1 != r2
+        assert mirrored > 30
 
     def test_unphysical_coefficient_never_brackets(self):
         # |c| beyond sqrt(n(m - 1/m)) keeps the balance function positive

@@ -3,20 +3,21 @@
     python3 tools/same_outputs.py SRC_DIR
 
 Imports cvsep from ``SRC_DIR`` (the ``src`` directory of a checkout) and
-prints one sha256 over three sets of outputs:
+prints one sha256 per section of outputs, then one over all of them:
 
-* ``scan_boundary`` points for seeded ``(r, eta, nbar)`` triples;
-* the fields of ``decide_separability`` (decision, margin, min eigenvalue,
-  variances, witness, standard form II with its transform, certificate
-  bytes) for ``sample_random_physical(0..2999)``;
-* stdout, stderr and exit code of ``cvsep.cli.main`` for ``check``,
-  ``check --json``, ``reduce --form I`` and ``reduce --form II`` on state
-  files written to a temporary directory, including rejected ones;
-* stdout, stderr and exit code of ``cvsep threshold`` and ``cvsep scan``
-  over a grid of arguments, including rejected ones.
+* ``scans``: ``scan_boundary`` points for seeded ``(r, eta, nbar)`` triples;
+* ``verdicts``: the fields of ``decide_separability`` (decision, margin, min
+  eigenvalue, variances, witness, standard form II with its transform,
+  certificate bytes) for ``sample_random_physical(0..2999)``;
+* ``state-file CLI``: stdout, stderr and exit code of ``cvsep.cli.main`` for
+  ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
+  on state files written to a temporary directory, including rejected ones;
+* ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
+  ``cvsep scan`` over a grid of arguments, including rejected ones.
 
-Floats enter the digest bit for bit (``float.hex``, ``ndarray.tobytes``), so
-two trees print the same digest only if every output is identical.
+Floats enter the digests bit for bit (``float.hex``, ``ndarray.tobytes``), so
+two trees print the same digest only if every output is identical; the
+section digests show which outputs differ.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def _verdict_lines(cv):
                 _hex(v.bound),
                 "-" if w is None else f"{_hex(w.a)} {w.sign_u} {w.sign_v}",
                 *(_hex(x) for x in (f.n1, f.n2, f.m1, f.m2, f.c1, f.c2, f.r1, f.r2)),
-                str(f.swapped_modes),
                 str(f.degenerate),
                 _array(f.transform.h1),
                 _array(f.transform.h2),
@@ -132,7 +132,7 @@ def _state_files(cv, folder: Path):
         squeeze = np.diag([math.exp(k), math.exp(-k)] * 2)
         sub_vacuum = squeeze @ (nu * np.eye(4)) @ squeeze
         docs.append((f"sub-vacuum{nu}-{k}", sub_vacuum.tolist()))
-    # A -0.0 intermode entry, with and without the n >= m mode swap.
+    # A -0.0 intermode entry, with mode 1 the larger and the smaller mode.
     for g1, g2 in ((1.3, 2.4), (2.4, 1.3)):
         signed_zero = np.diag([g1, g1, g2, g2])
         signed_zero[1, 3] = signed_zero[3, 1] = -0.06
@@ -197,12 +197,27 @@ def _scenario_cli_lines(cv):
         yield f"{' '.join(argv)} {code}\n{out.getvalue()}\0{err.getvalue()}"
 
 
-def digest(cv) -> str:
-    h = hashlib.sha256()
-    for lines in (_scan_lines, _verdict_lines, _cli_lines, _scenario_cli_lines):
+SECTIONS = (
+    ("scans", _scan_lines),
+    ("verdicts", _verdict_lines),
+    ("state-file CLI", _cli_lines),
+    ("scenario CLI", _scenario_cli_lines),
+)
+
+
+def digests(cv) -> list[tuple[str, str]]:
+    """``(section, sha256)`` for each section, then ``("total", sha256)``."""
+    total = hashlib.sha256()
+    out = []
+    for name, lines in SECTIONS:
+        h = hashlib.sha256()
         for line in lines(cv):
-            h.update(line.encode("utf-8") + b"\n")
-    return h.hexdigest()
+            data = line.encode("utf-8") + b"\n"
+            h.update(data)
+            total.update(data)
+        out.append((name, h.hexdigest()))
+    out.append(("total", total.hexdigest()))
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -216,7 +231,8 @@ def main(argv: list[str]) -> int:
     if not Path(cvsep.__file__).resolve().is_relative_to(src):
         print(f"cvsep was imported from {cvsep.__file__}, not {src}", file=sys.stderr)
         return 1
-    print(digest(cvsep))
+    for name, value in digests(cvsep):
+        print(f"{name}: {value}")
     return 0
 
 
