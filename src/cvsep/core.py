@@ -13,6 +13,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,31 +28,26 @@ from .exceptions import (
 
 # Tolerances (double-precision headroom on 4x4 problems).
 EPS_SYM = 1e-10  # asymmetry allowed, relative to max(1, largest diagonal entry)
-EPS_PSD = 1e-9  # physicality slack, relative to the largest diagonal entry
+# Eigenvalue slack, relative to the largest diagonal entry, of
+# p_representation's M_II - I >= 0 test and of the PPT oracle.  validate does
+# not use it: it tests physicality within rounding estimates (_check_physical).
+EPS_PSD = 1e-9
 EPS_DET = 1e-10  # allowed departure of local-block determinants from 1
+
+# Rounding allowance of a computed quantity, in units of the sizes of the
+# products it is formed from (see _check_physical).
+_ROUND = 8.0 * sys.float_info.epsilon
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: Symplectic form for two modes in (x1, p1, x2, p2) ordering.
 OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 OMEGA.flags.writeable = False
-_NEG_OMEGA = -OMEGA  # signed zeros as in min_eig_hermitian_pair's embedding
 
 
 def det2(a: np.ndarray) -> float:
     """Determinant of a 2x2 matrix, computed directly."""
     return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
-def min_eig_hermitian_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian matrix A + iB.
-
-    Uses the real symmetric embedding ``[[A, -B], [B, A]]``, whose spectrum
-    is the spectrum of ``A + iB`` doubled, so no complex eigensolver is
-    needed.
-    """
-    emb = np.block([[a, -b], [b, a]])
-    return float(np.linalg.eigvalsh(emb)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,17 +184,34 @@ class EprPair:
 def validate(m: np.ndarray) -> CorrelationMatrix:
     """Validate a 4x4 array as a physical two-mode correlation matrix.
 
-    The input is symmetrized as ``(m + m.T)/2`` and physicality
-    ``M + i*Omega >= 0`` is checked through the real symmetric embedding.
-    Both tolerances are relative to ``max(1, largest diagonal entry)``, the
-    entry scale of a physical matrix: the largest asymmetry ``|m - m.T|``
-    may reach ``EPS_SYM`` times it, and the smallest eigenvalue may go down
-    to ``-EPS_PSD`` times it.
+    The input is symmetrized as ``(m + m.T)/2``; its largest asymmetry
+    ``|m - m.T|`` may reach ``EPS_SYM`` times ``max(1, largest diagonal
+    entry)``.  Physicality, ``M + i*Omega >= 0``, is Simon's condition
+    (PRL 84, 2726 (2000)) on the local invariants ``(n, m, c, c')`` of
+    standard form I, as in Serafini, Illuminati and De Siena (J. Phys. B
+    37, L21 (2004)):
+
+    * ``G1, G2 > 0`` with ``det G_i >= 1`` (``n, m >= 1``): each mode's
+      uncertainty relation, and what form I needs;
+    * ``nm >= c^2`` (so ``nm >= c'^2``, as ``c >= |c'|``): ``M >= 0``,
+      which the determinants cannot see: ``[[I, 2I], [2I, I]]`` meets the
+      other conditions, yet ``M`` has the eigenvalue -1;
+    * ``det M = (nm - c^2)(nm - c'^2) >= 1``, which the last condition
+      misses: ``n = m``, ``c' = -c``, ``n^2 - c^2 = 0.81`` meets it;
+    * ``det M + 1 >= n^2 + m^2 + 2cc'``: with ``det M >= 1``, both
+      symplectic eigenvalues are at least 1.
+
+    Each is tested within a running estimate of its rounding error (see
+    :func:`_check_physical`): a few eps for exact inputs, and form I's own
+    rounding under local squeezes.  So the answer depends neither on a
+    local operation applied first nor on the state's scale.
 
     Raises:
         NotFinite: non-finite entries.
         NotSymmetric: asymmetry beyond ``EPS_SYM`` relative tolerance.
-        NotPhysical: uncertainty relation violated beyond tolerance.
+        NotPhysical: a condition fails beyond its rounding estimate (the
+            message names it and its value), or ``det G_i`` overflows
+            (entries beyond ~1.3e154).
     """
     arr = np.asarray(m, dtype=float)
     if arr.shape != (4, 4):
@@ -207,8 +220,10 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
 
 
 def _validate_stack(arr: np.ndarray) -> list[CorrelationMatrix]:
-    """:func:`validate` for each matrix of an (N, 4, 4) stack, in one eigensolve.
+    """:func:`validate` for each matrix of an (N, 4, 4) stack.
 
+    Finiteness, symmetry and symmetrizing are done for the whole stack at
+    once, then :func:`_check_physical` runs per matrix on Python floats.
     Raises what :func:`validate` raises for the first invalid matrix, with
     the same message.  The results are read-only views into one stack.
     """
@@ -219,28 +234,194 @@ def _validate_stack(arr: np.ndarray) -> list[CorrelationMatrix]:
     head_t = head.transpose(0, 2, 1)
     asym = np.abs(head - head_t).max(axis=(1, 2)).tolist()
     sym = 0.5 * (head + head_t)
-    emb = np.empty((count, 8, 8))
-    emb[:, :4, :4] = sym
-    emb[:, :4, 4:] = _NEG_OMEGA
-    emb[:, 4:, :4] = OMEGA
-    emb[:, 4:, 4:] = sym
-    lam = np.linalg.eigvalsh(emb)[:, 0].tolist()
     diag_max = np.diagonal(sym, axis1=1, axis2=2).max(axis=1)
     scales = np.maximum(diag_max, 1.0).tolist()
-    for k in range(count):
+    for k, rows in enumerate(sym.tolist()):
         if asym[k] > EPS_SYM * scales[k]:
             raise NotSymmetric(
                 f"asymmetry {asym[k]:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
             )
-        if lam[k] < -EPS_PSD * scales[k]:
-            raise NotPhysical(
-                f"M + i*Omega has eigenvalue {lam[k]:.3e}; state violates the "
-                "uncertainty relation"
-            )
+        _check_physical(rows)
     if count < len(arr):
         raise NotFinite("correlation matrix has non-finite entries")
     sym.flags.writeable = False
     return [CorrelationMatrix(m) for m in sym]
+
+
+def _require(
+    name: str, value: float, bound: float, err: float, unit: float = 1.0
+) -> None:
+    """Raise NotPhysical unless ``value >= bound`` within ``err``.
+
+    All three are in multiples of ``unit``, and so printed.  The test is
+    negated, so that a NaN value or estimate fails too.
+    """
+    if not value - bound >= -err:
+        raise NotPhysical(
+            f"{name} = {value / unit:.6g} < {bound / unit:g} beyond its rounding "
+            f"estimate {err / unit:.2g}; state violates the uncertainty relation"
+        )
+
+
+def _check_physical(rows: list[list[float]]) -> None:
+    """Simon's condition (see :func:`validate`) on form I's scalars.
+
+    ``rows`` is a symmetric 4x4 matrix as nested lists of floats.  Each
+    value is tested within a first-order running estimate of its rounding
+    error (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    ``_ROUND`` (8 eps) times the sizes of the products it is formed from,
+    plus what its operands' estimates carry into it.
+
+    * ``det G = ad - b^2`` carries ``_ROUND (|ad| + b^2)``.  As ``n`` and
+      the exact ``sqrt(det G)`` are both at least 1, ``n`` carries that
+      over ``n + 1``: a relative error ``rho_n``.  ``rho`` is
+      ``rho_n + rho_m``, plus ``_ROUND`` per mode for the square root.
+    * That error scales the squeeze ``S1`` by ``1 + O(rho_n)`` in its own
+      eigenbasis, which moves ``c`` and ``c'`` by at most ``rho c``.
+      Forming ``S1 C S2`` moves them by at most ``_ROUND tau``, with
+      ``tau`` the sum of the entries of ``|S1| |C| |S2|``.
+    * A difference carries its operands' estimates plus ``_ROUND`` times
+      its terms; a product ``xy`` carries ``|x| dy + |y| dx + dx dy`` plus
+      ``_ROUND |xy|``.
+
+    An input in the form-I layout has ``tau = c`` and ``rho`` of a few eps.
+    A local squeeze ``e^s`` per mode grows ``tau`` by up to
+    ``e^(2 s1 + 2 s2)`` and ``rho`` by up to ``e^(4 s)``, as form I's own
+    rounding grows.  The estimates cost about as much as form I, so a value
+    at or above its bound passes without one.  The scalars are first scaled
+    by the power of two that brings ``max(n, m)`` into ``[1/2, 1)``: exact,
+    and it keeps ``det M`` and the estimates finite wherever form I is
+    (entries up to ~1.3e154).
+
+    Raises:
+        NotPhysical: the first condition that fails beyond its estimate.
+    """
+    n0, m0, c, cp, _, _, (u1, v1, w1), (u2, v2, w2) = _form_I_scalars(rows)
+    scale = math.ldexp(1.0, -math.frexp(max(n0, m0))[1])
+    n, m, c, cp = n0 * scale, m0 * scale, c * scale, cp * scale
+    unit2 = scale * scale  # 1, in the units of n^2 and of c^2
+    unit4 = unit2 * unit2  # 1, in the units of det M
+    nm, c2, cp2 = n * m, c * c, cp * cp
+    f1, f2 = nm - c2, nm - cp2
+    det = f1 * f2
+    squares, cross = n * n + m * m, 2.0 * c * cp
+    gap = det + unit4 - unit2 * (squares + cross)
+    if f1 >= 0.0 and det >= unit4 and gap >= 0.0:
+        return
+    # Some value falls short of its bound: is it by more than rounding?
+    (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = rows
+    rho = _ROUND * (
+        2.0
+        + (abs(a1 * d1) + b1 * b1) / n0 / (n0 + 1.0)
+        + (abs(a2 * d2) + b2 * b2) / m0 / (m0 + 1.0)
+    )
+    # 1^T |S1| and |S2| 1 (both squeezes are symmetric), around |C|.
+    row1, row2 = abs(u1) + abs(v1), abs(v1) + abs(w1)
+    col1, col2 = abs(u2) + abs(v2), abs(v2) + abs(w2)
+    tau = row1 * (abs(p) * col1 + abs(q) * col2)
+    tau += row2 * (abs(r) * col1 + abs(s) * col2)
+    dc = rho * c + _ROUND * tau * scale  # for c and for c' (|c'| <= c)
+    df1 = rho * nm + 2.0 * c * dc + _ROUND * (nm + c2)
+    df2 = rho * nm + 2.0 * abs(cp) * dc + _ROUND * (nm + cp2)
+    _require("nm - c^2", f1, 0.0, df1, unit2)
+    ddet = abs(f1) * df2 + abs(f2) * df1 + df1 * df2 + _ROUND * abs(det)
+    _require("det M", det, unit4, ddet, unit4)
+    dgap = (
+        ddet
+        + unit2 * (2.0 * rho * squares + 2.0 * (c + abs(cp)) * dc)
+        + _ROUND * (abs(det) + unit4 + unit2 * (squares + abs(cross)))
+    )
+    _require("det M + 1 - (n^2 + m^2 + 2cc')", gap, 0.0, dgap, unit4)
+
+
+def _form_I_scalars(rows: list[list[float]]) -> tuple:
+    """``(n, m, c, c', x, y, s1, s2)`` of standard form I, in closed form.
+
+    ``rows`` is a symmetric 4x4 matrix as nested lists of floats.
+    ``s_i = (u, v, w)`` is the symmetric squeeze ``S_i = [[u, v], [v, w]]``
+    that makes the diagonal block ``G_i`` scalar (see
+    :func:`_scalarize_block`), and ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
+    :func:`_signed_svd`).  Shared by :func:`validate` and
+    ``to_standard_form_I``.
+
+    Raises:
+        NotPhysical: ``G1`` or ``G2`` not positive definite with
+            ``det >= 1`` within its rounding estimate, or ``det`` overflows.
+    """
+    (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = rows
+    n, u1, v1, w1 = _scalarize_block(a1, b1, d1, "G1")
+    m, u2, v2, w2 = _scalarize_block(a2, b2, d2, "G2")
+    # Rows of S1 C, then S1 C S2 (S2 is symmetric).
+    x0, y0 = u1 * p + v1 * r, u1 * q + v1 * s
+    x1, y1 = v1 * p + w1 * r, v1 * q + w1 * s
+    c, c_prime, x, y = _signed_svd(
+        x0 * u2 + y0 * v2, x0 * v2 + y0 * w2, x1 * u2 + y1 * v2, x1 * v2 + y1 * w2
+    )
+    return n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2)
+
+
+def _scalarize_block(
+    a: float, b: float, d: float, name: str
+) -> tuple[float, float, float, float]:
+    """``(n, u, v, w)`` with ``h = [[u, v], [v, w]]``, ``det h = 1`` and
+    ``h g h^T = n I`` for the block ``name = g = [[a, b], [b, d]]``.
+
+    ``n = sqrt(det g)`` and
+    ``h = sqrt(n) g^(-1/2) = adj(g + nI) / sqrt(n (tr g + 2n))``, the
+    symmetric positive definite choice.  The denominator is evaluated
+    as ``2n sqrt((tr g + 2n) / 4n)``, which stays finite wherever ``det g``
+    does (entries up to ~1.3e154) and is exactly ``2n`` when ``g = nI``, so
+    that h is then exactly I.
+
+    A physical block has ``det g >= 1``.  The rounding estimate of the
+    computed ``det g = a*d - b*b`` is ``8 eps (|a*d| + b*b)``: a deficit
+    below 1 within it is rounding and gives ``n = 1``, as does an excess of
+    ``n`` over 1 below ``8 eps``.
+
+    Raises:
+        NotPhysical: ``det g`` below 1 beyond its rounding estimate, or not
+            finite; or ``g`` negative definite.
+    """
+    err = _ROUND * (abs(a * d) + b * b)
+    if not err < math.inf:
+        raise NotPhysical(
+            f"det {name} overflows: entries beyond ~1.3e154 are out of range"
+        )
+    det = a * d - b * b
+    _require(f"det {name}", det, 1.0, err)
+    if not a + d > 0.0:
+        raise NotPhysical(
+            f"{name} is negative definite (tr {name} = {a + d:.6g}); state "
+            "violates the uncertainty relation"
+        )
+    n = math.sqrt(max(det, 1.0))
+    if n - 1.0 <= _ROUND:
+        n = 1.0
+    k = 2.0 * n * math.sqrt((a + d + 2.0 * n) / (4.0 * n))
+    # 0.0 - b, not -b: a zero b gives +0.0, so an identity h has no -0.0.
+    return n, (d + n) / k, (0.0 - b) / k, (a + n) / k
+
+
+def _signed_svd(
+    p: float, q: float, r: float, s: float
+) -> tuple[float, float, float, float]:
+    """``(c, c', x, y)`` with ``[[p, q], [r, s]] = R(x) diag(c, c') R(y)``.
+
+    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``, and ``c >= |c'|``, ``c >= 0``.
+    The block is ``E I + F Z + G X + H J`` with ``Z = diag(1, -1)``,
+    ``X = [[0, 1], [1, 0]]``, ``J = [[0, -1], [1, 0]]``; its rotation part
+    ``E I + H J`` is ``hypot(E, H) R(alpha)`` and its reflection part
+    ``F Z + G X`` is ``hypot(F, G) R(beta) Z``, so ``x = (alpha + beta)/2`` and
+    ``y = (alpha - beta)/2``, with ``alpha = atan2(H, E)`` and
+    ``beta = atan2(G, F)`` taken in ``(-pi, pi]``.  That choice fixes the
+    joint pi rotation ``(x, y) -> (x + pi, y + pi)`` the values leave free.
+    A diagonal block with ``p >= |s|`` gives ``x = y = 0``.
+    """
+    e, f = 0.5 * (p + s), 0.5 * (p - s)
+    g, h = 0.5 * (r + q), 0.5 * (r - q)
+    rot, ref = math.hypot(e, h), math.hypot(f, g)
+    alpha, beta = math.atan2(h, e), math.atan2(g, f)
+    return rot + ref, rot - ref, 0.5 * (alpha + beta), 0.5 * (alpha - beta)
 
 
 def apply_llubo(state: CorrelationMatrix, op: Llubo) -> CorrelationMatrix:

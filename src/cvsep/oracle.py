@@ -14,18 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EPS_PSD,
-    OMEGA,
-    CorrelationMatrix,
-    min_eig_hermitian_pair,
-    validate,
-)
+from .core import EPS_PSD, OMEGA, CorrelationMatrix, validate
 from .exceptions import NotPhysical
 from .separability import EPS_DECIDE, Decision, PRepresentation
 
 #: Momentum reversal on mode 2 (the partial-transpose map on covariances).
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def min_eig_hermitian_pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian matrix A + iB.
+
+    Uses the real symmetric embedding ``[[A, -B], [B, A]]``, whose spectrum
+    is the spectrum of ``A + iB`` doubled, so no complex eigensolver is
+    needed.
+    """
+    emb = np.block([[a, -b], [b, a]])
+    return float(np.linalg.eigvalsh(emb)[0])
 
 
 def ppt_decision(

@@ -14,71 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, Llubo
-from .exceptions import DegenerateMode, NotPhysical, RootNotBracketed
+from .core import CorrelationMatrix, Llubo, _form_I_scalars
+from .exceptions import DegenerateMode, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
-
-# Rounding allowance of a form-I diagonal block, in units of the products it
-# is computed from: see _scalarize_block.
-_VACUUM_SNAP = 8.0 * np.finfo(float).eps
-
-
-def _scalarize_block(
-    a: float, b: float, d: float
-) -> tuple[float, float, float, float]:
-    """``(n, u, v, w)`` with ``h = [[u, v], [v, w]]``, ``det h = 1`` and
-    ``h g h^T = n I`` for the block ``g = [[a, b], [b, d]]``.
-
-    ``n = sqrt(det g)`` and
-    ``h = sqrt(n) g^(-1/2) = adj(g + nI) / sqrt(n (tr g + 2n))``, the
-    symmetric positive definite choice.  The denominator is evaluated
-    as ``2n sqrt((tr g + 2n) / 4n)``, which stays finite wherever ``det g``
-    does (entries up to ~1e154) and is exactly ``2n`` when ``g = nI``, so
-    that h is then exactly I.
-
-    A physical block has ``det g >= 1``.  The rounding estimate of the
-    computed ``det g = a*d - b*b`` is ``8 eps (a*d + b*b)``: a deficit below 1
-    within it is rounding and gives ``n = 1``, as does an excess of ``n``
-    over 1 below ``8 eps``.
-
-    Raises:
-        NotPhysical: ``det g`` below 1 by more than its rounding estimate.
-    """
-    det = a * d - b * b
-    if 1.0 - det > _VACUUM_SNAP * (a * d + b * b):
-        raise NotPhysical(
-            f"diagonal block has determinant {det!r} < 1; state violates the "
-            "uncertainty relation"
-        )
-    n = math.sqrt(max(det, 1.0))
-    if n - 1.0 <= _VACUUM_SNAP:
-        n = 1.0
-    k = 2.0 * n * math.sqrt((a + d + 2.0 * n) / (4.0 * n))
-    # 0.0 - b, not -b: a zero b gives +0.0, so an identity h has no -0.0.
-    return n, (d + n) / k, (0.0 - b) / k, (a + n) / k
-
-
-def _signed_svd(
-    p: float, q: float, r: float, s: float
-) -> tuple[float, float, float, float]:
-    """``(c, c', x, y)`` with ``[[p, q], [r, s]] = R(x) diag(c, c') R(y)``.
-
-    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``, and ``c >= |c'|``, ``c >= 0``.
-    The block is ``E I + F Z + G X + H J`` with ``Z = diag(1, -1)``,
-    ``X = [[0, 1], [1, 0]]``, ``J = [[0, -1], [1, 0]]``; its rotation part
-    ``E I + H J`` is ``hypot(E, H) R(alpha)`` and its reflection part
-    ``F Z + G X`` is ``hypot(F, G) R(beta) Z``, so ``x = (alpha + beta)/2`` and
-    ``y = (alpha - beta)/2``, with ``alpha = atan2(H, E)`` and
-    ``beta = atan2(G, F)`` taken in ``(-pi, pi]``.  That choice fixes the
-    joint pi rotation ``(x, y) -> (x + pi, y + pi)`` the values leave free.
-    A diagonal block with ``p >= |s|`` gives ``x = y = 0``.
-    """
-    e, f = 0.5 * (p + s), 0.5 * (p - s)
-    g, h = 0.5 * (r + q), 0.5 * (r - q)
-    rot, ref = math.hypot(e, h), math.hypot(f, g)
-    alpha, beta = math.atan2(h, e), math.atan2(g, f)
-    return rot + ref, rot - ref, 0.5 * (alpha + beta), 0.5 * (alpha - beta)
 
 
 def _layout(
@@ -153,17 +92,12 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
     ``n, m >= 1`` and ``c >= |c'|``.
 
     Raises:
-        NotPhysical: ``det G1`` or ``det G2`` below 1 by more than its
-            rounding estimate (see :func:`_scalarize_block`).
+        NotPhysical: ``G1`` or ``G2`` not positive definite with
+            ``det >= 1`` within its rounding estimate, which
+            :func:`~cvsep.core.validate` rejects first.
     """
-    (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = state.m.tolist()
-    n, u1, v1, w1 = _scalarize_block(a1, b1, d1)
-    m, u2, v2, w2 = _scalarize_block(a2, b2, d2)
-    # Rows of S1 C, then S1 C S2 (S2 is symmetric).
-    x0, y0 = u1 * p + v1 * r, u1 * q + v1 * s
-    x1, y1 = v1 * p + w1 * r, v1 * q + w1 * s
-    c, c_prime, x, y = _signed_svd(
-        x0 * u2 + y0 * v2, x0 * v2 + y0 * w2, x1 * u2 + y1 * v2, x1 * v2 + y1 * w2
+    n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2) = _form_I_scalars(
+        state.m.tolist()
     )
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
     h1 = np.array(

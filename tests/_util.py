@@ -50,7 +50,9 @@ def tmsv_layout(r):
 def complex_min_eig(m):
     """Smallest eigenvalue of M + i*Omega via a complex eigensolver.
 
-    Independent oracle for the package's real-embedding physicality test.
+    Independent of both of the package's physicality tests: validate's
+    closed-form test on the form-I scalars, and the PPT oracle's real
+    symmetric embedding.
     """
     return float(np.linalg.eigvalsh(m + 1j * OMEGA4)[0])
 

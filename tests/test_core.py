@@ -14,6 +14,7 @@ from _util import (
     SINH1,
     blockdiag,
     complex_min_eig,
+    layout,
     random_llubo_blocks,
     rot2,
     tmsv_layout,
@@ -92,6 +93,95 @@ class TestValidate:
         np.testing.assert_array_equal(state.g1, state.m[:2, :2])
         np.testing.assert_array_equal(state.g2, state.m[2:, 2:])
         np.testing.assert_array_equal(state.c, state.m[:2, 2:])
+
+
+#: [[I, 2I], [2I, I]]: det G1 = det G2 = 1, det M = 9 and
+#: det G1 + det G2 + 2 det C = 10, so its invariants alone give symplectic
+#: eigenvalues 1 and 3, yet M has the eigenvalue -1.
+INDEFINITE = layout(1.0, 1.0, 2.0, 2.0)
+
+
+def _degenerate(n, nu):
+    """n = m, c' = -c with n^2 - c^2 = nu^2: det M = nu^4.
+
+    For nu < 1 this is unphysical, yet Simon's inequality
+    det M + 1 >= n^2 + m^2 + 2cc' = 2 nu^2 holds: only det M >= 1 fails.
+    """
+    c = math.sqrt(n * n - nu * nu)
+    return layout(n, n, c, -c)
+
+
+def _local_congruence(m, rng, max_log_squeeze):
+    b = blockdiag(*random_llubo_blocks(rng, max_log_squeeze))
+    return b @ m @ b.T
+
+
+class TestPhysicality:
+    """validate decides M + i*Omega >= 0 on form I's scalars: the result does
+    not depend on local operations or on the state's scale."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_indefinite_rejected(self, seed):
+        m = INDEFINITE
+        if seed is not None:
+            m = _local_congruence(m, np.random.default_rng(seed), 4.0)
+        assert complex_min_eig(m) < 0.0
+        with pytest.raises(cv.NotPhysical, match=r"^nm - c\^2 = -[23]\.?\d* < 0 "):
+            cv.validate(m)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1.2, 2.0, 4.5])
+    def test_degenerate_sub_vacuum_rejected(self, n, seed):
+        m = _degenerate(n, 0.9)
+        if seed is not None:
+            m = _local_congruence(m, np.random.default_rng(seed), 4.0)
+        assert complex_min_eig(m) < 0.0
+        with pytest.raises(cv.NotPhysical, match=r"^det M = 0\.656\d* < 1 "):
+            cv.validate(m)
+
+    def test_unit_scale_messages(self):
+        cases = [
+            (np.diag([0.9, 0.9, 1.0, 1.0]), "det G1 = 0.81 < 1 "),
+            (np.diag([1.0, 1.0, 0.5, 1.5]), "det G2 = 0.75 < 1 "),
+            (INDEFINITE, "nm - c^2 = -3 < 0 "),
+            (_degenerate(2.0, 0.9), "det M = 0.6561 < 1 "),
+            (-np.eye(4), "G1 is negative definite (tr G1 = -2)"),
+        ]
+        for m, message in cases:
+            with pytest.raises(cv.NotPhysical) as info:
+                cv.validate(m)
+            assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+    def test_indefinite_rejected_at_large_scale(self, scale):
+        with pytest.raises(cv.NotPhysical):
+            cv.validate(scale * INDEFINITE)
+
+    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+    def test_scaled_physical_states_accepted(self, scale):
+        # s M + i Omega = (s - 1) M + (M + i Omega) >= 0, and s M >= I here.
+        for seed in range(100):
+            state = cv.validate(scale * cv.sample_random_physical(seed).m)
+            verdict = cv.decide_separability(state)
+            assert verdict.decision is cv.Decision.SEPARABLE
+            assert verdict.min_eigenvalue > 0.0  # fails for NaN too
+
+    def test_physical_states_accepted_under_local_squeezes(self):
+        rng = np.random.default_rng(8)
+        for seed in range(500):
+            m = cv.sample_random_physical(seed).m
+            cv.validate(_local_congruence(m, rng, 8.0))
+        for r in rng.uniform(0.0, 6.0, size=200):
+            # Pure: det M = 1 and det M + 1 = n^2 + m^2 + 2cc', both on the edge.
+            cv.validate(_local_congruence(tmsv_layout(r), rng, 8.0))
+
+    @pytest.mark.parametrize("nu", [0.5, 0.9, 0.99])
+    def test_sub_vacuum_family_rejected_under_local_squeezes(self, nu):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m = _degenerate(rng.uniform(1.0, 5.0), nu)
+            with pytest.raises(cv.NotPhysical, match=r"^det M = "):
+                cv.validate(_local_congruence(m, rng, 6.0))
 
 
 def _bad_matrices():

@@ -1,6 +1,7 @@
 """Standard-form reduction tests: constructions, solver, invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,13 +113,17 @@ class TestFormI:
     @pytest.mark.parametrize("nu, k", [(0.9, 5.0), (0.99, 5.0), (0.5, 8.0)])
     def test_sub_vacuum_block_rejected(self, nu, k):
         # nu*I squeezed by diag(e^k, e^-k) on both modes has det G = nu^2 < 1,
-        # far beyond rounding; it passes validate, whose tolerance grows
-        # with the squeezed entries.
+        # far beyond rounding, whatever the squeezed entries' size.
         s = np.diag([math.exp(k), math.exp(-k)] * 2)
-        state = cv.validate(s @ (nu * np.eye(4)) @ s)
-        with pytest.raises(cv.NotPhysical):
+        m = s @ (nu * np.eye(4)) @ s
+        message = f"^det G1 = {re.escape(f'{nu * nu:.6g}')} < 1 "
+        with pytest.raises(cv.NotPhysical, match=message):
+            cv.validate(m)
+        # Form I, which validate shares, raises the same on a hand-built state.
+        state = cv.CorrelationMatrix(m)
+        with pytest.raises(cv.NotPhysical, match=message):
             cv.to_standard_form_I(state)
-        with pytest.raises(cv.NotPhysical):
+        with pytest.raises(cv.NotPhysical, match=message):
             cv.decide_separability(state)
 
     def test_physicality_bound_on_c(self):

@@ -126,12 +126,25 @@ def _state_files(cv, folder: Path):
     docs.append(("rank-one-scatter", scatter.m.tolist()))
     # A product state with det G1 = 1 from entries 1e-155 and 1e155.
     docs.append(("anisotropic", np.diag([1e-155, 1e155, 2.0, 2.0]).tolist()))
-    # nu*I squeezed by diag(e^k, e^-k) on both modes: det G = nu^2 < 1, yet
-    # it passes the entry-scaled tolerance of validate.
+    # nu*I squeezed by diag(e^k, e^-k) on both modes: det G = nu^2 < 1.
     for nu, k in ((0.9, 5.0), (0.99, 5.0), (0.5, 8.0)):
         squeeze = np.diag([math.exp(k), math.exp(-k)] * 2)
         sub_vacuum = squeeze @ (nu * np.eye(4)) @ squeeze
         docs.append((f"sub-vacuum{nu}-{k}", sub_vacuum.tolist()))
+    # n = m = 2, c' = -c with n^2 - c^2 = 0.81 (det M = 0.6561 < 1, although
+    # Simon's inequality holds), rotated and squeezed by e^6 on both modes.
+    c = math.sqrt(4.0 - 0.81)
+    h = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
+    h = h @ np.diag([math.exp(6.0), math.exp(-6.0)])
+    b = np.kron(np.eye(2), h)
+    degenerate = np.array(
+        [[2.0, 0.0, c, 0.0], [0.0, 2.0, 0.0, -c], [c, 0.0, 2.0, 0.0], [0.0, -c, 0.0, 2.0]]
+    )
+    docs.append(("degenerate-sub-vacuum", (b @ degenerate @ b.T).tolist()))
+    # 1e200 [[I, 2I], [2I, I]]: M >= 0 fails (eigenvalue -1e200) while every
+    # local invariant looks physical, at a scale where det G1 overflows.
+    indefinite = 1e200 * np.kron([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
+    docs.append(("indefinite-1e200", indefinite.tolist()))
     # A -0.0 intermode entry, with mode 1 the larger and the smaller mode.
     for g1, g2 in ((1.3, 2.4), (2.4, 1.3)):
         signed_zero = np.diag([g1, g1, g2, g2])
