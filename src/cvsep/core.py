@@ -211,7 +211,7 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
         NotSymmetric: asymmetry beyond ``EPS_SYM`` relative tolerance.
         NotPhysical: a condition fails beyond its rounding estimate (the
             message names it and its value), or ``det G_i`` overflows
-            (entries beyond ~1.3e154).
+            or form I's ``c`` is out of range (entries beyond ~1.3e154).
     """
     arr = np.asarray(m, dtype=float)
     if arr.shape != (4, 4):
@@ -253,12 +253,17 @@ def _require(
 ) -> None:
     """Raise NotPhysical unless ``value >= bound`` within ``err``.
 
-    All three are in multiples of ``unit``, and so printed.  The test is
-    negated, so that a NaN value or estimate fails too.
+    All three are in multiples of ``unit``, a nonzero power of two, and
+    are printed in the input's units: the value to 6 digits, or to all its
+    digits where 6 would print the bound.  The test is negated, so that a
+    NaN value or estimate fails too.
     """
     if not value - bound >= -err:
+        shown, floor = f"{value / unit:.6g}", f"{bound / unit:g}"
+        if shown == floor:
+            shown = repr(value / unit)
         raise NotPhysical(
-            f"{name} = {value / unit:.6g} < {bound / unit:g} beyond its rounding "
+            f"{name} = {shown} < {floor} beyond its rounding "
             f"estimate {err / unit:.2g}; state violates the uncertainty relation"
         )
 
@@ -272,10 +277,11 @@ def _check_physical(rows: list[list[float]]) -> None:
     ``_ROUND`` (8 eps) times the sizes of the products it is formed from,
     plus what its operands' estimates carry into it.
 
-    * ``det G = ad - b^2`` carries ``_ROUND (|ad| + b^2)``.  As ``n`` and
-      the exact ``sqrt(det G)`` are both at least 1, ``n`` carries that
-      over ``n + 1``: a relative error ``rho_n``.  ``rho`` is
-      ``rho_n + rho_m``, plus ``_ROUND`` per mode for the square root.
+    * ``det G = ad - b^2`` carries ``e = _ROUND (|ad| + b^2)``, from
+      :func:`_scalarize_block`.  As ``n`` and the exact ``sqrt(det G)`` are
+      both at least 1, ``n`` carries ``e`` over ``n + 1``: a relative
+      error ``rho_n``.  ``rho`` is ``rho_n + rho_m``, plus ``_ROUND`` per
+      mode for the square root.
     * That error scales the squeeze ``S1`` by ``1 + O(rho_n)`` in its own
       eigenbasis, which moves ``c`` and ``c'`` by at most ``rho c``.
       Forming ``S1 C S2`` moves them by at most ``_ROUND tau``, with
@@ -288,16 +294,31 @@ def _check_physical(rows: list[list[float]]) -> None:
     A local squeeze ``e^s`` per mode grows ``tau`` by up to
     ``e^(2 s1 + 2 s2)`` and ``rho`` by up to ``e^(4 s)``, as form I's own
     rounding grows.  The estimates cost about as much as form I, so a value
-    at or above its bound passes without one.  The scalars are first scaled
-    by the power of two that brings ``max(n, m)`` into ``[1/2, 1)``: exact,
-    and it keeps ``det M`` and the estimates finite wherever form I is
-    (entries up to ~1.3e154).
+    at or above its bound passes without one.
+
+    The scalars are first scaled by the power of two that brings
+    ``max(n, m, c)`` into ``[2^249, 2^250)``: exact, so every value is a
+    power of two times its value in the input's units, and ``_require``
+    prints it in those.  A physical state has ``c <= sqrt(nm) < 2^512``
+    (``det G_i`` is finite), so the scaled values, ``det M`` included, stay
+    below ``2^1003``, and the units ``scale^2`` and ``scale^4`` stay at or
+    above ``2^-1048``: nonzero and exact.  A ``c`` of ``2^512`` (~1.3e154)
+    or more, or NaN, is out of that range and raises.  Only an estimate
+    can still overflow, and only where it exceeds its value.
 
     Raises:
-        NotPhysical: the first condition that fails beyond its estimate.
+        NotPhysical: the first condition that fails beyond its estimate,
+            or ``c`` out of range.
     """
-    n0, m0, c, cp, _, _, (u1, v1, w1), (u2, v2, w2) = _form_I_scalars(rows)
-    scale = math.ldexp(1.0, -math.frexp(max(n0, m0))[1])
+    n0, m0, c, cp, _, _, (u1, v1, w1), (u2, v2, w2), (e1, e2) = _form_I_scalars(
+        rows
+    )
+    if not c < 2.0**512:
+        raise NotPhysical(
+            f"c = {c:.6g} of form I is out of range (beyond ~1.3e154); "
+            "state violates the uncertainty relation"
+        )
+    scale = math.ldexp(1.0, 250 - math.frexp(max(n0, m0, c))[1])
     n, m, c, cp = n0 * scale, m0 * scale, c * scale, cp * scale
     unit2 = scale * scale  # 1, in the units of n^2 and of c^2
     unit4 = unit2 * unit2  # 1, in the units of det M
@@ -309,12 +330,8 @@ def _check_physical(rows: list[list[float]]) -> None:
     if f1 >= 0.0 and det >= unit4 and gap >= 0.0:
         return
     # Some value falls short of its bound: is it by more than rounding?
-    (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = rows
-    rho = _ROUND * (
-        2.0
-        + (abs(a1 * d1) + b1 * b1) / n0 / (n0 + 1.0)
-        + (abs(a2 * d2) + b2 * b2) / m0 / (m0 + 1.0)
-    )
+    (_, _, p, q), (_, _, r, s) = rows[:2]  # the block C
+    rho = 2.0 * _ROUND + e1 / n0 / (n0 + 1.0) + e2 / m0 / (m0 + 1.0)
     # 1^T |S1| and |S2| 1 (both squeezes are symmetric), around |C|.
     row1, row2 = abs(u1) + abs(v1), abs(v1) + abs(w1)
     col1, col2 = abs(u2) + abs(v2), abs(v2) + abs(w2)
@@ -335,12 +352,13 @@ def _check_physical(rows: list[list[float]]) -> None:
 
 
 def _form_I_scalars(rows: list[list[float]]) -> tuple:
-    """``(n, m, c, c', x, y, s1, s2)`` of standard form I, in closed form.
+    """``(n, m, c, c', x, y, s1, s2, (e1, e2))`` of standard form I.
 
     ``rows`` is a symmetric 4x4 matrix as nested lists of floats.
     ``s_i = (u, v, w)`` is the symmetric squeeze ``S_i = [[u, v], [v, w]]``
-    that makes the diagonal block ``G_i`` scalar (see
-    :func:`_scalarize_block`), and ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
+    that makes the diagonal block ``G_i`` scalar, and ``e_i`` is the
+    rounding estimate of its computed ``det G_i`` (see
+    :func:`_scalarize_block`); ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
     :func:`_signed_svd`).  Shared by :func:`validate` and
     ``to_standard_form_I``.
 
@@ -349,21 +367,21 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
             ``det >= 1`` within its rounding estimate, or ``det`` overflows.
     """
     (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = rows
-    n, u1, v1, w1 = _scalarize_block(a1, b1, d1, "G1")
-    m, u2, v2, w2 = _scalarize_block(a2, b2, d2, "G2")
+    n, e1, u1, v1, w1 = _scalarize_block(a1, b1, d1, "G1")
+    m, e2, u2, v2, w2 = _scalarize_block(a2, b2, d2, "G2")
     # Rows of S1 C, then S1 C S2 (S2 is symmetric).
     x0, y0 = u1 * p + v1 * r, u1 * q + v1 * s
     x1, y1 = v1 * p + w1 * r, v1 * q + w1 * s
     c, c_prime, x, y = _signed_svd(
         x0 * u2 + y0 * v2, x0 * v2 + y0 * w2, x1 * u2 + y1 * v2, x1 * v2 + y1 * w2
     )
-    return n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2)
+    return n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), (e1, e2)
 
 
 def _scalarize_block(
     a: float, b: float, d: float, name: str
-) -> tuple[float, float, float, float]:
-    """``(n, u, v, w)`` with ``h = [[u, v], [v, w]]``, ``det h = 1`` and
+) -> tuple[float, float, float, float, float]:
+    """``(n, err, u, v, w)`` with ``h = [[u, v], [v, w]]``, ``det h = 1`` and
     ``h g h^T = n I`` for the block ``name = g = [[a, b], [b, d]]``.
 
     ``n = sqrt(det g)`` and
@@ -374,7 +392,7 @@ def _scalarize_block(
     that h is then exactly I.
 
     A physical block has ``det g >= 1``.  The rounding estimate of the
-    computed ``det g = a*d - b*b`` is ``8 eps (|a*d| + b*b)``: a deficit
+    computed ``det g = a*d - b*b`` is ``err = 8 eps (|a*d| + b*b)``: a deficit
     below 1 within it is rounding and gives ``n = 1``, as does an excess of
     ``n`` over 1 below ``8 eps``.
 
@@ -399,7 +417,7 @@ def _scalarize_block(
         n = 1.0
     k = 2.0 * n * math.sqrt((a + d + 2.0 * n) / (4.0 * n))
     # 0.0 - b, not -b: a zero b gives +0.0, so an identity h has no -0.0.
-    return n, (d + n) / k, (0.0 - b) / k, (a + n) / k
+    return n, err, (d + n) / k, (0.0 - b) / k, (a + n) / k
 
 
 def _signed_svd(

@@ -40,9 +40,11 @@ def ppt_decision(
 
     The partial transpose acts on the correlation matrix as momentum
     reversal on mode 2; the state is separable iff the reversed matrix is
-    still physical.  The physicality margin is tested like ``validate``
-    (down to ``-EPS_PSD`` relative to the largest diagonal entry), with
-    anything between that and ``-tol_decide`` reported as boundary.
+    still physical.  The margin is the smallest eigenvalue of the reversed
+    ``M + i*Omega``: down to ``-EPS_PSD`` relative to the largest diagonal
+    entry it is separable, and anything between that and ``-tol_decide``
+    is boundary.  Unlike ``validate``, which allows only rounding
+    estimates in form-I units, this slack is not local-invariant.
 
     Raises:
         ValueError: ``tol_decide`` is negative, NaN or infinite.

@@ -96,7 +96,7 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
             ``det >= 1`` within its rounding estimate, which
             :func:`~cvsep.core.validate` rejects first.
     """
-    n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2) = _form_I_scalars(
+    n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = _form_I_scalars(
         state.m.tolist()
     )
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)

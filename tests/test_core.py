@@ -142,6 +142,8 @@ class TestPhysicality:
     def test_unit_scale_messages(self):
         cases = [
             (np.diag([0.9, 0.9, 1.0, 1.0]), "det G1 = 0.81 < 1 "),
+            # 6 digits would print "1 < 1": all of them are shown instead.
+            (np.diag([1.0 - 1e-10, 1.0, 1.0, 1.0]), "det G1 = 0.9999999999 < 1 "),
             (np.diag([1.0, 1.0, 0.5, 1.5]), "det G2 = 0.75 < 1 "),
             (INDEFINITE, "nm - c^2 = -3 < 0 "),
             (_degenerate(2.0, 0.9), "det M = 0.6561 < 1 "),
@@ -156,6 +158,20 @@ class TestPhysicality:
     def test_indefinite_rejected_at_large_scale(self, scale):
         with pytest.raises(cv.NotPhysical):
             cv.validate(scale * INDEFINITE)
+
+    @pytest.mark.parametrize("n, corr", [(1e100, 1e45), (1e150, 1e70)])
+    def test_correlated_vacuum_rejected_at_large_scale(self, n, corr):
+        # Mode 2 is vacuum, yet correlated: M >= 0 and det M >= 1 hold, but
+        # det M + 1 - (n^2 + m^2 + 2cc') = -corr^2 n.  In units of max(n, m),
+        # 1 in the units of det M is below the smallest float here.
+        with pytest.raises(cv.NotPhysical, match=r"^det M \+ 1 - .* = -\d"):
+            cv.validate(layout(n, 1.0, corr, 0.0))
+
+    @pytest.mark.parametrize("corr", [1e100, 1e160, 1e200, 1e300])
+    def test_huge_correlation_rejected(self, corr):
+        # c^2 overflows from ~1.3e154 on; it must not pass as within rounding.
+        with pytest.raises(cv.NotPhysical, match=r"^(nm - c\^2 = -|c = )"):
+            cv.validate(layout(1.0, 1.0, corr, 0.0))
 
     @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
     def test_scaled_physical_states_accepted(self, scale):
