@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .exceptions import (
 # Tolerances (double-precision headroom on 4x4 problems).
 EPS_SYM = 1e-10  # asymmetry allowed, relative to max(1, largest diagonal entry)
 # Eigenvalue slack, relative to the largest diagonal entry, of
-# p_representation's M_II - I >= 0 test and of the PPT oracle.  validate does
-# not use it: it tests physicality within rounding estimates (_check_physical).
+# p_representation's M_II - I >= 0 test and of ppt_decision, its only users.
+# validate and ModeSpec test physicality within rounding estimates instead.
 EPS_PSD = 1e-9
 EPS_DET = 1e-10  # allowed departure of local-block determinants from 1
 
@@ -55,10 +56,15 @@ class CorrelationMatrix:
     """Validated 4x4 correlation matrix of a two-mode Gaussian state.
 
     Construct through :func:`validate`; the wrapped array is read-only and
-    may be a view into a stack validated in one call.
+    owned by the state.
     """
 
     m: np.ndarray
+
+    @cached_property
+    def _form_I(self) -> tuple:
+        """:func:`_form_I_scalars` of ``m``, computed on first read."""
+        return _form_I_scalars(self.m.tolist())
 
     @property
     def g1(self) -> np.ndarray:
@@ -184,9 +190,10 @@ class EprPair:
 def validate(m: np.ndarray) -> CorrelationMatrix:
     """Validate a 4x4 array as a physical two-mode correlation matrix.
 
-    The input is symmetrized as ``(m + m.T)/2``; its largest asymmetry
-    ``|m - m.T|`` may reach ``EPS_SYM`` times ``max(1, largest diagonal
-    entry)``.  Physicality, ``M + i*Omega >= 0``, is Simon's condition
+    The entries must be finite, and the largest asymmetry ``|m - m.T|`` may
+    reach ``EPS_SYM`` times ``max(1, largest diagonal entry)``.  The result
+    is ``(m + m.T)/2`` with the diagonal kept as given, so that it cannot
+    overflow.  Physicality, ``M + i*Omega >= 0``, is Simon's condition
     (PRL 84, 2726 (2000)) on the local invariants ``(n, m, c, c')`` of
     standard form I, as in Serafini, Illuminati and De Siena (J. Phys. B
     37, L21 (2004)):
@@ -204,7 +211,8 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     Each is tested within a running estimate of its rounding error (see
     :func:`_check_physical`): a few eps for exact inputs, and form I's own
     rounding under local squeezes.  So the answer depends neither on a
-    local operation applied first nor on the state's scale.
+    local operation applied first nor on the state's scale.  The state
+    keeps those scalars, so ``to_standard_form_I`` does not recompute them.
 
     Raises:
         NotFinite: non-finite entries.
@@ -216,36 +224,25 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     arr = np.asarray(m, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-    return _validate_stack(arr[np.newaxis])[0]
-
-
-def _validate_stack(arr: np.ndarray) -> list[CorrelationMatrix]:
-    """:func:`validate` for each matrix of an (N, 4, 4) stack.
-
-    Finiteness, symmetry and symmetrizing are done for the whole stack at
-    once, then :func:`_check_physical` runs per matrix on Python floats.
-    Raises what :func:`validate` raises for the first invalid matrix, with
-    the same message.  The results are read-only views into one stack.
-    """
-    finite = np.isfinite(arr).all(axis=(1, 2))
-    # Matrices from the first non-finite one on are not checked further.
-    count = len(arr) if finite.all() else int(np.argmin(finite))
-    head = arr[:count]
-    head_t = head.transpose(0, 2, 1)
-    asym = np.abs(head - head_t).max(axis=(1, 2)).tolist()
-    sym = 0.5 * (head + head_t)
-    diag_max = np.diagonal(sym, axis1=1, axis2=2).max(axis=1)
-    scales = np.maximum(diag_max, 1.0).tolist()
-    for k, rows in enumerate(sym.tolist()):
-        if asym[k] > EPS_SYM * scales[k]:
-            raise NotSymmetric(
-                f"asymmetry {asym[k]:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
-            )
-        _check_physical(rows)
-    if count < len(arr):
+    rows = arr.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise NotFinite("correlation matrix has non-finite entries")
+    asym = 0.0
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        x, y = rows[i][j], rows[j][i]
+        if abs(x - y) > asym:
+            asym = abs(x - y)
+        rows[i][j] = rows[j][i] = 0.5 * (x + y)
+    scale = max(1.0, rows[0][0], rows[1][1], rows[2][2], rows[3][3])
+    if asym > EPS_SYM * scale:
+        raise NotSymmetric(
+            f"asymmetry {asym:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
+        )
+    sym = np.array(rows)
     sym.flags.writeable = False
-    return [CorrelationMatrix(m) for m in sym]
+    state = CorrelationMatrix(sym)
+    _check_physical(rows, state._form_I)
+    return state
 
 
 def _require(
@@ -268,14 +265,15 @@ def _require(
         )
 
 
-def _check_physical(rows: list[list[float]]) -> None:
+def _check_physical(rows: list[list[float]], form_I: tuple) -> None:
     """Simon's condition (see :func:`validate`) on form I's scalars.
 
-    ``rows`` is a symmetric 4x4 matrix as nested lists of floats.  Each
-    value is tested within a first-order running estimate of its rounding
-    error (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
-    ``_ROUND`` (8 eps) times the sizes of the products it is formed from,
-    plus what its operands' estimates carry into it.
+    ``form_I`` is :func:`_form_I_scalars` of ``rows``, a symmetric 4x4
+    matrix as nested lists of floats.  Each value is tested within a
+    first-order running estimate of its rounding error (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3): ``_ROUND`` (8 eps) times
+    the sizes of the products it is formed from, plus what its operands'
+    estimates carry into it.
 
     * ``det G = ad - b^2`` carries ``e = _ROUND (|ad| + b^2)``, from
       :func:`_scalarize_block`.  As ``n`` and the exact ``sqrt(det G)`` are
@@ -310,9 +308,7 @@ def _check_physical(rows: list[list[float]]) -> None:
         NotPhysical: the first condition that fails beyond its estimate,
             or ``c`` out of range.
     """
-    n0, m0, c, cp, _, _, (u1, v1, w1), (u2, v2, w2), (e1, e2) = _form_I_scalars(
-        rows
-    )
+    n0, m0, c, cp, _, _, (u1, v1, w1), (u2, v2, w2), (e1, e2) = form_I
     if not c < 2.0**512:
         raise NotPhysical(
             f"c = {c:.6g} of form I is out of range (beyond ~1.3e154); "
@@ -359,8 +355,8 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
     that makes the diagonal block ``G_i`` scalar, and ``e_i`` is the
     rounding estimate of its computed ``det G_i`` (see
     :func:`_scalarize_block`); ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
-    :func:`_signed_svd`).  Shared by :func:`validate` and
-    ``to_standard_form_I``.
+    :func:`_signed_svd`).  Called once per state, by
+    ``CorrelationMatrix._form_I``.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with

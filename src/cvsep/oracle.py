@@ -77,9 +77,12 @@ class ModeSpec:
             raise ValueError(f"mode covariance must be 2x2, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("mode covariance has non-finite entries")
-        lam_min = min_eig_hermitian_pair(arr, OMEGA[:2, :2])
-        if lam_min < -EPS_PSD * max(float(np.max(np.diag(arr))), 1.0):
-            raise NotPhysical(f"mode covariance unphysical ({lam_min:.3e})")
+        # cov + iJ >= 0: tr > 0 and det >= 1, within the rounding of ad - bc.
+        (a, b), (c, d) = arr.tolist()
+        tr, det = a + d, a * d - b * c
+        err = 8.0 * np.finfo(float).eps * (abs(a * d) + abs(b * c))
+        if not (tr > 0.0 and det - 1.0 >= -err):
+            raise NotPhysical(f"mode covariance unphysical (tr {tr:.6g}, det {det!r})")
         arr.flags.writeable = False
         object.__setattr__(self, "cov", arr)
 

@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CorrelationMatrix, _validate_stack, validate
+from .core import CorrelationMatrix, validate
 from .separability import Decision, decide_separability
 
 
@@ -122,8 +122,8 @@ def scan_boundary(
     Returns ``(t, margin, decision)`` per grid point over
     ``[t_min, t_max]``; with nbar > 0 and a grid straddling the threshold,
     the sign change of the margin brackets the closed form within one step.
-    The grid's states are built and validated in one call, then decided one
-    by one; each point equals ``decide_separability(evolve_thermal(...))``.
+    The grid's layouts are built in one call, then validated and decided
+    one by one: each point equals ``decide_separability(evolve_thermal(...))``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -132,7 +132,7 @@ def scan_boundary(
     ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)  # rejects bad r, eta, nbar
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []
-    for t, state in zip(times, _validate_stack(_thermal_layouts(r, eta, nbar, times))):
-        verdict = decide_separability(state)
+    for t, layout in zip(times, _thermal_layouts(r, eta, nbar, times)):
+        verdict = decide_separability(validate(layout))
         points.append(ScanPoint(t=t, margin=verdict.margin, decision=verdict.decision))
     return points

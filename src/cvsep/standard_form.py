@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, Llubo, _form_I_scalars
+from .core import CorrelationMatrix, Llubo
 from .exceptions import DegenerateMode, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
@@ -89,16 +89,15 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
     and ``m`` exactly; ``c`` and ``c'`` are exact when ``|c'| = c`` (the
     squeezed vacuum and its thermal evolution) and may otherwise move by
     rounding, as ``c = hypot(E, H) + hypot(F, G)``.  The result satisfies
-    ``n, m >= 1`` and ``c >= |c'|``.
+    ``n, m >= 1`` and ``c >= |c'|``.  The scalars are the state's own,
+    computed once when :func:`~cvsep.core.validate` tested its physicality.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with
             ``det >= 1`` within its rounding estimate, which
             :func:`~cvsep.core.validate` rejects first.
     """
-    n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = _form_I_scalars(
-        state.m.tolist()
-    )
+    n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = state._form_I
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
     h1 = np.array(
         [

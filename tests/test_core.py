@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cvsep as cv
-from cvsep.core import _validate_stack
 from _util import (
     COSH1,
     SINH1,
@@ -82,6 +81,44 @@ class TestValidate:
             cv.validate(np.eye(3))
         with pytest.raises(ValueError, match=r"4x4 matrix, got shape \(1, 4, 4\)"):
             cv.validate(np.eye(4)[np.newaxis])
+
+    def test_symmetrized_bytes(self):
+        ms = [cv.sample_random_physical(s).m for s in range(40)]
+        m = np.diag([2.0, 2.0, 2.0, 2.0])
+        m[0, 1] = 4e-11  # below EPS_SYM: symmetrized, not rejected
+        ms += [m, tmsv_layout(3.0), np.eye(4), self._large_thermal_congruence()]
+        for m in ms:
+            state = cv.validate(m)
+            assert state.m.tobytes() == (0.5 * (m + m.T)).tobytes()
+            assert not state.m.flags.writeable
+            assert not np.shares_memory(state.m, m)
+
+    def test_fault_precedence(self):
+        # Finiteness is checked before symmetry, symmetry before physicality.
+        m = np.diag([0.5, 0.5, 1.0, 1.0])
+        m[0, 1] = 1e-6
+        message = r"^asymmetry 1\.000e-06 exceeds 1e-10 x max\(1, max diagonal\)$"
+        with pytest.raises(cv.NotSymmetric, match=message):
+            cv.validate(m)
+        m[1, 2] = np.nan
+        with pytest.raises(cv.NotFinite, match="^correlation matrix has non-finite"):
+            cv.validate(m)
+
+    def test_form_I_computed_once_per_decision(self, monkeypatch):
+        calls = []
+        form_I_scalars = cv.core._form_I_scalars
+
+        def counted(rows):
+            calls.append(rows)
+            return form_I_scalars(rows)
+
+        for module in vars(cv).values():  # wherever cvsep imported it
+            if getattr(module, "_form_I_scalars", None) is form_I_scalars:
+                monkeypatch.setattr(module, "_form_I_scalars", counted)
+        for m in (tmsv_layout(0.5), cv.sample_random_physical(3).m):
+            calls.clear()
+            cv.decide_separability(cv.validate(m))
+            assert len(calls) == 1
 
     def test_result_is_read_only(self):
         state = cv.validate(np.eye(4))
@@ -173,6 +210,15 @@ class TestPhysicality:
         with pytest.raises(cv.NotPhysical, match=r"^(nm - c\^2 = -|c = )"):
             cv.validate(layout(1.0, 1.0, corr, 0.0))
 
+    @pytest.mark.parametrize(
+        "diagonal", [[1e308, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.7e308]]
+    )
+    def test_finite_huge_diagonal_accepted(self, diagonal):
+        # A product state: symmetrizing must not overflow 2x an entry >= 2^1023.
+        state = cv.validate(np.diag(diagonal))
+        np.testing.assert_array_equal(state.m, np.diag(diagonal))
+        assert cv.decide_separability(state).decision is cv.Decision.SEPARABLE
+
     @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
     def test_scaled_physical_states_accepted(self, scale):
         # s M + i Omega = (s - 1) M + (M + i Omega) >= 0, and s M >= I here.
@@ -198,69 +244,6 @@ class TestPhysicality:
             m = _degenerate(rng.uniform(1.0, 5.0), nu)
             with pytest.raises(cv.NotPhysical, match=r"^det M = "):
                 cv.validate(_local_congruence(m, rng, 6.0))
-
-
-def _bad_matrices():
-    nonfinite = np.eye(4)
-    nonfinite[1, 2] = np.nan
-    asymmetric = np.eye(4)
-    asymmetric[0, 1] = 1e-6
-    return {
-        "nonfinite": nonfinite,
-        "asymmetric": asymmetric,
-        "unphysical": np.diag([0.5, 0.5, 1.0, 1.0]),
-    }
-
-
-def _scalar_error(m):
-    with pytest.raises(cv.CvsepError) as info:
-        cv.validate(m)
-    return type(info.value), str(info.value)
-
-
-class TestValidateStack:
-    def test_matches_scalar_validate(self):
-        ms = np.array(
-            [cv.sample_random_physical(s).m for s in range(40)]
-            + [tmsv_layout(3.0), np.eye(4), np.diag([2.0, 2.0, 2.0, 2.0])]
-        )
-        ms[-1, 0, 1] = 4e-11  # below EPS_SYM: symmetrized, not rejected
-        states = _validate_stack(ms)
-        assert len(states) == len(ms)
-        for m, state in zip(ms, states):
-            assert state.m.tobytes() == cv.validate(m).m.tobytes()
-            assert state.m.tobytes() == (0.5 * (m + m.T)).tobytes()
-            assert not state.m.flags.writeable
-
-    @pytest.mark.parametrize("kind", ["nonfinite", "asymmetric", "unphysical"])
-    @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_bad_matrix_raises_like_validate(self, kind, k):
-        bad = _bad_matrices()[kind]
-        ms = np.array([cv.sample_random_physical(s).m for s in range(5)])
-        ms[k] = bad
-        kind_type, message = _scalar_error(bad)
-        with pytest.raises(kind_type) as info:
-            _validate_stack(ms)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "order",
-        [
-            ("nonfinite", "asymmetric", "unphysical"),
-            ("asymmetric", "unphysical", "nonfinite"),
-            ("unphysical", "nonfinite", "asymmetric"),
-            ("unphysical", "asymmetric", "nonfinite"),
-        ],
-    )
-    def test_earliest_bad_index_wins(self, order):
-        bad = _bad_matrices()
-        ms = np.array([cv.sample_random_physical(s).m for s in range(6)])
-        for k, kind in zip((1, 3, 4), order):
-            ms[k] = bad[kind]
-        kind_type, message = _scalar_error(bad[order[0]])
-        with pytest.raises(kind_type) as info:
-            _validate_stack(ms)
-        assert str(info.value) == message
 
 
 class TestLlubo:

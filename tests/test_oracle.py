@@ -80,6 +80,13 @@ class TestSeparableEnsemble:
         with pytest.raises(cv.NotPhysical):
             cv.ModeSpec(0.0, 0.0, 0.25 * np.eye(2))
 
+    @pytest.mark.parametrize("cov", [np.diag([1.0 - 1e-10, 1.0]), -np.eye(2)])
+    def test_mode_beyond_rounding_rejected(self, cov):
+        # det 1 - 1e-10 is below 1 beyond rounding, as validate finds for
+        # the mode; -I has det 1 but is negative definite.
+        with pytest.raises(cv.NotPhysical, match="mode covariance unphysical"):
+            cv.ModeSpec(0.0, 0.0, cov)
+
     @pytest.mark.parametrize("means", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
     def test_non_finite_mean_rejected(self, means):
         with pytest.raises(ValueError, match="mode means must be finite"):
