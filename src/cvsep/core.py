@@ -46,11 +46,6 @@ OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 OMEGA.flags.writeable = False
 
 
-def det2(a: np.ndarray) -> float:
-    """Determinant of a 2x2 matrix, computed directly."""
-    return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Validated 4x4 correlation matrix of a two-mode Gaussian state.
@@ -63,7 +58,8 @@ class CorrelationMatrix:
 
     @cached_property
     def _form_I(self) -> tuple:
-        """:func:`_form_I_scalars` of ``m``, computed on first read."""
+        """:func:`_form_I_scalars` of ``m``: set by :func:`validate`, and
+        computed on first read for a state built without it."""
         return _form_I_scalars(self.m.tolist())
 
     @property
@@ -85,41 +81,56 @@ class CorrelationMatrix:
         return f"CorrelationMatrix({self.m.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Llubo:
     """Local linear unitary Bogoliubov operation.
 
     A pair of unit-determinant 2x2 real matrices acting independently on the
     two modes; it acts on a correlation matrix by congruence with
-    ``blockdiag(h1, h2)``.
+    ``blockdiag(h1, h2)``.  Each block is held as its row-major entries, as
+    Python floats; ``h1`` and ``h2`` are built from them as read-only
+    arrays on first read.
     """
 
-    h1: np.ndarray
-    h2: np.ndarray
+    _e1: tuple[float, float, float, float]
+    _e2: tuple[float, float, float, float]
 
-    def __post_init__(self) -> None:
-        for name in ("h1", "h2"):
-            blk = np.array(getattr(self, name), dtype=float)
+    def __init__(self, h1: np.ndarray, h2: np.ndarray) -> None:
+        entries = []
+        for name, h in (("h1", h1), ("h2", h2)):
+            blk = np.array(h, dtype=float)
             if blk.shape != (2, 2):
                 raise InvalidLlubo(f"{name} must be 2x2, got {blk.shape}")
-            _check_unit_det(name, blk)
-            blk.flags.writeable = False
-            object.__setattr__(self, name, blk)
+            (a, b), (c, d) = blk.tolist()
+            _check_unit_det(name, (a, b, c, d))
+            entries.append((a, b, c, d))
+        object.__setattr__(self, "_e1", entries[0])
+        object.__setattr__(self, "_e2", entries[1])
 
     @classmethod
-    def _fresh(cls, h1: np.ndarray, h2: np.ndarray) -> "Llubo":
-        """Llubo of fresh float 2x2 blocks built by cvsep, without a copy.
+    def _fresh(cls, e1: tuple, e2: tuple) -> "Llubo":
+        """Llubo of the row-major float entries of blocks built by cvsep.
 
-        The blocks are still checked as in ``Llubo(h1, h2)``: rounding under
-        strong squeezes can move a product's determinant away from 1.
+        The entries are still checked as in ``Llubo(h1, h2)``, before any
+        caller can read them: rounding under strong squeezes can move a
+        product's determinant away from 1.
         """
-        _check_unit_det("h1", h1)
-        _check_unit_det("h2", h2)
+        _check_unit_det("h1", e1)
+        _check_unit_det("h2", e2)
         op = object.__new__(cls)
-        h1.flags.writeable = h2.flags.writeable = False
-        object.__setattr__(op, "h1", h1)
-        object.__setattr__(op, "h2", h2)
+        object.__setattr__(op, "_e1", e1)
+        object.__setattr__(op, "_e2", e2)
         return op
+
+    @cached_property
+    def h1(self) -> np.ndarray:
+        """Mode-1 block, a read-only 2x2 array."""
+        return _block_array(self._e1)
+
+    @cached_property
+    def h2(self) -> np.ndarray:
+        """Mode-2 block, a read-only 2x2 array."""
+        return _block_array(self._e2)
 
     @classmethod
     def identity(cls) -> "Llubo":
@@ -134,22 +145,28 @@ class Llubo:
 
     def inverse(self) -> "Llubo":
         """Element-wise inverse pair (adjugate; the blocks have det 1)."""
-        return Llubo._fresh(_adj2(self.h1), _adj2(self.h2))
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = self._e1, self._e2
+        return Llubo._fresh((d1, -b1, -c1, a1), (d2, -b2, -c2, a2))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Llubo(h1={self.h1!r}, h2={self.h2!r})"
 
 
-def _check_unit_det(name: str, blk: np.ndarray) -> None:
-    # Python floats: the same IEEE arithmetic as det2, without numpy's
-    # per-call overhead on four entries.
-    (a, b), (c, d) = blk.tolist()
-    if not all(map(math.isfinite, (a, b, c, d))):
+def _check_unit_det(name: str, entries: tuple) -> None:
+    a, b, c, d = entries
+    if not all(map(math.isfinite, entries)):
         raise InvalidLlubo(f"{name} has non-finite entries")
     det = a * d - b * c
     if abs(det - 1.0) > EPS_DET:
         raise InvalidLlubo(f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}")
 
 
-def _adj2(a: np.ndarray) -> np.ndarray:
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+def _block_array(entries: tuple) -> np.ndarray:
+    """Read-only 2x2 array of a block's row-major entries."""
+    a, b, c, d = entries
+    blk = np.array([[a, b], [c, d]])
+    blk.flags.writeable = False
+    return blk
 
 
 @dataclass(frozen=True)
@@ -238,10 +255,12 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
         )
+    form_I = _form_I_scalars(rows)
+    _check_physical(rows, form_I)
     sym = np.array(rows)
     sym.flags.writeable = False
     state = CorrelationMatrix(sym)
-    _check_physical(rows, state._form_I)
+    object.__setattr__(state, "_form_I", form_I)  # fills the cached property
     return state
 
 
@@ -355,8 +374,8 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
     that makes the diagonal block ``G_i`` scalar, and ``e_i`` is the
     rounding estimate of its computed ``det G_i`` (see
     :func:`_scalarize_block`); ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
-    :func:`_signed_svd`).  Called once per state, by
-    ``CorrelationMatrix._form_I``.
+    :func:`_signed_svd`).  Called once per state, by :func:`validate` or,
+    for a state built without it, by ``CorrelationMatrix._form_I``.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with
@@ -429,7 +448,12 @@ def _signed_svd(
     ``y = (alpha - beta)/2``, with ``alpha = atan2(H, E)`` and
     ``beta = atan2(G, F)`` taken in ``(-pi, pi]``.  That choice fixes the
     joint pi rotation ``(x, y) -> (x + pi, y + pi)`` the values leave free.
-    A diagonal block with ``p >= |s|`` gives ``x = y = 0``.
+    A diagonal block with ``p >= |s|`` gives ``x = y = 0``.  Any other
+    diagonal block (``p < |s|``) gives angles of ``pi/2`` or ``pi``, where
+    ``cos`` or ``sin`` is not 0 in floats (``cos(pi/2) = 6.1e-17``), so the
+    form-I transform built from them has entries of that relative size
+    where the exact value is 0: rounding of the transform only, as
+    ``c`` and ``c'`` do not depend on the angles.
     """
     e, f = 0.5 * (p + s), 0.5 * (p - s)
     g, h = 0.5 * (r + q), 0.5 * (r - q)
@@ -442,21 +466,30 @@ def apply_llubo(state: CorrelationMatrix, op: Llubo) -> CorrelationMatrix:
     """Congruence action of a local operation on the correlation matrix.
 
     Returns ``blockdiag(h1, h2) @ M @ blockdiag(h1, h2).T`` revalidated.  The
-    product is symmetrized first: its roundoff asymmetry grows with the
-    squeezes, so the entry-scaled ``EPS_SYM`` check is meant for inputs, not
-    for this congruence.
+    product's off-diagonal pairs are averaged first, as :func:`validate`
+    averages them: its roundoff asymmetry grows with the squeezes, so the
+    entry-scaled ``EPS_SYM`` check is meant for inputs, not for this
+    congruence.  Its diagonal is kept as computed, so a finite one cannot
+    overflow.
     """
     b = op.block_diagonal()
     moved = b @ state.m @ b.T
-    return validate(0.5 * (moved + moved.T))
+    i, j = np.triu_indices(4, 1)
+    moved[i, j] = moved[j, i] = 0.5 * (moved[i, j] + moved[j, i])
+    return validate(moved)
 
 
 def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
-    """The four local invariants (det G1, det G2, det C, det M)."""
+    """The four local invariants (det G1, det G2, det C, det M).
+
+    The three 2x2 determinants are ``ad - bc`` on Python floats (the same
+    IEEE operations as on numpy scalars); ``det M`` is ``np.linalg.det``.
+    """
+    (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state.m.tolist()
     return LluboInvariants(
-        det_g1=det2(state.g1),
-        det_g2=det2(state.g2),
-        det_c=det2(state.c),
+        det_g1=a1 * d1 - b1 * c1,
+        det_g2=a2 * d2 - b2 * c2,
+        det_c=p * s - q * r,
         det_m=float(np.linalg.det(state.m)),
     )
 

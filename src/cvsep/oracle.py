@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_PSD, OMEGA, CorrelationMatrix, validate
-from .exceptions import NotPhysical
+from .core import EPS_PSD, EPS_SYM, OMEGA, CorrelationMatrix, validate
+from .exceptions import NotPhysical, NotSymmetric
 from .separability import EPS_DECIDE, Decision, PRepresentation
 
 #: Momentum reversal on mode 2 (the partial-transpose map on covariances).
@@ -77,8 +77,15 @@ class ModeSpec:
             raise ValueError(f"mode covariance must be 2x2, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("mode covariance has non-finite entries")
-        # cov + iJ >= 0: tr > 0 and det >= 1, within the rounding of ad - bc.
         (a, b), (c, d) = arr.tolist()
+        # Checked as validate checks a matrix, and never symmetrized, so an
+        # accepted cov keeps its bits.
+        if abs(b - c) > EPS_SYM * max(1.0, a, d):
+            raise NotSymmetric(
+                f"mode covariance asymmetry {abs(b - c):.3e} exceeds "
+                f"{EPS_SYM} x max(1, max diagonal)"
+            )
+        # cov + iJ >= 0: tr > 0 and det >= 1, within the rounding of ad - bc.
         tr, det = a + d, a * d - b * c
         err = 8.0 * np.finfo(float).eps * (abs(a * d) + abs(b * c))
         if not (tr > 0.0 and det - 1.0 >= -err):

@@ -99,18 +99,8 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
     """
     n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = state._form_I
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
-    h1 = np.array(
-        [
-            [cx * u1 + sx * v1, cx * v1 + sx * w1],
-            [cx * v1 - sx * u1, cx * w1 - sx * v1],
-        ]
-    )
-    h2 = np.array(
-        [
-            [cy * u2 - sy * v2, cy * v2 - sy * w2],
-            [sy * u2 + cy * v2, sy * v2 + cy * w2],
-        ]
-    )
+    h1 = (cx * u1 + sx * v1, cx * v1 + sx * w1, cx * v1 - sx * u1, cx * w1 - sx * v1)
+    h2 = (cy * u2 - sy * v2, cy * v2 - sy * w2, sy * u2 + cy * v2, sy * v2 + cy * w2)
     return StandardFormI(
         n=n, m=m, c=c, c_prime=c_prime, transform=Llubo._fresh(h1, h2)
     )
@@ -195,12 +185,13 @@ def solve_form_II_root(
     return (r2, mid) if swapped else (mid, r2)
 
 
-def _squeezed(h: np.ndarray, r: float) -> np.ndarray:
-    """``diag(sqrt(r), 1/sqrt(r)) @ h``; ``r = 1`` copies h exactly."""
+def _squeezed(h: tuple, r: float) -> tuple:
+    """Row-major entries of ``diag(sqrt(r), 1/sqrt(r)) @ h``, for ``h`` given
+    the same way; ``r = 1`` copies h exactly."""
     q = math.sqrt(r)
     iq = 1.0 / q
-    (a, b), (c, d) = h.tolist()
-    return np.array([[q * a, q * b], [iq * c, iq * d]])
+    a, b, c, d = h
+    return q * a, q * b, iq * c, iq * d
 
 
 def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
@@ -212,7 +203,7 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     """
     form1 = to_standard_form_I(state)
     n, m, c, cp = form1.n, form1.m, form1.c, form1.c_prime
-    h1, h2 = form1.transform.h1, form1.transform.h2
+    h1, h2 = form1.transform._e1, form1.transform._e2
     degenerate = (
         max(abs(c), abs(cp)) < EPS_FORM
         or n - 1.0 < EPS_FORM

@@ -272,6 +272,19 @@ class TestLlubo:
         assert op.h1[0, 0] == 1.0
         assert h1.flags.writeable and not op.h1.flags.writeable
 
+    def test_blocks_built_once_on_read(self):
+        op = cv.to_standard_form_I(cv.sample_random_physical(0)).transform
+        first = op.h1
+        assert op.h1 is first and not first.flags.writeable
+        with pytest.raises(AttributeError):
+            op.h1 = np.eye(2)
+
+    def test_inverse_keeps_signed_zeros(self):
+        inv = cv.Llubo(np.eye(2), np.array([[1.0, -0.0], [0.0, 1.0]])).inverse()
+        # The adjugate negates the off-diagonal entries, zeros' signs included.
+        assert np.signbit(inv.h1).tolist() == [[False, True], [True, False]]
+        assert np.signbit(inv.h2).tolist() == [[False, False], [True, False]]
+
     def test_inverse_blocks(self):
         rng = np.random.default_rng(3)
         h1, h2 = random_llubo_blocks(rng)
@@ -307,6 +320,14 @@ class TestApplyLlubo:
         before = cv.llubo_invariants(state).as_tuple()
         after = cv.llubo_invariants(out).as_tuple()
         np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("diagonal", [(1e308, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.7e308)])
+    def test_finite_huge_diagonal_kept(self, diagonal):
+        # Averaging the diagonal with itself would overflow (a RuntimeWarning,
+        # an error under this suite, then NotFinite).
+        state = cv.validate(np.diag(diagonal))
+        out = cv.apply_llubo(state, cv.Llubo.identity())
+        np.testing.assert_array_equal(out.m, state.m)
 
     def test_round_trip_through_inverse(self):
         rng = np.random.default_rng(11)
@@ -349,6 +370,16 @@ class TestLluboInvariants:
         assert inv.det_c == pytest.approx(-(SINH1**2), rel=1e-14)
         # (nm - c^2)(nm - c'^2) = (cosh^2 - sinh^2)^2 = 1 by the identity.
         assert inv.det_m == pytest.approx(1.0, abs=1e-12)
+
+    def test_block_determinants_match_numpy_scalars(self):
+        # Bit for bit, so `cvsep check --json` prints the same invariants.
+        for seed in range(50):
+            m = cv.sample_random_physical(seed).m
+            inv = cv.llubo_invariants(cv.validate(m))
+            blocks = (m[:2, :2], m[2:, 2:], m[:2, 2:])
+            for det, blk in zip((inv.det_g1, inv.det_g2, inv.det_c), blocks):
+                assert det == blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
+            assert inv.det_m == float(np.linalg.det(m))
 
     def test_unchanged_by_random_llubo(self):
         rng = np.random.default_rng(4)

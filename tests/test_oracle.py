@@ -87,6 +87,16 @@ class TestSeparableEnsemble:
         with pytest.raises(cv.NotPhysical, match="mode covariance unphysical"):
             cv.ModeSpec(0.0, 0.0, cov)
 
+    def test_asymmetric_mode_covariance_rejected(self):
+        with pytest.raises(cv.NotSymmetric, match=r"asymmetry 5\.000e-01 exceeds"):
+            cv.ModeSpec(0.0, 0.0, [[2.0, 0.5], [0.0, 2.0]])
+        # Within EPS_SYM x max(1, largest diagonal entry) it is accepted and
+        # kept as given, not symmetrized.
+        cov = [[1e3, 0.5 + 5e-8], [0.5, 1e3]]
+        assert cv.ModeSpec(0.0, 0.0, cov).cov.tolist() == cov
+        for seed in range(2000):
+            cv.sample_separable_ensemble(seed, 5)
+
     @pytest.mark.parametrize("means", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
     def test_non_finite_mean_rejected(self, means):
         with pytest.raises(ValueError, match="mode means must be finite"):

@@ -16,6 +16,7 @@ from _util import (
     complex_min_eig,
     layout,
     random_llubo_blocks,
+    rot2,
     tmsv_layout,
 )
 
@@ -332,6 +333,43 @@ class TestInternalTransforms:
                 self._assert_det_one_read_only(op)
                 self._assert_det_one_read_only(op.inverse())
         assert certificates > 300
+
+    def test_decisions_build_no_transform_array(self, monkeypatch):
+        built = []
+        block_array = cv.core._block_array
+
+        def counted(entries):
+            built.append(entries)
+            return block_array(entries)
+
+        monkeypatch.setattr(cv.core, "_block_array", counted)
+        verdicts = [cv.decide_separability(cv.sample_random_physical(s)) for s in range(40)]
+        assert {v.decision for v in verdicts} >= {cv.Decision.SEPARABLE, cv.Decision.ENTANGLED}
+        cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
+        certificates = [v.certificate for v in verdicts if v.certificate is not None]
+        assert built == []  # certificates invert on floats too
+        assert certificates[0].transform_back.h1.shape == (2, 2)
+        assert len(built) == 1  # the first read builds the array
+
+    @pytest.mark.parametrize(
+        "r, nu, k1, k2, a1, a2, stage",
+        [(0.5, 1.0, 8.0, -4.0, 1.1, -1.1, "I"), (0.7, 3.0, 8.0, -8.0, 1.3, 1.3, "II")],
+    )
+    def test_strong_squeeze_raises_from_the_decision(self, r, nu, k1, k2, a1, a2, stage):
+        # The check runs when cvsep builds a transform, before any verdict:
+        # deferring it to the first read of h1 or h2 gives wrong verdicts.
+        h1 = rot2(a1) @ np.diag([math.exp(k1), math.exp(-k1)])
+        h2 = rot2(a2) @ np.diag([math.exp(k2), math.exp(-k2)])
+        b = blockdiag(h1, h2)
+        m = b @ (nu * tmsv_layout(r)) @ b.T
+        state = cv.validate(0.5 * (m + m.T))
+        with pytest.raises(cv.InvalidLlubo, match=r"^det\(h[12]\) = "):
+            cv.decide_separability(state)
+        if stage == "I":
+            with pytest.raises(cv.InvalidLlubo):
+                cv.to_standard_form_I(state)
+        else:
+            cv.to_standard_form_I(state)  # only form II's squeezed blocks fail
 
     def test_strong_local_squeezes_raise_or_agree(self):
         # Squeezes up to e^12 round the form-I and form-II products away
