@@ -67,9 +67,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _state_document(m: np.ndarray) -> dict:
+def _state_document(state: CorrelationMatrix) -> dict:
     return {
-        "matrix": m.tolist(),
+        "matrix": state._rows,
         "ordering": ORDERING_TAG,
         "scaling": SCALING_TAG,
     }
@@ -130,7 +130,7 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
         "standard_form_ii": form,
         "certificate": None,
         "tol_decide": tol,
-        "state": _state_document(state.m),
+        "state": _state_document(state),
     }
     if verdict.certificate is not None:
         cert = verdict.certificate
@@ -294,7 +294,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         state = ensemble_covariance(
             sample_separable_ensemble(args.seed, args.max_components)
         )
-    text = json.dumps(_state_document(state.m), indent=2) + "\n"
+    text = json.dumps(_state_document(state), indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -46,21 +46,32 @@ OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 OMEGA.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CorrelationMatrix:
     """Validated 4x4 correlation matrix of a two-mode Gaussian state.
 
-    Construct through :func:`validate`; the wrapped array is read-only and
-    owned by the state.
+    Construct through :func:`validate`.  The state holds its rows as Python
+    floats; ``m`` is built from them as a read-only array, owned by the
+    state, on first read.  A state built as ``CorrelationMatrix(m)`` skips
+    the checks, takes its rows from ``m`` and keeps ``m`` itself.
     """
 
-    m: np.ndarray
+    _rows: list[list[float]]
+
+    def __init__(self, m: np.ndarray) -> None:
+        object.__setattr__(self, "_rows", np.asarray(m, dtype=float).tolist())
+        object.__setattr__(self, "m", m)  # fills the cached property
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """The matrix, a read-only 4x4 array."""
+        return _rows_array(self._rows)
 
     @cached_property
     def _form_I(self) -> tuple:
-        """:func:`_form_I_scalars` of ``m``: set by :func:`validate`, and
+        """:func:`_form_I_scalars` of the rows: set by :func:`validate`, and
         computed on first read for a state built without it."""
-        return _form_I_scalars(self.m.tolist())
+        return _form_I_scalars(self._rows)
 
     @property
     def g1(self) -> np.ndarray:
@@ -78,7 +89,14 @@ class CorrelationMatrix:
         return self.m[:2, 2:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CorrelationMatrix({self.m.tolist()!r})"
+        return f"CorrelationMatrix({self._rows!r})"
+
+
+def _rows_array(rows: list[list[float]]) -> np.ndarray:
+    """Read-only 4x4 array of a state's rows."""
+    arr = np.array(rows)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -231,7 +249,12 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     local operation applied first nor on the state's scale.  The state
     keeps those scalars, so ``to_standard_form_I`` does not recompute them.
 
+    The checks run on the entries as Python floats, which the state keeps:
+    it builds its array ``m`` only when a caller reads it, so
+    ``decide_separability`` and ``scan_boundary`` build none.
+
     Raises:
+        ValueError: ``m`` is not 4x4.
         NotFinite: non-finite entries.
         NotSymmetric: asymmetry beyond ``EPS_SYM`` relative tolerance.
         NotPhysical: a condition fails beyond its rounding estimate (the
@@ -241,7 +264,15 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     arr = np.asarray(m, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-    rows = arr.tolist()
+    return _validate_rows(arr.tolist())
+
+
+def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
+    """:func:`validate` on a 4x4 matrix given as nested lists of floats.
+
+    Runs every check of :func:`validate`, in its order and with its
+    messages, and symmetrizes ``rows`` in place; the state keeps them.
+    """
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise NotFinite("correlation matrix has non-finite entries")
     asym = 0.0
@@ -257,9 +288,8 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
         )
     form_I = _form_I_scalars(rows)
     _check_physical(rows, form_I)
-    sym = np.array(rows)
-    sym.flags.writeable = False
-    state = CorrelationMatrix(sym)
+    state = object.__new__(CorrelationMatrix)
+    object.__setattr__(state, "_rows", rows)
     object.__setattr__(state, "_form_I", form_I)  # fills the cached property
     return state
 
@@ -482,10 +512,10 @@ def apply_llubo(state: CorrelationMatrix, op: Llubo) -> CorrelationMatrix:
 def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
     """The four local invariants (det G1, det G2, det C, det M).
 
-    The three 2x2 determinants are ``ad - bc`` on Python floats (the same
-    IEEE operations as on numpy scalars); ``det M`` is ``np.linalg.det``.
+    The three 2x2 determinants are ``ad - bc`` on the state's floats (the
+    same IEEE operations as on numpy scalars); ``det M`` is ``np.linalg.det``.
     """
-    (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state.m.tolist()
+    (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state._rows
     return LluboInvariants(
         det_g1=a1 * d1 - b1 * c1,
         det_g2=a2 * d2 - b2 * c2,
@@ -502,12 +532,12 @@ def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:
     """
     if pair.a == 0.0:
         raise ZeroCoefficient("coefficient a must be nonzero")
-    m = state.m
+    (x1, _, u, _), (_, p1, _, v), (_, _, x2, _), (*_, p2) = state._rows
     a2 = pair.a * pair.a
     total = (
-        a2 * (m[0, 0] + m[1, 1])
-        + (m[2, 2] + m[3, 3]) / a2
-        + 2.0 * pair.sign_u * m[0, 2]
-        + 2.0 * pair.sign_v * m[1, 3]
+        a2 * (x1 + p1)
+        + (x2 + p2) / a2
+        + 2.0 * pair.sign_u * u
+        + 2.0 * pair.sign_v * v
     )
-    return 0.5 * float(total)
+    return 0.5 * total

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple
 
-import numpy as np
-
-from .core import CorrelationMatrix, validate
+from .core import CorrelationMatrix, _validate_rows
 from .separability import Decision, decide_separability
 
 
@@ -43,6 +41,9 @@ class ThermalScenario:
             raise ValueError("damping coefficient eta must be > 0")
         if not 0.0 <= self.nbar < math.inf:
             raise ValueError("thermal occupation nbar must be >= 0")
+        bath = 2.0 * self.nbar + 1.0  # n at long times, so det G1 is bath**2
+        if not bath * bath < math.inf:  # from nbar = 6.7e153
+            raise ValueError(f"(2 nbar + 1)**2 overflows for nbar = {self.nbar!r}")
         if not self.t >= 0.0:
             raise ValueError("elapsed time t must be >= 0")
 
@@ -57,28 +58,21 @@ def evolve_thermal(scenario: ThermalScenario) -> CorrelationMatrix:
 
     ``n = m = cosh(2r) e^{-2 eta t} + (2 nbar + 1)(1 - e^{-2 eta t})`` and
     ``c = -c' = sinh(2r) e^{-2 eta t}``; t = 0 reproduces the squeezed
-    vacuum and t -> infinity the thermal product state.
+    vacuum and t -> infinity the thermal product state.  The entries are
+    computed as Python floats and pass every check of
+    :func:`~cvsep.core.validate`; the state builds its array on first read.
     """
-    layouts = _thermal_layouts(scenario.r, scenario.eta, scenario.nbar, [scenario.t])
-    return validate(layouts[0])
+    return _thermal_state(scenario.r, scenario.eta, scenario.nbar, scenario.t)
 
 
-def _thermal_layouts(
-    r: float, eta: float, nbar: float, times: Sequence[float]
-) -> np.ndarray:
-    """(len(times), 4, 4) stack of the form-I layouts :func:`evolve_thermal` names."""
-    cosh_2r = math.cosh(2.0 * r)
-    sinh_2r = math.sinh(2.0 * r)
-    bath = 2.0 * nbar + 1.0
-    decays = [math.exp(-2.0 * eta * t) for t in times]
-    n = np.array([cosh_2r * d + bath * (1.0 - d) for d in decays])
-    c = np.array([sinh_2r * d for d in decays])
-    out = np.zeros((len(decays), 4, 4))
-    for i in range(4):
-        out[:, i, i] = n
-    out[:, 0, 2] = out[:, 2, 0] = c
-    out[:, 1, 3] = out[:, 3, 1] = -c
-    return out
+def _thermal_state(r: float, eta: float, nbar: float, t: float) -> CorrelationMatrix:
+    """The validated form-I layout :func:`evolve_thermal` names."""
+    d = math.exp(-2.0 * eta * t)
+    n = math.cosh(2.0 * r) * d + (2.0 * nbar + 1.0) * (1.0 - d)
+    c = math.sinh(2.0 * r) * d
+    return _validate_rows(
+        [[n, 0.0, c, 0.0], [0.0, n, 0.0, -c], [c, 0.0, n, 0.0], [0.0, -c, 0.0, n]]
+    )
 
 
 def threshold_time(r: float, eta: float, nbar: float) -> float:
@@ -122,8 +116,9 @@ def scan_boundary(
     Returns ``(t, margin, decision)`` per grid point over
     ``[t_min, t_max]``; with nbar > 0 and a grid straddling the threshold,
     the sign change of the margin brackets the closed form within one step.
-    The grid's layouts are built in one call, then validated and decided
-    one by one: each point equals ``decide_separability(evolve_thermal(...))``.
+    Each point's state is built from floats as in :func:`evolve_thermal`,
+    with every check of :func:`~cvsep.core.validate`, and decided with no
+    array: each point equals ``decide_separability(evolve_thermal(...))``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -132,7 +127,7 @@ def scan_boundary(
     ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)  # rejects bad r, eta, nbar
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []
-    for t, layout in zip(times, _thermal_layouts(r, eta, nbar, times)):
-        verdict = decide_separability(validate(layout))
+    for t in times:
+        verdict = decide_separability(_thermal_state(r, eta, nbar, t))
         points.append(ScanPoint(t=t, margin=verdict.margin, decision=verdict.decision))
     return points

@@ -199,11 +199,11 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
 
     Degenerate inputs -- vanishing intermode block or a mode at vacuum
     purity -- skip the solve and return the trivial ``r1 = r2 = 1`` form
-    flagged ``degenerate``.
+    flagged ``degenerate``.  Where ``r1 = r2 = 1`` (those, and the
+    ``|c| = |c'|`` family), the transform is form I's own.
     """
     form1 = to_standard_form_I(state)
     n, m, c, cp = form1.n, form1.m, form1.c, form1.c_prime
-    h1, h2 = form1.transform._e1, form1.transform._e2
     degenerate = (
         max(abs(c), abs(cp)) < EPS_FORM
         or n - 1.0 < EPS_FORM
@@ -213,6 +213,10 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         r1, r2 = 1.0, 1.0
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
+    transform = form1.transform  # exact when r1 = r2 = 1: _squeezed(h, 1.0) is h
+    if not r1 == r2 == 1.0:
+        h1, h2 = transform._e1, transform._e2
+        transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
     geo = math.sqrt(r1 * r2)
     return StandardFormII(
         n1=n * r1,
@@ -223,7 +227,7 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         c2=cp / geo,
         r1=r1,
         r2=r2,
-        transform=Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2)),
+        transform=transform,
         degenerate=degenerate,
     )
 

@@ -270,6 +270,14 @@ class TestScan:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("nbar", ["1e160", "1e308"])
+    def test_occupation_beyond_float_range_is_usage_error(self, nbar, capsys):
+        assert cli.main(["scan", "1", "1", nbar, "1", "2"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: (2 nbar + 1)**2 overflows")
+        assert cli.main(["threshold", "1", "1", nbar]) == 0  # a closed form
+
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "scan.csv"
         code = cli.main(["scan", "1", "1", "1", "0.4", "5", "--out", str(target)])

@@ -1,6 +1,7 @@
 """Core type and operation tests: validation, local operations, variances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,51 @@ class TestValidate:
         m[1, 2] = np.nan
         with pytest.raises(cv.NotFinite, match="^correlation matrix has non-finite"):
             cv.validate(m)
+
+    def test_row_core_raises_as_validate(self):
+        # evolve_thermal and scan_boundary validate their rows through it.
+        nonfinite, asym = np.eye(4), np.eye(4)
+        nonfinite[2, 3] = nonfinite[3, 2] = np.nan
+        asym[0, 1] = 0.5
+        unphysical = np.diag([0.5, 0.5, 1.0, 1.0])
+        for m, error in ((nonfinite, cv.NotFinite), (asym, cv.NotSymmetric),
+                         (unphysical, cv.NotPhysical)):
+            with pytest.raises(error) as expected:
+                cv.validate(m)
+            message = f"^{re.escape(str(expected.value))}$"
+            with pytest.raises(error, match=message):
+                cv.core._validate_rows(m.tolist())
+
+    def test_decisions_build_no_state_array(self, monkeypatch):
+        inputs = [np.array(cv.sample_random_physical(s).m) for s in range(40)]
+        built = []
+        rows_array = cv.core._rows_array
+
+        def counted(rows):
+            built.append(rows)
+            return rows_array(rows)
+
+        monkeypatch.setattr(cv.core, "_rows_array", counted)
+        states = [cv.validate(m) for m in inputs]
+        verdicts = [cv.decide_separability(state) for state in states]
+        assert {v.decision for v in verdicts} >= {cv.Decision.SEPARABLE, cv.Decision.ENTANGLED}
+        cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
+        scenario = cv.ThermalScenario(r=1.0, eta=1.0, nbar=0.5, t=0.3)
+        cv.decide_separability(cv.evolve_thermal(scenario))
+        assert built == []
+        m = states[0].m
+        assert len(built) == 1  # the first read builds the array
+        assert states[0].m is m and len(built) == 1
+        assert not m.flags.writeable
+        assert not np.shares_memory(m, inputs[0])
+
+    def test_hand_built_state_keeps_its_matrix(self):
+        m = cv.sample_random_physical(5).m.copy()
+        state = cv.CorrelationMatrix(m)
+        assert state.m is m
+        expected = cv.decide_separability(cv.validate(m))
+        verdict = cv.decide_separability(state)
+        assert (verdict.decision, verdict.margin) == (expected.decision, expected.margin)
 
     def test_form_I_computed_once_per_decision(self, monkeypatch):
         calls = []

@@ -84,6 +84,24 @@ class TestEvolveThermal:
         with pytest.raises(ValueError):
             cv.ThermalScenario(r=r, eta=1.0, nbar=1.0, t=0.0)
 
+    @pytest.mark.parametrize("nbar", [6.71e153, 1e160, 1e308])
+    def test_occupation_beyond_float_range_rejected(self, nbar):
+        # (2 nbar + 1)**2, det G1 at long times, overflows from nbar = 6.7e153:
+        # a scenario error, not an unphysical matrix.
+        message = r"^\(2 nbar \+ 1\)\*\*2 overflows"
+        with pytest.raises(ValueError, match=message):
+            cv.ThermalScenario(r=1.0, eta=1.0, nbar=nbar, t=0.0)
+        with pytest.raises(ValueError, match=message):
+            cv.scan_boundary(1.0, 1.0, nbar, 1.0, 2)
+        assert cv.threshold_time(1.0, 1.0, nbar) < 1e-150  # a closed form, unchanged
+
+    def test_largest_occupation_scans(self):
+        points = cv.scan_boundary(1.0, 1.0, 6.7e153, 1.0, 3)
+        assert [p.decision for p in points] == [cv.Decision.ENTANGLED] + [
+            cv.Decision.SEPARABLE
+        ] * 2
+        assert all(math.isfinite(p.margin) for p in points)
+
     def test_infinite_time_is_thermal_product_state(self):
         sc = cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=INF)
         np.testing.assert_array_equal(cv.evolve_thermal(sc).m, 3.0 * np.eye(4))

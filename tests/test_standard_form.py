@@ -351,6 +351,36 @@ class TestInternalTransforms:
         assert certificates[0].transform_back.h1.shape == (2, 2)
         assert len(built) == 1  # the first read builds the array
 
+    def test_form_II_reuses_form_I_transform_at_unit_squeezes(self, monkeypatch):
+        # r1 = r2 = 1 squeezes nothing, so form II's transform is form I's.
+        fresh = cv.Llubo._fresh
+        calls = []
+
+        def counted(e1, e2):
+            calls.append((e1, e2))
+            return fresh(e1, e2)
+
+        monkeypatch.setattr(cv.Llubo, "_fresh", staticmethod(counted))
+        thermal = [
+            cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=0.5, t=t))
+            for r in (0.3, 2.0) for t in (0.0, 0.2, 1.0)
+        ]
+        product = cv.validate(np.diag([2.0, 2.0, 3.0, 3.0]))
+        for state in thermal + [product]:
+            calls.clear()
+            form = cv.decide_separability(state).form
+            assert (form.r1, form.r2) == (1.0, 1.0) and len(calls) == 1
+            assert form.transform._e1 == cv.to_standard_form_I(state).transform._e1
+        assert form.degenerate  # the product state, last in the loop
+        calls.clear()
+        cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
+        assert len(calls) == 20
+        for seed in range(20):
+            state = cv.sample_random_physical(seed)
+            calls.clear()
+            form = cv.decide_separability(state).form
+            assert form.r1 != 1.0 and len(calls) == 2
+
     @pytest.mark.parametrize(
         "r, nu, k1, k2, a1, a2, stage",
         [(0.5, 1.0, 8.0, -4.0, 1.1, -1.1, "I"), (0.7, 3.0, 8.0, -8.0, 1.3, 1.3, "II")],

@@ -8,7 +8,8 @@ prints one sha256 per section of outputs, then one over all of them:
 * ``scans``: ``scan_boundary`` points for seeded ``(r, eta, nbar)`` triples;
 * ``verdicts``: the fields of ``decide_separability`` (decision, margin, min
   eigenvalue, variances, witness, standard form II with its transform,
-  certificate bytes) for ``sample_random_physical(0..2999)``;
+  certificate bytes) for ``sample_random_physical(0..2999)``, with the
+  state's array ``m`` (bytes and writeable flag) read after the decision;
 * ``state-file CLI``: stdout, stderr and exit code of ``cvsep.cli.main`` for
   ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
   on state files written to a temporary directory, including rejected ones;
@@ -67,7 +68,8 @@ def _array(a) -> str:
 
 def _verdict_lines(cv):
     for seed in range(RANDOM_STATES):
-        v = cv.decide_separability(cv.sample_random_physical(seed))
+        state = cv.sample_random_physical(seed)
+        v = cv.decide_separability(state)
         f = v.form
         w = v.witness
         yield " ".join(
@@ -82,6 +84,9 @@ def _verdict_lines(cv):
                 str(f.degenerate),
                 _array(f.transform.h1),
                 _array(f.transform.h2),
+                # Read after the decision, as a caller would.
+                state.m.tobytes().hex(),
+                str(state.m.flags.writeable),
             ]
         )
         cert = v.certificate
