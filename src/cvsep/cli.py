@@ -149,6 +149,18 @@ def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
         print(indent + "  ".join(f"{_fmt(v):>15s}" for v in row))
 
 
+def _write_out(path: Optional[str], text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_CANTWRITE, f"cannot write {path}: {exc}")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     tol = args.tol_decide if args.tol_decide is not None else EPS_DECIDE
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -192,10 +204,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 _fmt(form.n), _fmt(form.m), _fmt(form.c), _fmt(form.c_prime)
             )
         )
-        print("transform h1:")
-        _print_matrix(form.transform.h1)
-        print("transform h2:")
-        _print_matrix(form.transform.h2)
     else:
         form = to_standard_form_II(state)
         print(
@@ -212,10 +220,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 _fmt(ratio_res), _fmt(gap_res)
             )
         )
-        print("transform h1:")
-        _print_matrix(form.transform.h1)
-        print("transform h2:")
-        _print_matrix(form.transform.h2)
+    print("transform h1:")
+    _print_matrix(form.transform.h1)
+    print("transform h2:")
+    _print_matrix(form.transform.h2)
     return 0
 
 
@@ -232,7 +240,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     else:
         print(f"threshold time: {_fmt(t_star)}")
         if args.nbar > 10.0:
-            asym = (1.0 - math.exp(-2.0 * args.r)) / (4.0 * args.eta * args.nbar)
+            asym = 0.25 * (1.0 - math.exp(-2.0 * args.r)) / (args.eta * args.nbar)
             print(f"large-nbar asymptote: {_fmt(asym)}")
     return 0
 
@@ -256,16 +264,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, str(exc))
     lines = ["t,margin,decision"]
     lines += [f"{_fmt(p.t)},{_fmt(p.margin)},{p.decision.value}" for p in points]
-    text = "\n".join(lines) + "\n"
+    _write_out(args.out, "\n".join(lines) + "\n")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(EXIT_CANTWRITE, f"cannot write {args.out}: {exc}")
         print(f"wrote {len(points)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
     bracket = None
     for prev, cur in zip(points, points[1:]):
         if (prev.decision is Decision.ENTANGLED) and (
@@ -294,15 +295,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         state = ensemble_covariance(
             sample_separable_ensemble(args.seed, args.max_components)
         )
-    text = json.dumps(_state_document(state), indent=2) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(EXIT_CANTWRITE, f"cannot write {args.out}: {exc}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, json.dumps(_state_document(state), indent=2) + "\n")
     return 0
 
 

@@ -50,28 +50,20 @@ OMEGA.flags.writeable = False
 class CorrelationMatrix:
     """Validated 4x4 correlation matrix of a two-mode Gaussian state.
 
-    Construct through :func:`validate`.  The state holds its rows as Python
-    floats; ``m`` is built from them as a read-only array, owned by the
-    state, on first read.  A state built as ``CorrelationMatrix(m)`` skips
-    the checks, takes its rows from ``m`` and keeps ``m`` itself.
+    Only :func:`validate` builds one (``CorrelationMatrix(m)`` raises
+    ``TypeError``), so every state is physical.  The state holds its checked
+    rows as Python floats and their :func:`_form_I_scalars`, which
+    :func:`validate` computed to test physicality; ``m`` is built from the
+    rows as a read-only array, owned by the state, on first read.
     """
 
     _rows: list[list[float]]
-
-    def __init__(self, m: np.ndarray) -> None:
-        object.__setattr__(self, "_rows", np.asarray(m, dtype=float).tolist())
-        object.__setattr__(self, "m", m)  # fills the cached property
+    _form_I: tuple
 
     @cached_property
     def m(self) -> np.ndarray:
         """The matrix, a read-only 4x4 array."""
         return _rows_array(self._rows)
-
-    @cached_property
-    def _form_I(self) -> tuple:
-        """:func:`_form_I_scalars` of the rows: set by :func:`validate`, and
-        computed on first read for a state built without it."""
-        return _form_I_scalars(self._rows)
 
     @property
     def g1(self) -> np.ndarray:
@@ -206,7 +198,9 @@ class EprPair:
 
     ``u = |a| x1 + sign_u (1/|a|) x2`` and ``v = |a| p1 + sign_v (1/|a|) p2``;
     the signs multiply the mode-2 terms.  The generic correlated choice
-    ``u = x1 + x2, v = p1 - p2`` is ``EprPair(1.0, +1, -1)``.
+    ``u = x1 + x2, v = p1 - p2`` is ``EprPair(1.0, +1, -1)``.  The pair
+    reads ``a`` only as ``a^2`` and ``1/a^2``, which must both be finite and
+    nonzero: ``~7.46e-155 <= |a| <= ~1.34e154``, else ``ZeroCoefficient``.
     """
 
     a: float
@@ -214,10 +208,11 @@ class EprPair:
     sign_v: int = -1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.a):
-            raise ZeroCoefficient("coefficient a must be a finite nonzero real")
-        if self.a == 0.0:
-            raise ZeroCoefficient("coefficient a must be nonzero")
+        a = math.fabs(self.a)
+        if not (0.0 < a * a < math.inf and 1.0 / (a * a) < math.inf):
+            raise ZeroCoefficient(
+                f"coefficient a = {self.a!r}: a^2 and 1/a^2 must be finite and nonzero"
+            )
         if self.sign_u not in (-1, 1) or self.sign_v not in (-1, 1):
             raise ValueError("signs must be -1 or +1")
 
@@ -290,7 +285,7 @@ def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
     _check_physical(rows, form_I)
     state = object.__new__(CorrelationMatrix)
     object.__setattr__(state, "_rows", rows)
-    object.__setattr__(state, "_form_I", form_I)  # fills the cached property
+    object.__setattr__(state, "_form_I", form_I)
     return state
 
 
@@ -404,8 +399,9 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
     that makes the diagonal block ``G_i`` scalar, and ``e_i`` is the
     rounding estimate of its computed ``det G_i`` (see
     :func:`_scalarize_block`); ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
-    :func:`_signed_svd`).  Called once per state, by :func:`validate` or,
-    for a state built without it, by ``CorrelationMatrix._form_I``.
+    :func:`_signed_svd`).  Called once per state, by :func:`_validate_rows`,
+    which keeps the result as the state's ``_form_I``; so only validation
+    meets its errors, and form I read from a state raises none.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with
@@ -527,17 +523,16 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
 def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:
     """Total variance ``<(du)^2> + <(dv)^2>`` of an EPR-type pair.
 
-    Evaluated directly from second moments; the factor 1/2 converts matrix
-    entries to operator variances.  Depends on ``a`` only through ``a**2``.
+    Evaluated directly from second moments; depends on ``a`` only through
+    ``a**2``.
     """
-    if pair.a == 0.0:
-        raise ZeroCoefficient("coefficient a must be nonzero")
     (x1, _, u, _), (_, p1, _, v), (_, _, x2, _), (*_, p2) = state._rows
+    return _total_variance(pair, x1 + p1, x2 + p2, u, v)
+
+
+def _total_variance(pair: EprPair, tr1: float, tr2: float, u: float, v: float) -> float:
+    """``<(du)^2> + <(dv)^2>`` of ``pair`` on a matrix with ``tr G1 = tr1``,
+    ``tr G2 = tr2``, ``M[0, 2] = u`` and ``M[1, 3] = v``; the factor 1/2
+    converts matrix entries to operator variances."""
     a2 = pair.a * pair.a
-    total = (
-        a2 * (x1 + p1)
-        + (x2 + p2) / a2
-        + 2.0 * pair.sign_u * u
-        + 2.0 * pair.sign_v * v
-    )
-    return 0.5 * total
+    return 0.5 * (a2 * tr1 + tr2 / a2 + 2.0 * pair.sign_u * u + 2.0 * pair.sign_v * v)

@@ -22,7 +22,7 @@ class InvalidLlubo(CvsepError):
 
 
 class ZeroCoefficient(CvsepError):
-    """EPR pair coefficient a must be nonzero."""
+    """EPR pair coefficient a must have a^2 and 1/a^2 finite and nonzero."""
 
 
 class DegenerateMode(CvsepError):

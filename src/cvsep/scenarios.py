@@ -91,7 +91,7 @@ def threshold_time(r: float, eta: float, nbar: float) -> float:
     if nbar == 0.0:
         return INFINITE
     gap = 1.0 - math.exp(-2.0 * r)
-    ratio = gap / (2.0 * nbar)
+    ratio = 0.5 * gap / nbar  # not gap / (2 nbar): 2 nbar overflows from ~9e307
     if ratio == math.inf:  # subnormal nbar: the ratio overflows, its log does not
         return (math.log(gap) - math.log(2.0 * nbar)) / (2.0 * eta)
     return math.log1p(ratio) / (2.0 * eta)

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, variance_pair
+from .core import _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -139,16 +140,6 @@ def _fallback_pair(form: StandardFormII) -> EprPair:
     return EprPair(1.0, sign_u, sign_v)
 
 
-def _variance_on_form(form: StandardFormII, pair: EprPair) -> float:
-    a2 = pair.a * pair.a
-    return 0.5 * (
-        a2 * (form.n1 + form.n2)
-        + (form.m1 + form.m2) / a2
-        + 2.0 * pair.sign_u * form.c1
-        + 2.0 * pair.sign_v * form.c2
-    )
-
-
 def _block_min_eig(p: float, q: float, r: float) -> float:
     """Smallest eigenvalue of [[p, q], [q, r]]."""
     return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
@@ -195,8 +186,13 @@ def decide_separability(
     spectral decision.  Separable verdicts carry a P-representation
     certificate, built when first read.
 
+    The state passed :func:`~cvsep.core.validate`, so this never raises
+    ``NotPhysical``.
+
     Raises:
         ValueError: ``tol_decide`` is negative, NaN or infinite.
+        InvalidLlubo: a form's transform has a determinant rounded away
+            from 1 (local squeezes beyond about e^6.7 per mode).
     """
     if not (math.isfinite(tol_decide) and tol_decide >= 0.0):
         raise ValueError(f"tol_decide must be finite and >= 0, got {tol_decide!r}")
@@ -219,7 +215,8 @@ def decide_separability(
     except DegenerateForm:
         witness = None
     pair = witness if witness is not None else _fallback_pair(form)
-    total = _variance_on_form(form, pair)
+    tr1, tr2 = form.n1 + form.n2, form.m1 + form.m2
+    total = _total_variance(pair, tr1, tr2, form.c1, form.c2)
     bound = pair.a * pair.a + 1.0 / (pair.a * pair.a)
     margin = bound - total
 

@@ -90,12 +90,12 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
     squeezed vacuum and its thermal evolution) and may otherwise move by
     rounding, as ``c = hypot(E, H) + hypot(F, G)``.  The result satisfies
     ``n, m >= 1`` and ``c >= |c'|``.  The scalars are the state's own,
-    computed once when :func:`~cvsep.core.validate` tested its physicality.
+    computed once when :func:`~cvsep.core.validate` tested its physicality,
+    so this never raises ``NotPhysical``.
 
     Raises:
-        NotPhysical: ``G1`` or ``G2`` not positive definite with
-            ``det >= 1`` within its rounding estimate, which
-            :func:`~cvsep.core.validate` rejects first.
+        InvalidLlubo: the transform's determinant is rounded away from 1
+            (local squeezes beyond about e^6.7 per mode).
     """
     n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = state._form_I
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)

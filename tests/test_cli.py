@@ -207,6 +207,13 @@ class TestThreshold:
         assert cli.main(["threshold", "1", "1", "1e-320"]) == 0
         assert capsys.readouterr().out == "threshold time: 367.99434\n"
 
+    def test_huge_occupation_prints_positive_time(self, capsys):
+        # 2 nbar and 4 eta nbar overflow; both printed values stay ~gap/(4 nbar).
+        assert cli.main(["threshold", "1", "1", "1e308"]) == 0
+        assert capsys.readouterr().out == (
+            "threshold time: 2.16166179e-309\nlarge-nbar asymptote: 2.16166179e-309\n"
+        )
+
     @pytest.mark.parametrize("args", [["nan", "1", "1"], ["1", "nan", "1"], ["1", "1", "nan"]])
     def test_nan_is_usage_error(self, args, capsys):
         assert cli.main(["threshold", *args]) == cli.EXIT_USAGE

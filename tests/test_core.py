@@ -142,13 +142,14 @@ class TestValidate:
         assert not m.flags.writeable
         assert not np.shares_memory(m, inputs[0])
 
-    def test_hand_built_state_keeps_its_matrix(self):
-        m = cv.sample_random_physical(5).m.copy()
-        state = cv.CorrelationMatrix(m)
-        assert state.m is m
-        expected = cv.decide_separability(cv.validate(m))
-        verdict = cv.decide_separability(state)
-        assert (verdict.decision, verdict.margin) == (expected.decision, expected.margin)
+    def test_validate_is_the_only_constructor(self):
+        m = np.eye(4)
+        with pytest.raises(TypeError):
+            cv.CorrelationMatrix(m)
+        state = cv.validate(m)
+        m[:] = cv.tmsv_matrix(1.0).m  # entangled; the state must not see it
+        assert cv.decide_separability(state).decision is cv.Decision.SEPARABLE
+        assert cv.ppt_decision(state) is cv.Decision.SEPARABLE
 
     def test_form_I_computed_once_per_decision(self, monkeypatch):
         calls = []
@@ -459,6 +460,15 @@ class TestVariancePair:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(cv.ZeroCoefficient):
             cv.EprPair(0.0)
+
+    def test_coefficient_range(self):
+        # Outside ~[7.46e-155, 1.34e154], a^2 or 1/a^2 is 0 or inf.
+        for a in (1e-300, 1e-160, 7.4e-155, 1.35e154, 1e160, -1e160):
+            with pytest.raises(cv.ZeroCoefficient):
+                cv.EprPair(a)
+        vac = cv.validate(np.eye(4))
+        for a in (7.5e-155, -7.5e-155, 1.34e154):
+            assert math.isfinite(cv.total_variance_check(vac, cv.EprPair(a)).bound)
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):

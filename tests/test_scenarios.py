@@ -1,6 +1,7 @@
 """Thermal-decoherence scenario tests: closed forms and the scanned boundary."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ class TestThresholdTime:
         assert t == pytest.approx(expected, rel=1e-15)
         assert t == pytest.approx(367.994, abs=1e-3)
         assert cv.threshold_time(1.0, 1.0, 1e-300) < t < cv.INFINITE
+
+    def test_huge_occupation_stays_positive(self):
+        # 2 nbar overflows from ~9e307; the lifetime ~ gap / (4 eta nbar) does not.
+        t = cv.threshold_time(1.0, 1.0, 1e308)
+        assert t > 0.0
+        gap = 1.0 - math.exp(-2.0)
+        assert t == pytest.approx(float(Fraction(gap) / (4 * Fraction(1e308))), rel=1e-12)
 
     @pytest.mark.parametrize("args", [(NAN, 1.0, 1.0), (1.0, NAN, 1.0), (1.0, 1.0, NAN)])
     def test_nan_arguments_rejected(self, args):

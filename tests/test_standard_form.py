@@ -120,12 +120,6 @@ class TestFormI:
         message = f"^det G1 = {re.escape(f'{nu * nu:.6g}')} < 1 "
         with pytest.raises(cv.NotPhysical, match=message):
             cv.validate(m)
-        # Form I, which validate shares, raises the same on a hand-built state.
-        state = cv.CorrelationMatrix(m)
-        with pytest.raises(cv.NotPhysical, match=message):
-            cv.to_standard_form_I(state)
-        with pytest.raises(cv.NotPhysical, match=message):
-            cv.decide_separability(state)
 
     def test_physicality_bound_on_c(self):
         # |c| <= sqrt(n(m - 1/m)) in the n >= m orientation.
