@@ -8,10 +8,6 @@ the separable case by an explicit positive P-representation.
 """
 
 from .core import (
-    EPS_DET,
-    EPS_PSD,
-    EPS_SYM,
-    OMEGA,
     CorrelationMatrix,
     EprPair,
     Llubo,
@@ -24,7 +20,6 @@ from .core import (
 from .exceptions import (
     CvsepError,
     DegenerateForm,
-    DegenerateMode,
     InvalidLlubo,
     NotFinite,
     NotInSeparableRegime,
@@ -57,19 +52,14 @@ from .separability import (
     PRepresentation,
     SeparabilityVerdict,
     TotalVarianceResult,
-    construct_epr_pair,
     decide_separability,
     p_representation,
-    reconstruct_analytic,
     total_variance_check,
 )
 from .standard_form import (
-    EPS_FORM,
     StandardFormI,
     StandardFormII,
     balance_residuals,
-    solve_form_II_root,
-    solve_r2_given_r1,
     to_standard_form_I,
     to_standard_form_II,
 )
@@ -81,12 +71,7 @@ __all__ = [
     "CvsepError",
     "Decision",
     "DegenerateForm",
-    "DegenerateMode",
     "EPS_DECIDE",
-    "EPS_DET",
-    "EPS_FORM",
-    "EPS_PSD",
-    "EPS_SYM",
     "EprPair",
     "INFINITE",
     "InvalidLlubo",
@@ -97,7 +82,6 @@ __all__ = [
     "NotInSeparableRegime",
     "NotPhysical",
     "NotSymmetric",
-    "OMEGA",
     "PRepresentation",
     "RootNotBracketed",
     "ScanPoint",
@@ -110,20 +94,16 @@ __all__ = [
     "ZeroCoefficient",
     "apply_llubo",
     "balance_residuals",
-    "construct_epr_pair",
     "decide_separability",
     "ensemble_covariance",
     "evolve_thermal",
     "llubo_invariants",
     "p_representation",
     "ppt_decision",
-    "reconstruct_analytic",
     "reconstruct_from_p_samples",
     "sample_random_physical",
     "sample_separable_ensemble",
     "scan_boundary",
-    "solve_form_II_root",
-    "solve_r2_given_r1",
     "total_variance_check",
     "threshold_time",
     "tmsv_matrix",

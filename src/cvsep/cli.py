@@ -104,11 +104,16 @@ def load_state_file(path: str) -> CorrelationMatrix:
         )
     try:
         matrix = np.array(doc["matrix"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: matrix is not numeric ({exc})")
     if matrix.shape != (4, 4):
         raise CliError(
             EXIT_PARSE, f"{path}: matrix must be 4x4, got shape {matrix.shape}"
+        )
+    # numpy also reads true/false, strings of digits and null (as NaN).
+    if not all(type(x) in (int, float) for row in doc["matrix"] for x in row):
+        raise CliError(
+            EXIT_PARSE, f"{path}: matrix is not numeric (entries must be JSON numbers)"
         )
     try:
         return validate(matrix)

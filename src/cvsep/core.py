@@ -29,10 +29,6 @@ from .exceptions import (
 
 # Tolerances (double-precision headroom on 4x4 problems).
 EPS_SYM = 1e-10  # asymmetry allowed, relative to max(1, largest diagonal entry)
-# Eigenvalue slack, relative to the largest diagonal entry, of
-# p_representation's M_II - I >= 0 test and of ppt_decision, its only users.
-# validate and ModeSpec test physicality within rounding estimates instead.
-EPS_PSD = 1e-9
 EPS_DET = 1e-10  # allowed departure of local-block determinants from 1
 
 # Rounding allowance of a computed quantity, in units of the sizes of the
@@ -65,21 +61,6 @@ class CorrelationMatrix:
         """The matrix, a read-only 4x4 array."""
         return _rows_array(self._rows)
 
-    @property
-    def g1(self) -> np.ndarray:
-        """Mode-1 diagonal block (rows/cols 0..1)."""
-        return self.m[:2, :2]
-
-    @property
-    def g2(self) -> np.ndarray:
-        """Mode-2 diagonal block (rows/cols 2..3)."""
-        return self.m[2:, 2:]
-
-    @property
-    def c(self) -> np.ndarray:
-        """Intermode block (rows 0..1, cols 2..3)."""
-        return self.m[:2, 2:]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CorrelationMatrix({self._rows!r})"
 
@@ -108,7 +89,7 @@ class Llubo:
     def __init__(self, h1: np.ndarray, h2: np.ndarray) -> None:
         entries = []
         for name, h in (("h1", h1), ("h2", h2)):
-            blk = np.array(h, dtype=float)
+            blk = _real_array(h, InvalidLlubo, name)
             if blk.shape != (2, 2):
                 raise InvalidLlubo(f"{name} must be 2x2, got {blk.shape}")
             (a, b), (c, d) = blk.tolist()
@@ -160,6 +141,15 @@ class Llubo:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Llubo(h1={self.h1!r}, h2={self.h2!r})"
+
+
+def _real_array(x, error: type, name: str) -> np.ndarray:
+    """``x`` as a float array; ``error`` if it is complex, rather than
+    dropping its imaginary part."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise error(f"{name} must be real, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def _check_unit_det(name: str, entries: tuple) -> None:
@@ -249,14 +239,14 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     ``decide_separability`` and ``scan_boundary`` build none.
 
     Raises:
-        ValueError: ``m`` is not 4x4.
+        ValueError: ``m`` is complex or not 4x4.
         NotFinite: non-finite entries.
         NotSymmetric: asymmetry beyond ``EPS_SYM`` relative tolerance.
         NotPhysical: a condition fails beyond its rounding estimate (the
             message names it and its value), or ``det G_i`` overflows
             or form I's ``c`` is out of range (entries beyond ~1.3e154).
     """
-    arr = np.asarray(m, dtype=float)
+    arr = _real_array(m, ValueError, "correlation matrix")
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
     return _validate_rows(arr.tolist())
@@ -532,7 +522,8 @@ def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:
 
 def _total_variance(pair: EprPair, tr1: float, tr2: float, u: float, v: float) -> float:
     """``<(du)^2> + <(dv)^2>`` of ``pair`` on a matrix with ``tr G1 = tr1``,
-    ``tr G2 = tr2``, ``M[0, 2] = u`` and ``M[1, 3] = v``; the factor 1/2
-    converts matrix entries to operator variances."""
+    ``tr G2 = tr2``, ``M[0, 2] = u`` and ``M[1, 3] = v``.  The factor 1/2,
+    which converts matrix entries to operator variances, is applied to each
+    term before the sum, so no term overflows where the result is finite."""
     a2 = pair.a * pair.a
-    return 0.5 * (a2 * tr1 + tr2 / a2 + 2.0 * pair.sign_u * u + 2.0 * pair.sign_v * v)
+    return a2 * (0.5 * tr1) + (0.5 * tr2) / a2 + pair.sign_u * u + pair.sign_v * v

@@ -25,16 +25,13 @@ class ZeroCoefficient(CvsepError):
     """EPR pair coefficient a must have a^2 and 1/a^2 finite and nonzero."""
 
 
-class DegenerateMode(CvsepError):
-    """A mode sits at vacuum purity; the squeeze-balance equation is vacuous."""
-
-
 class RootNotBracketed(CvsepError):
     """The balance function is positive at the end of its bracket (unphysical input)."""
 
 
 class DegenerateForm(CvsepError):
-    """Standard form II is degenerate; the optimal witness pair is undefined."""
+    """A mode at vacuum purity, or a vanishing intermode coefficient: the
+    squeeze-balance ratio or the optimal witness pair is undefined."""
 
 
 class NotInSeparableRegime(CvsepError):

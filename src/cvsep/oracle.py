@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_PSD, EPS_SYM, OMEGA, CorrelationMatrix, validate
+from .core import EPS_SYM, OMEGA, CorrelationMatrix, _real_array, validate
 from .exceptions import NotPhysical, NotSymmetric
-from .separability import EPS_DECIDE, Decision, PRepresentation
+from .separability import EPS_DECIDE, Decision, PRepresentation, _check_tol
+
+# Eigenvalue slack of ppt_decision, relative to the largest diagonal entry.
+_EPS_PSD = 1e-9
 
 #: Momentum reversal on mode 2 (the partial-transpose map on covariances).
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -41,20 +44,19 @@ def ppt_decision(
     The partial transpose acts on the correlation matrix as momentum
     reversal on mode 2; the state is separable iff the reversed matrix is
     still physical.  The margin is the smallest eigenvalue of the reversed
-    ``M + i*Omega``: down to ``-EPS_PSD`` relative to the largest diagonal
-    entry it is separable, and anything between that and ``-tol_decide``
-    is boundary.  Unlike ``validate``, which allows only rounding
-    estimates in form-I units, this slack is not local-invariant.
+    ``M + i*Omega``: down to a private slack of ``-1e-9`` relative to the
+    largest diagonal entry it is separable, and anything between that and
+    ``-tol_decide`` is boundary.  Unlike ``validate``, which allows only
+    rounding estimates in form-I units, this slack is not local-invariant.
 
     Raises:
         ValueError: ``tol_decide`` is negative, NaN or infinite.
     """
-    if not (math.isfinite(tol_decide) and tol_decide >= 0.0):
-        raise ValueError(f"tol_decide must be finite and >= 0, got {tol_decide!r}")
+    _check_tol("tol_decide", tol_decide)
     mt = _PT @ state.m @ _PT
     lam_min = min_eig_hermitian_pair(mt, OMEGA)
     scale = max(float(np.max(np.diag(mt))), 1.0)
-    if lam_min >= -EPS_PSD * scale:
+    if lam_min >= -_EPS_PSD * scale:
         return Decision.SEPARABLE
     if lam_min < -tol_decide * scale:
         return Decision.ENTANGLED
@@ -72,7 +74,7 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean_x) and math.isfinite(self.mean_p)):
             raise ValueError("mode means must be finite")
-        arr = np.array(np.asarray(self.cov, dtype=float))
+        arr = np.array(_real_array(self.cov, ValueError, "mode covariance"))
         if arr.shape != (2, 2):
             raise ValueError(f"mode covariance must be 2x2, got {arr.shape}")
         if not np.isfinite(arr).all():

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import EPS_PSD, CorrelationMatrix, EprPair, Llubo, variance_pair
+from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
 from .core import _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
@@ -77,13 +77,21 @@ class SeparabilityVerdict:
     def certificate(self) -> Optional[PRepresentation]:
         """P-representation of a SEPARABLE verdict's form, ``None`` otherwise.
 
-        Raises :class:`NotInSeparableRegime` as :func:`p_representation`
-        does, which only a hand-built verdict can meet: every SEPARABLE
-        verdict of :func:`decide_separability` has ``min_eigenvalue >= 0``.
+        The covariance is ``(M_II - I)/2`` of the form as given, with no
+        clipping: every SEPARABLE verdict of :func:`decide_separability`
+        has ``min_eigenvalue >= 0``, so it is positive semidefinite.  Raises
+        :class:`NotInSeparableRegime` as :func:`p_representation` does,
+        which only a hand-built verdict can meet.
         """
         if self.decision is not Decision.SEPARABLE:
             return None
         return p_representation(self.form)
+
+
+def _check_tol(name: str, tol: float) -> None:
+    """Raise ValueError unless the tolerance ``name = tol`` is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 def total_variance_check(
@@ -93,7 +101,11 @@ def total_variance_check(
 
     Separable states obey ``total_variance >= a**2 + 1/a**2``; a violation
     (beyond ``tol``) certifies entanglement of any state, Gaussian or not.
+
+    Raises:
+        ValueError: ``tol`` is negative, NaN or infinite.
     """
+    _check_tol("tol", tol)
     bound = pair.a * pair.a + 1.0 / (pair.a * pair.a)
     total = variance_pair(state, pair)
     return TotalVarianceResult(total < bound - tol, total, bound)
@@ -145,19 +157,6 @@ def _block_min_eig(p: float, q: float, r: float) -> float:
     return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
 
 
-def _clip_psd(p: float, q: float, r: float) -> tuple[float, float, float]:
-    """[[p, q], [q, r]] with its negative eigenvalues set to zero."""
-    lo = _block_min_eig(p, q, r)
-    if lo >= 0.0:
-        return p, q, r
-    hi = p + r - lo
-    if hi <= 0.0:
-        return 0.0, 0.0, 0.0
-    # Keep hi times the projector (A - lo*I)/(hi - lo) onto its eigenvector.
-    k = hi / (hi - lo)
-    return k * (p - lo), k * q, k * (r - lo)
-
-
 def _form_spectrum(form: StandardFormII) -> tuple[float, float]:
     """(min eigenvalue of M_II - I, entry scale of M_II - I)."""
     lam_x = _block_min_eig(form.n1 - 1.0, form.c1, form.m1 - 1.0)
@@ -194,8 +193,7 @@ def decide_separability(
         InvalidLlubo: a form's transform has a determinant rounded away
             from 1 (local squeezes beyond about e^6.7 per mode).
     """
-    if not (math.isfinite(tol_decide) and tol_decide >= 0.0):
-        raise ValueError(f"tol_decide must be finite and >= 0, got {tol_decide!r}")
+    _check_tol("tol_decide", tol_decide)
     form = to_standard_form_II(state)
     lam_min, scale = _form_spectrum(form)
     band = tol_decide * scale
@@ -244,22 +242,23 @@ def p_representation(form: StandardFormII) -> PRepresentation:
     """Gaussian P-distribution parameters of a separable standard form II.
 
     The distribution of coherent-state labels is the centered Gaussian with
-    covariance ``(M_II - I)/2``.  Its x and p sectors are decoupled 2x2
-    blocks; a sector eigenvalue within tolerance below zero is clipped to
-    zero in closed form, keeping the covariance PSD.
+    covariance ``(M_II - I)/2``, built from the form's entries as given: it
+    exists exactly when ``M_II - I >= 0``, as the paper's separability
+    condition states.  Its x and p sectors are decoupled 2x2 blocks, whose
+    smallest eigenvalues are those :func:`decide_separability` tests.
 
     Raises:
-        NotInSeparableRegime: ``M_II - I`` has an eigenvalue below
-            ``-EPS_PSD`` relative tolerance (entangled regime).
+        NotInSeparableRegime: a sector of ``M_II - I`` has an eigenvalue
+            below 0.
     """
-    lam_min, scale = _form_spectrum(form)
-    if lam_min < -EPS_PSD * max(1.0, scale):
+    lam_min, _ = _form_spectrum(form)
+    if lam_min < 0.0:
         raise NotInSeparableRegime(
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
-    xn, xc, xm = _clip_psd(form.n1 - 1.0, form.c1, form.m1 - 1.0)
-    pn, pc, pm = _clip_psd(form.n2 - 1.0, form.c2, form.m2 - 1.0)
-    cov = 0.5 * _layout(xn, pn, xm, pm, xc, pc)
+    cov = 0.5 * _layout(
+        form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0, form.c1, form.c2
+    )
     cov.flags.writeable = False
     return PRepresentation(covariance=cov, transform_back=form.transform.inverse())
 

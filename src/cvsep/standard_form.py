@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CorrelationMatrix, Llubo
-from .exceptions import DegenerateMode, RootNotBracketed
+from .exceptions import DegenerateForm, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
 
@@ -115,11 +115,11 @@ def solve_r2_given_r1(n: float, m: float, r1: float) -> float:
     ``1 <= r1 <= n`` keeps ``0 <= k <= 1`` in floats, so it is always real).
 
     Raises:
-        DegenerateMode: ``n`` or ``m`` within ``EPS_FORM`` of 1.
+        DegenerateForm: ``n`` or ``m`` within ``EPS_FORM`` of 1.
         ValueError: ``r1`` outside ``[1, n]``.
     """
     if n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM:
-        raise DegenerateMode("a mode at vacuum purity has no balance ratio")
+        raise DegenerateForm("a mode at vacuum purity has no balance ratio")
     if not 1.0 <= r1 <= n:
         raise ValueError(f"r1 must lie in [1, n] = [1, {n!r}], got {r1!r}")
     if r1 == 1.0:

@@ -165,7 +165,7 @@ def test_criterion_5_tmsv_variance_law():
     for r in (0.1, 0.5, 1.0, 2.0):
         state = cv.tmsv_matrix(r)
         form = cv.to_standard_form_II(state)
-        pair = cv.construct_epr_pair(form)
+        pair = cv.separability.construct_epr_pair(form)
         # The squeezed vacuum is already in its standard form II.
         np.testing.assert_array_equal(form.transform.h1, np.eye(2))
         total = cv.variance_pair(state, pair)
@@ -236,7 +236,7 @@ def test_criterion_7_certificate_validity(survey):
     ]
     worst_analytic = 0.0
     for state, verdict in separable:
-        recon = cv.reconstruct_analytic(verdict.certificate)
+        recon = cv.separability.reconstruct_analytic(verdict.certificate)
         worst_analytic = max(worst_analytic, float(np.max(np.abs(recon - state.m))))
     # Monte Carlo on ten certified cases (smallest label covariance first,
     # keeping the 1e6-sample estimator comfortably inside the tolerance).

@@ -91,6 +91,28 @@ class TestCheck:
         }))
         assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[i == j for j in range(4)] for i in range(4)],
+            [[str(int(i == j)) for j in range(4)] for i in range(4)],
+            [[None, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[10**400, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        ],
+        ids=["booleans", "strings", "null", "int-beyond-float"],
+    )
+    def test_non_number_entries_rejected(self, tmp_path, capsys, matrix):
+        # numpy reads true as 1, "1" as 1 and null as NaN; a JSON integer
+        # beyond float range does not convert.
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(
+            {"matrix": matrix, "ordering": "x1p1x2p2", "scaling": "vacuum-identity"}
+        ))
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "matrix is not numeric" in captured.err
+
     def test_json_report_round_trips(self, tmsv_file, tmp_path, capsys):
         code = cli.main(["check", tmsv_file, "--json"])
         doc = json.loads(capsys.readouterr().out)

@@ -43,6 +43,12 @@ class TestValidate:
         with pytest.raises(cv.NotFinite):
             cv.validate(m)
 
+    def test_complex_input_rejected(self):
+        # A cast to float would drop the imaginary part.
+        for m in (np.eye(4) + 1j * np.eye(4), np.eye(4).astype(complex)):
+            with pytest.raises(ValueError, match="correlation matrix must be real"):
+                cv.validate(m)
+
     def test_large_asymmetry_rejected(self):
         m = np.eye(4)
         m[0, 1] = 1e-6
@@ -67,7 +73,7 @@ class TestValidate:
     def test_congruence_roundoff_at_large_entry_scale_accepted(self):
         m = self._large_thermal_congruence()
         assert np.diagonal(m).max() > 1e9
-        assert np.abs(m - m.T).max() > 1e3 * cv.EPS_SYM
+        assert np.abs(m - m.T).max() > 1e3 * cv.core.EPS_SYM
         state = cv.validate(m)
         assert cv.decide_separability(state).decision is cv.Decision.SEPARABLE
 
@@ -173,10 +179,12 @@ class TestValidate:
             state.m[0, 0] = 2.0
 
     def test_blocks_are_views(self):
-        state = cv.validate(tmsv_layout(0.3))
-        np.testing.assert_array_equal(state.g1, state.m[:2, :2])
-        np.testing.assert_array_equal(state.g2, state.m[2:, 2:])
-        np.testing.assert_array_equal(state.c, state.m[:2, 2:])
+        # G1, G2 and C are read-only slices of m.
+        m = tmsv_layout(0.3)
+        state = cv.validate(m)
+        for block in (np.s_[:2, :2], np.s_[2:, 2:], np.s_[:2, 2:]):
+            np.testing.assert_array_equal(state.m[block], m[block])
+            assert not state.m[block].flags.writeable
 
 
 #: [[I, 2I], [2I, I]]: det G1 = det G2 = 1, det M = 9 and
@@ -312,6 +320,10 @@ class TestLlubo:
         with pytest.raises(cv.InvalidLlubo, match=r"h1 must be 2x2, got \(3, 3\)"):
             cv.Llubo(np.eye(3), np.eye(2))
 
+    def test_complex_block_rejected(self):
+        with pytest.raises(cv.InvalidLlubo, match="h2 must be real"):
+            cv.Llubo(np.eye(2), np.eye(2) + 1j * np.diag([1.0, -1.0]))
+
     def test_blocks_are_read_only_copies(self):
         h1 = np.eye(2)
         op = cv.Llubo(h1, np.eye(2))
@@ -359,7 +371,7 @@ class TestApplyLlubo:
         out = cv.apply_llubo(state, op)
         n = COSH1
         np.testing.assert_allclose(
-            out.g1, np.diag([4.0 * n, n / 4.0]), rtol=1e-14
+            out.m[:2, :2], np.diag([4.0 * n, n / 4.0]), rtol=1e-14
         )
         # Oracle: the same congruence computed by hand.
         b = blockdiag(np.diag([2.0, 0.5]), np.eye(2))
@@ -470,6 +482,15 @@ class TestVariancePair:
         for a in (7.5e-155, -7.5e-155, 1.34e154):
             assert math.isfinite(cv.total_variance_check(vac, cv.EprPair(a)).bound)
 
+    def test_finite_at_coefficient_range_edges(self):
+        # a^2 tr G1 or tr G2 / a^2 is ~2e308 here, beyond float range: only
+        # its half is finite.
+        vac = cv.validate(np.eye(4))
+        for a, expected in ((7.5e-155, 1.7777777777777781e308), (1e154, 1e308)):
+            res = cv.total_variance_check(vac, cv.EprPair(a))
+            assert res.total_variance == res.bound == expected
+            assert not res.violated
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             cv.EprPair(1.0, sign_u=2, sign_v=-1)
@@ -495,3 +516,19 @@ class TestVariancePair:
                     total = cv.variance_pair(state, cv.EprPair(a, su, sv))
                     floor = abs(a * a - 1.0 / (a * a))
                     assert total >= floor - 1e-9 * max(1.0, floor)
+
+
+def test_exports():
+    # The package exports the names of the README's table and their types;
+    # tolerances and solver steps stay in their submodules.
+    assert len(cv.__all__) == len(set(cv.__all__)) == 44
+    assert all(hasattr(cv, name) for name in cv.__all__)
+    submodule_names = {
+        cv.core: ("EPS_DET", "EPS_SYM", "OMEGA"),
+        cv.standard_form: ("EPS_FORM", "solve_form_II_root", "solve_r2_given_r1"),
+        cv.separability: ("construct_epr_pair", "reconstruct_analytic"),
+    }
+    for module, names in submodule_names.items():
+        for name in names:
+            assert hasattr(module, name) and not hasattr(cv, name)
+    assert not hasattr(cv, "DegenerateMode") and not hasattr(cv.core, "EPS_PSD")

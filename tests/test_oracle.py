@@ -102,6 +102,10 @@ class TestSeparableEnsemble:
         with pytest.raises(ValueError, match="mode means must be finite"):
             cv.ModeSpec(*means, np.eye(2))
 
+    def test_complex_mode_covariance_rejected(self):
+        with pytest.raises(ValueError, match="mode covariance must be real"):
+            cv.ModeSpec(0.0, 0.0, np.eye(2) + 1j * np.eye(2))
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_non_finite_mode_covariance_rejected(self, entry):
         cov = np.eye(2)

@@ -235,7 +235,7 @@ class TestScanBoundary:
             assert form.r1 == pytest.approx(1.0, abs=1e-8)
             assert form.r2 == pytest.approx(1.0, abs=1e-8)
             if not form.degenerate:
-                pair = cv.construct_epr_pair(form)
+                pair = cv.separability.construct_epr_pair(form)
                 assert pair.a == pytest.approx(1.0, abs=1e-8)
 
     def test_equals_per_point_loop(self):

@@ -2,6 +2,7 @@
 and the P-representation certificate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,10 +40,20 @@ class TestTotalVarianceCheck:
         assert res.bound == pytest.approx(2.0)
 
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_invalid_tolerance_rejected(self, tol):
+        # tol = -1 would report the vacuum as violating the bound, certifying
+        # a separable state entangled; tol = NaN would never report one.
+        vac = cv.validate(np.eye(4))
+        msg = f"tol must be finite and >= 0, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            cv.total_variance_check(vac, cv.EprPair(1.0, 1, -1), tol)
+
+
 class TestConstructEprPair:
     def test_tmsv_witness(self):
         form = cv.to_standard_form_II(cv.validate(tmsv_layout(0.5)))
-        pair = cv.construct_epr_pair(form)
+        pair = cv.separability.construct_epr_pair(form)
         assert pair.a == 1.0  # n1 == m1 forces a0 = 1 exactly
         assert pair.sign_u == -1  # c1 > 0
         assert pair.sign_v == 1  # c2 < 0
@@ -52,7 +63,7 @@ class TestConstructEprPair:
         # both ratios (n_i - 1)/(m_i - 1) equal 2.
         gap = math.sqrt(2.0) - math.sqrt(0.5)
         form = make_form(3.0, 2.0, 2.0, 1.5, c1=0.3 + gap, c2=-0.3)
-        pair = cv.construct_epr_pair(form)
+        pair = cv.separability.construct_epr_pair(form)
         assert pair.a**2 == pytest.approx(math.sqrt(0.5), rel=1e-14)
         assert pair.a**2 == pytest.approx(0.7071067811865476, rel=1e-12)
         assert (pair.sign_u, pair.sign_v) == (-1, 1)
@@ -60,17 +71,17 @@ class TestConstructEprPair:
     def test_vanishing_coefficient_rejected(self):
         form = make_form(3.0, 2.0, 2.0, 1.5, c1=0.0, c2=-0.3)
         with pytest.raises(cv.DegenerateForm):
-            cv.construct_epr_pair(form)
+            cv.separability.construct_epr_pair(form)
 
     def test_vacuum_pure_mode_rejected(self):
         form = make_form(1.0, 1.0, 2.0, 2.0, c1=0.0, c2=0.0, degenerate=True)
         with pytest.raises(cv.DegenerateForm):
-            cv.construct_epr_pair(form)
+            cv.separability.construct_epr_pair(form)
 
     def test_inconsistent_form_rejected(self):
         form = make_form(3.0, 5.0, 2.0, 1.5, c1=1.0, c2=-0.3)
         with pytest.raises(cv.CvsepError):
-            cv.construct_epr_pair(form)
+            cv.separability.construct_epr_pair(form)
 
 
 class TestDecideSeparability:
@@ -249,26 +260,23 @@ class TestPRepresentation:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize(
-        "n1, n2, m1, m2, c1, c2",
-        [
+    def test_slightly_negative_sectors_rejected(self):
+        # M_II - I has an eigenvalue below 0 by ~1e-10: no positive P exists,
+        # however small the deficit.
+        forms = [
             # x sector with det(A) < 0 by a few 1e-10: one eigenvalue just below 0.
             (3.0, 1.5, 1.5, 1.2, 1.0 + 2e-10, 0.1),
             (1.5, 2.0, 3.0, 1.25, -0.1, -(0.5 + 3e-10)),
-            # Both sectors clipped, mixed signs of the intermode entries.
+            # Both sectors negative, mixed signs of the intermode entries.
             (2.0, 1.25, 1.5, 1.5, -(math.sqrt(0.5) + 1e-10), math.sqrt(0.125) + 1e-10),
-            # p sector with both eigenvalues slightly negative: a zero block.
+            # p sector with both eigenvalues slightly negative.
             (2.0, 1.0 - 2e-10, 2.0, 1.0 - 5e-11, 0.5, 1e-11),
-        ],
-    )
-    def test_clipped_sectors_match_eigh_reference(self, n1, n2, m1, m2, c1, c2):
-        form = make_form(n1, n2, m1, m2, c1, c2)
-        w, v = np.linalg.eigh(0.5 * (form.matrix() - np.eye(4)))
-        assert w[0] < 0.0  # the clip is needed
-        reference = (v * np.clip(w, 0.0, None)) @ v.T
-        cov = cv.p_representation(form).covariance
-        np.testing.assert_allclose(cov, reference, rtol=0, atol=1e-12)
-        assert np.linalg.eigvalsh(cov)[0] >= -1e-12
+        ]
+        for entries in forms:
+            form = make_form(*entries)
+            assert np.linalg.eigvalsh(form.matrix() - np.eye(4))[0] < 0.0
+            with pytest.raises(cv.NotInSeparableRegime):
+                cv.p_representation(form)
 
     def test_entangled_form_rejected(self):
         form = cv.to_standard_form_II(cv.validate(tmsv_layout(0.5)))
@@ -283,7 +291,7 @@ class TestPRepresentation:
             if verdict.certificate is None:
                 continue
             count += 1
-            recon = cv.reconstruct_analytic(verdict.certificate)
+            recon = cv.separability.reconstruct_analytic(verdict.certificate)
             np.testing.assert_allclose(recon, state.m, atol=1e-8)
         assert count > 30  # the sampler produces plenty of separable states
 

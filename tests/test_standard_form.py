@@ -108,7 +108,7 @@ class TestFormI:
         verdict = cv.decide_separability(state)
         assert verdict.decision is cv.Decision.SEPARABLE
         np.testing.assert_allclose(
-            cv.reconstruct_analytic(verdict.certificate), m, rtol=1e-12, atol=0
+            cv.separability.reconstruct_analytic(verdict.certificate), m, rtol=1e-12, atol=0
         )
 
     @pytest.mark.parametrize("nu, k", [(0.9, 5.0), (0.99, 5.0), (0.5, 8.0)])
@@ -133,31 +133,31 @@ class TestFormI:
 
 class TestSolveR2:
     def test_unit_r1_gives_unit_r2(self):
-        assert cv.solve_r2_given_r1(2.0, 3.0, 1.0) == 1.0
+        assert cv.standard_form.solve_r2_given_r1(2.0, 3.0, 1.0) == 1.0
 
     def test_symmetric_case_residual(self):
-        r2 = cv.solve_r2_given_r1(2.0, 2.0, 1.5)
+        r2 = cv.standard_form.solve_r2_given_r1(2.0, 2.0, 1.5)
         k1 = (2.0 / 1.5 - 1.0) / (2.0 * 1.5 - 1.0)
         k2 = (2.0 / r2 - 1.0) / (2.0 * r2 - 1.0)
         assert abs(k1 - k2) < 1e-12
         assert r2 == pytest.approx(1.5, rel=1e-12)
 
     def test_degenerate_mode_rejected(self):
-        with pytest.raises(cv.DegenerateMode):
-            cv.solve_r2_given_r1(1.0 + 1e-15, 2.0, 1.3)
-        with pytest.raises(cv.DegenerateMode):
-            cv.solve_r2_given_r1(2.0, 1.0 + 1e-15, 1.3)
+        with pytest.raises(cv.DegenerateForm):
+            cv.standard_form.solve_r2_given_r1(1.0 + 1e-15, 2.0, 1.3)
+        with pytest.raises(cv.DegenerateForm):
+            cv.standard_form.solve_r2_given_r1(2.0, 1.0 + 1e-15, 1.3)
 
     def test_r1_below_domain_rejected(self):
         with pytest.raises(ValueError):
-            cv.solve_r2_given_r1(2.0, 2.0, 0.5)
+            cv.standard_form.solve_r2_given_r1(2.0, 2.0, 0.5)
 
     def test_no_real_root_when_orientation_violated(self):
         # With n < m the quadratic has no real root at the extremal
         # r1 = n + sqrt(n^2 - 1); that r1 lies beyond the physical bracket
         # [1, n], so it is rejected before the quadratic is formed.
         with pytest.raises(ValueError):
-            cv.solve_r2_given_r1(1.5, 3.0, 1.5 + math.sqrt(1.25))
+            cv.standard_form.solve_r2_given_r1(1.5, 3.0, 1.5 + math.sqrt(1.25))
 
     @pytest.mark.parametrize(
         "n, m, r1",
@@ -165,7 +165,7 @@ class TestSolveR2:
     )
     def test_r1_above_domain_rejected(self, n, m, r1):
         with pytest.raises(ValueError):
-            cv.solve_r2_given_r1(n, m, r1)
+            cv.standard_form.solve_r2_given_r1(n, m, r1)
 
     @settings(max_examples=200)
     @given(
@@ -177,7 +177,7 @@ class TestSolveR2:
         # Every r1 in the physical bracket [1, n] has a real branch, for
         # either mode order.
         r1 = 1.0 + frac * (n - 1.0)
-        r2 = cv.solve_r2_given_r1(n, m, r1)
+        r2 = cv.standard_form.solve_r2_given_r1(n, m, r1)
         assert r2 > 0.0
         k1 = (n / r1 - 1.0) / (n * r1 - 1.0)
         k2 = (m / r2 - 1.0) / (m * r2 - 1.0)
@@ -247,9 +247,9 @@ class TestFormII:
         for seed in range(1000):
             f1 = cv.to_standard_form_I(cv.sample_random_physical(seed))
             n, m = max(f1.n, f1.m), min(f1.n, f1.m)
-            if m - 1.0 < cv.EPS_FORM or max(abs(f1.c), abs(f1.c_prime)) < cv.EPS_FORM:
+            if m - 1.0 < cv.standard_form.EPS_FORM or max(abs(f1.c), abs(f1.c_prime)) < cv.standard_form.EPS_FORM:
                 continue
-            r1, r2 = cv.solve_form_II_root(n, m, f1.c, f1.c_prime)
+            r1, r2 = cv.standard_form.solve_form_II_root(n, m, f1.c, f1.c_prime)
             assert 1.0 <= r1 <= n and r2 >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
@@ -283,10 +283,10 @@ class TestFormII:
         mirrored = 0
         for seed in range(60):
             f1 = cv.to_standard_form_I(cv.sample_random_physical(seed))
-            if min(f1.n, f1.m) - 1.0 < cv.EPS_FORM or f1.n == f1.m:
+            if min(f1.n, f1.m) - 1.0 < cv.standard_form.EPS_FORM or f1.n == f1.m:
                 continue
-            r1, r2 = cv.solve_form_II_root(f1.n, f1.m, f1.c, f1.c_prime)
-            assert cv.solve_form_II_root(f1.m, f1.n, f1.c, f1.c_prime) == (r2, r1)
+            r1, r2 = cv.standard_form.solve_form_II_root(f1.n, f1.m, f1.c, f1.c_prime)
+            assert cv.standard_form.solve_form_II_root(f1.m, f1.n, f1.c, f1.c_prime) == (r2, r1)
             mirrored += r1 != r2
         assert mirrored > 30
 
@@ -294,7 +294,7 @@ class TestFormII:
         # |c| beyond sqrt(n(m - 1/m)) keeps the balance function positive
         # at the end r1 = n of the bracket; physical states cannot get here.
         with pytest.raises(cv.RootNotBracketed):
-            cv.solve_form_II_root(2.0, 2.0, 3.0, 0.1)
+            cv.standard_form.solve_form_II_root(2.0, 2.0, 3.0, 0.1)
 
 
 class TestInternalTransforms:
@@ -307,7 +307,7 @@ class TestInternalTransforms:
             assert blk.shape == (2, 2) and blk.dtype == np.float64
             assert not blk.flags.writeable
             (a, b), (c, d) = blk.tolist()
-            assert abs(a * d - b * c - 1.0) <= cv.EPS_DET
+            assert abs(a * d - b * c - 1.0) <= cv.core.EPS_DET
 
     def test_det_one_and_read_only(self):
         states = [cv.sample_random_physical(seed) for seed in range(1000)]
