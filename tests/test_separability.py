@@ -260,10 +260,9 @@ class TestPRepresentation:
             atol=1e-12,
         )
 
-    def test_slightly_negative_sectors_rejected(self):
-        # M_II - I has an eigenvalue below 0 by ~1e-10: no positive P exists,
-        # however small the deficit.
-        forms = [
+    @pytest.mark.parametrize(
+        "n1, n2, m1, m2, c1, c2",
+        [
             # x sector with det(A) < 0 by a few 1e-10: one eigenvalue just below 0.
             (3.0, 1.5, 1.5, 1.2, 1.0 + 2e-10, 0.1),
             (1.5, 2.0, 3.0, 1.25, -0.1, -(0.5 + 3e-10)),
@@ -271,12 +270,17 @@ class TestPRepresentation:
             (2.0, 1.25, 1.5, 1.5, -(math.sqrt(0.5) + 1e-10), math.sqrt(0.125) + 1e-10),
             # p sector with both eigenvalues slightly negative.
             (2.0, 1.0 - 2e-10, 2.0, 1.0 - 5e-11, 0.5, 1e-11),
-        ]
-        for entries in forms:
-            form = make_form(*entries)
-            assert np.linalg.eigvalsh(form.matrix() - np.eye(4))[0] < 0.0
-            with pytest.raises(cv.NotInSeparableRegime):
-                cv.p_representation(form)
+        ],
+    )
+    def test_clipped_sectors_match_eigh_reference(self, n1, n2, m1, m2, c1, c2):
+        # Sectors that only a clip to zero would make PSD: the eigh reference
+        # of M_II - I has an eigenvalue below 0 by ~1e-10, so no positive P
+        # exists, however small the deficit, and none is built.
+        form = make_form(n1, n2, m1, m2, c1, c2)
+        w = np.linalg.eigvalsh(form.matrix() - np.eye(4))
+        assert w[0] < 0.0
+        with pytest.raises(cv.NotInSeparableRegime):
+            cv.p_representation(form)
 
     def test_entangled_form_rejected(self):
         form = cv.to_standard_form_II(cv.validate(tmsv_layout(0.5)))
