@@ -108,10 +108,7 @@ class Llubo:
         """
         _check_unit_det("h1", e1)
         _check_unit_det("h2", e2)
-        op = object.__new__(cls)
-        object.__setattr__(op, "_e1", e1)
-        object.__setattr__(op, "_e2", e2)
-        return op
+        return _frozen(cls, {"_e1": e1, "_e2": e2})
 
     @cached_property
     def h1(self) -> np.ndarray:
@@ -143,21 +140,38 @@ class Llubo:
         return f"Llubo(h1={self.h1!r}, h2={self.h2!r})"
 
 
+def _frozen(cls: type, fields: dict):
+    """Instance of the frozen dataclass ``cls`` whose attributes are
+    ``fields``, a fresh dict in declaration order, without running
+    ``__init__``: for values cvsep builds itself, of classes with no
+    ``__post_init__``.  Equality, hash, ``repr`` and ``vars()`` are those of
+    ``cls(**fields)``."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 def _real_array(x, error: type, name: str) -> np.ndarray:
-    """``x`` as a float array; ``error`` if it is complex, rather than
-    dropping its imaginary part."""
+    """``x`` as a float array; ``error`` unless its dtype is integer or
+    float, rather than dropping an imaginary part or casting booleans,
+    strings or objects."""
     arr = np.asarray(x)
-    if arr.dtype.kind == "c":
+    if arr.dtype.kind not in "iuf":
         raise error(f"{name} must be real, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)
 
 
 def _check_unit_det(name: str, entries: tuple) -> None:
+    """InvalidLlubo unless the block ``entries`` has ``|det - 1| <= EPS_DET``.
+
+    The test is negated, so that a NaN determinant (``inf - inf`` from
+    finite entries) fails too; the finiteness of the entries only chooses
+    the message."""
     a, b, c, d = entries
-    if not all(map(math.isfinite, entries)):
-        raise InvalidLlubo(f"{name} has non-finite entries")
     det = a * d - b * c
-    if abs(det - 1.0) > EPS_DET:
+    if not abs(det - 1.0) <= EPS_DET:
+        if not all(map(math.isfinite, entries)):
+            raise InvalidLlubo(f"{name} has non-finite entries")
         raise InvalidLlubo(f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}")
 
 
@@ -273,10 +287,7 @@ def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
         )
     form_I = _form_I_scalars(rows)
     _check_physical(rows, form_I)
-    state = object.__new__(CorrelationMatrix)
-    object.__setattr__(state, "_rows", rows)
-    object.__setattr__(state, "_form_I", form_I)
-    return state
+    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": form_I})
 
 
 def _require(

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
-from .core import _total_variance
+from .core import _frozen, _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -227,14 +227,17 @@ def decide_separability(
         if decision is Decision.SEPARABLE and margin > slack:
             raise CvsepError("witness margin contradicts spectral decision")
 
-    return SeparabilityVerdict(
-        decision=decision,
-        total_variance=total,
-        bound=bound,
-        witness=witness,
-        margin=margin,
-        form=form,
-        min_eigenvalue=lam_min,
+    return _frozen(
+        SeparabilityVerdict,
+        {
+            "decision": decision,
+            "total_variance": total,
+            "bound": bound,
+            "witness": witness,
+            "margin": margin,
+            "form": form,
+            "min_eigenvalue": lam_min,
+        },
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, Llubo
+from .core import CorrelationMatrix, Llubo, _frozen
 from .exceptions import DegenerateForm, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
@@ -101,8 +101,9 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
     h1 = (cx * u1 + sx * v1, cx * v1 + sx * w1, cx * v1 - sx * u1, cx * w1 - sx * v1)
     h2 = (cy * u2 - sy * v2, cy * v2 - sy * w2, sy * u2 + cy * v2, sy * v2 + cy * w2)
-    return StandardFormI(
-        n=n, m=m, c=c, c_prime=c_prime, transform=Llubo._fresh(h1, h2)
+    return _frozen(
+        StandardFormI,
+        {"n": n, "m": m, "c": c, "c_prime": c_prime, "transform": Llubo._fresh(h1, h2)},
     )
 
 
@@ -157,7 +158,14 @@ def solve_form_II_root(
     gives ``nm(n^2-1)(m^2-1) >= (nm|c| - |c'|)^2``), so ``[1, n]`` is
     bisected until its midpoint equals an endpoint.
 
+    Where :func:`solve_r2_given_r1` accepts ``r1 = 1`` and ``(n - 1)(m - 1)``
+    is finite, ``f(1)`` is exactly ``|c| - |c'|`` (``s = 1`` and the two
+    radicands are equal), so ``f(1) <= 0`` is tested without evaluating
+    ``f``; the ``|c| = |c'|`` family exits there.
+
     Raises:
+        DegenerateForm: ``n`` or ``m`` within ``EPS_FORM`` of 1.
+        ValueError: ``n`` is NaN.
         RootNotBracketed: ``f(n)`` is positive beyond rounding or NaN
             (unphysical input, or overflow).
     """
@@ -165,9 +173,14 @@ def solve_form_II_root(
     swapped = n < m
     if swapped:
         n, m = m, n
-    if _balance_residual(n, m, abs_c, abs_cp, 1.0) <= 0.0:
-        # |c| == |c'| family (f(1) is exactly their difference): root at 1.
+    if (
+        abs_c - abs_cp <= 0.0
+        and n - 1.0 >= EPS_FORM
+        and m - 1.0 >= EPS_FORM
+        and math.isfinite((n - 1.0) * (m - 1.0))
+    ):
         return 1.0, 1.0
+    solve_r2_given_r1(n, m, 1.0)  # raises where f(1) would: a vacuum mode, or NaN n
     f_n = _balance_residual(n, m, abs_c, abs_cp, n)
     # A small positive f(n) is rounding at a root exactly at n.
     if not f_n <= EPS_FORM * max(1.0, n * abs_c):
@@ -218,17 +231,20 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         h1, h2 = transform._e1, transform._e2
         transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
     geo = math.sqrt(r1 * r2)
-    return StandardFormII(
-        n1=n * r1,
-        n2=n / r1,
-        m1=m * r2,
-        m2=m / r2,
-        c1=geo * c,
-        c2=cp / geo,
-        r1=r1,
-        r2=r2,
-        transform=transform,
-        degenerate=degenerate,
+    return _frozen(
+        StandardFormII,
+        {
+            "n1": n * r1,
+            "n2": n / r1,
+            "m1": m * r2,
+            "m2": m / r2,
+            "c1": geo * c,
+            "c2": cp / geo,
+            "r1": r1,
+            "r2": r2,
+            "transform": transform,
+            "degenerate": degenerate,
+        },
     )
 
 

@@ -6,8 +6,10 @@ independent path rather than against itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 COSH1 = 1.5430806348152437  # cosh(1)
 SINH1 = 1.1752011936438014  # sinh(1)
@@ -24,6 +26,17 @@ MODE_SWAP = np.array(
         [0.0, 1.0, 0.0, 0.0],
     ]
 )
+
+
+def non_number_identities(size):
+    """The ``size`` x ``size`` identity as booleans, numeric strings and
+    ``Fraction`` objects, as pytest params: each casts to a float identity."""
+    eye = np.eye(size, dtype=bool)
+    return [
+        pytest.param(eye, id="bool"),
+        pytest.param(np.where(eye, "1.0", "0"), id="str"),
+        pytest.param(np.array([[Fraction(int(x)) for x in row] for row in eye]), id="object"),
+    ]
 
 
 def rot2(theta):

@@ -15,6 +15,7 @@ from _util import (
     blockdiag,
     complex_min_eig,
     layout,
+    non_number_identities,
     random_llubo_blocks,
     rot2,
     tmsv_layout,
@@ -48,6 +49,18 @@ class TestValidate:
         for m in (np.eye(4) + 1j * np.eye(4), np.eye(4).astype(complex)):
             with pytest.raises(ValueError, match="correlation matrix must be real"):
                 cv.validate(m)
+
+    @pytest.mark.parametrize("m", non_number_identities(4))
+    def test_non_number_dtype_rejected(self, m):
+        # A cast to float would read True, "1.0" and Fraction(1) as 1.0.
+        with pytest.raises(ValueError, match="correlation matrix must be real, got dtype"):
+            cv.validate(m)
+
+    def test_integer_input_accepted(self):
+        for dtype in (np.int64, np.uint8):
+            state = cv.validate(np.diag([2, 2, 3, 3]).astype(dtype))
+            assert state.m.dtype == np.float64
+            np.testing.assert_array_equal(state.m, np.diag([2.0, 2.0, 3.0, 3.0]))
 
     def test_large_asymmetry_rejected(self):
         m = np.eye(4)
@@ -323,6 +336,22 @@ class TestLlubo:
     def test_complex_block_rejected(self):
         with pytest.raises(cv.InvalidLlubo, match="h2 must be real"):
             cv.Llubo(np.eye(2), np.eye(2) + 1j * np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("h", non_number_identities(2))
+    def test_non_number_block_rejected(self, h):
+        with pytest.raises(cv.InvalidLlubo, match="h1 must be real, got dtype"):
+            cv.Llubo(h, np.eye(2))
+
+    def test_integer_blocks_accepted(self):
+        op = cv.Llubo(np.eye(2, dtype=int), np.array([[1, 1], [0, 1]]))
+        assert op.h2.tolist() == [[1.0, 1.0], [0.0, 1.0]] and op.h2.dtype == np.float64
+
+    def test_nan_determinant_of_finite_entries_rejected(self):
+        # a*d - b*c is inf - inf = NaN, which no |det - 1| test may pass.
+        with pytest.raises(cv.InvalidLlubo, match=r"^det\(h1\) = nan differs from 1"):
+            cv.Llubo(np.full((2, 2), 1e200), np.eye(2))
+        with pytest.raises(cv.InvalidLlubo, match=r"^det\(h2\) = nan differs from 1"):
+            cv.Llubo._fresh((1.0, 0.0, 0.0, 1.0), (1e200, 1e200, 1e200, 1e200))
 
     def test_blocks_are_read_only_copies(self):
         h1 = np.eye(2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cvsep as cv
-from _util import blockdiag, complex_min_eig, rot2, tmsv_layout
+from _util import blockdiag, complex_min_eig, non_number_identities, rot2, tmsv_layout
 
 
 class TestPptDecision:
@@ -105,6 +105,15 @@ class TestSeparableEnsemble:
     def test_complex_mode_covariance_rejected(self):
         with pytest.raises(ValueError, match="mode covariance must be real"):
             cv.ModeSpec(0.0, 0.0, np.eye(2) + 1j * np.eye(2))
+
+    @pytest.mark.parametrize("cov", non_number_identities(2))
+    def test_non_number_mode_covariance_rejected(self, cov):
+        with pytest.raises(ValueError, match="mode covariance must be real, got dtype"):
+            cv.ModeSpec(0.0, 0.0, cov)
+
+    def test_integer_mode_covariance_accepted(self):
+        mode = cv.ModeSpec(0, 0, [[2, 0], [0, 3]])
+        assert mode.cov.dtype == np.float64 and mode.cov.tolist() == [[2.0, 0.0], [0.0, 3.0]]
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_non_finite_mode_covariance_rejected(self, entry):

@@ -1,6 +1,7 @@
 """Decision-layer tests: sufficient test, witness construction, exact decision,
 and the P-representation certificate."""
 
+import dataclasses
 import math
 import re
 
@@ -206,6 +207,42 @@ def _outcomes(m):
     except cv.CvsepError as exc:
         decision = type(exc)
     return None, decision, cv.ppt_decision(state)
+
+
+class TestBuiltValues:
+    """Forms and verdicts cvsep builds are those of the dataclass ``__init__``."""
+
+    @staticmethod
+    def _assert_as_init(value):
+        cls = type(value)
+        names = [f.name for f in dataclasses.fields(cls)]
+        twin = cls(**{name: getattr(value, name) for name in names})
+        assert list(vars(value)) == list(vars(twin)) == names
+        assert vars(value) == vars(twin)
+        assert repr(value) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, names[0], None)
+        return twin
+
+    def test_forms_and_verdicts(self):
+        rng = np.random.default_rng(15)
+        thermal = [
+            cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=nbar, t=t))
+            for r, nbar, t in rng.uniform((0.1, 0.0, 0.0), (3.0, 2.0, 2.0), (20, 3)).tolist()
+        ]
+        states = thermal + [cv.sample_random_physical(seed) for seed in range(40)]
+        built = 0
+        for state in states:
+            form_I = cv.to_standard_form_I(state)
+            assert form_I == self._assert_as_init(form_I)
+            verdict = cv.decide_separability(state)
+            twin = self._assert_as_init(verdict.form)
+            assert verdict.form == twin and hash(verdict.form) == hash(twin)
+            self._assert_as_init(verdict)
+            cert = verdict.certificate
+            assert verdict.certificate is cert and vars(verdict)["certificate"] is cert
+            built += cert is not None
+        assert 0 < built < len(states)
 
 
 class TestModeSwap:

@@ -297,6 +297,63 @@ class TestFormII:
             cv.standard_form.solve_form_II_root(2.0, 2.0, 3.0, 0.1)
 
 
+class TestSolveRoot:
+    @pytest.mark.parametrize(
+        "n, m, c, cp, expected",
+        [
+            # |c| = |c'|, either mode order: the unit exit.
+            (3.0, 2.0, 1.5, -1.5, (1.0, 1.0)),
+            (2.0, 3.0, 1.5, -1.5, (1.0, 1.0)),
+            (2.0, 2.0, 0.0, -0.0, (1.0, 1.0)),
+            # |c| < |c'|, either mode order.
+            (3.0, 2.0, 1.0, -1.2, (1.0, 1.0)),
+            (2.0, 3.0, 1.0, 1.2, (1.0, 1.0)),
+            # |c| > |c'|: bisected, the root mirrored with the modes.
+            (3.0, 2.0, 1.5, 0.5, (1.527549915583628, 1.364836553111573)),
+            (2.0, 3.0, 1.5, 0.5, (1.364836553111573, 1.527549915583628)),
+            # Vacuum modes and n < 1.
+            (1.0, 2.0, 0.5, 0.5, cv.DegenerateForm),
+            (2.0, 1.0, 0.5, 0.5, cv.DegenerateForm),
+            (1.0, 1.0, 0.0, 0.0, cv.DegenerateForm),
+            (0.5, 2.0, 0.1, 0.1, cv.DegenerateForm),
+            (0.5, 0.5, 0.1, 0.1, cv.DegenerateForm),
+            # NaN and infinite entries.
+            (math.nan, 2.0, 0.1, 0.1, ValueError),
+            (math.nan, math.nan, 0.1, 0.1, ValueError),
+            (2.0, math.nan, 0.1, 0.1, cv.RootNotBracketed),
+            (2.0, 2.0, math.nan, 0.1, cv.RootNotBracketed),
+            (2.0, 2.0, 0.1, math.nan, cv.RootNotBracketed),
+            (2.0, 2.0, math.inf, math.inf, cv.RootNotBracketed),
+            (math.inf, 2.0, 1.0, 1.0, cv.RootNotBracketed),
+            (2.0, math.inf, 1.0, 1.0, cv.RootNotBracketed),
+            (2.0, 2.0, 0.1, math.inf, (1.0, 1.0)),
+            # (n - 1)(m - 1) overflows: f(1) is NaN, not |c| - |c'|.
+            (1e200, 1e200, 1.0, 1.0, cv.RootNotBracketed),
+            (1e160, 1e160, 1.0, 1.0, cv.RootNotBracketed),
+            (1e300, 2.0, 1.0, 1.0, (1.0, 1.0)),
+            (2.0, 1e300, 1.0, 1.0, (1.0, 1.0)),
+        ],
+    )
+    def test_unit_exit_as_the_residual_decides(self, n, m, c, cp, expected):
+        # The root is (1, 1) without a bisection exactly where f(1) <= 0,
+        # and the residual's guards raise as the solver does.
+        solve = cv.standard_form.solve_form_II_root
+        big, small = (m, n) if n < m else (n, m)
+        try:
+            unit = cv.standard_form._balance_residual(big, small, abs(c), abs(cp), 1.0) <= 0.0
+        except (cv.DegenerateForm, ValueError) as exc:
+            assert type(exc) is expected
+            with pytest.raises(expected, match=re.escape(str(exc))):
+                solve(n, m, c, cp)
+            return
+        assert unit == (expected == (1.0, 1.0))
+        if isinstance(expected, tuple):
+            assert solve(n, m, c, cp) == expected
+        else:
+            with pytest.raises(expected):
+                solve(n, m, c, cp)
+
+
 class TestInternalTransforms:
     """Transforms cvsep builds itself skip ``Llubo``'s copy but not its checks."""
 

@@ -14,7 +14,11 @@ prints one sha256 per section of outputs, then one over all of them:
   ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
   on state files written to a temporary directory, including rejected ones;
 * ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
-  ``cvsep scan`` over a grid of arguments, including rejected ones.
+  ``cvsep scan`` over a grid of arguments, including rejected ones;
+* ``solver``: ``solve_form_II_root`` results, or the exception type and
+  message, on a grid of mode and coefficient values (vacuum modes, ``n < 1``,
+  NaN, infinite and overflowing entries) and on seeded draws with
+  ``|c| > |c'|``, ``|c| = |c'|`` and ``|c| < |c'|``.
 
 Floats enter the digests bit for bit (``float.hex``, ``ndarray.tobytes``), so
 two trees print the same digest only if every output is identical; the
@@ -38,6 +42,7 @@ import numpy as np
 RANDOM_STATES = 3000
 SCAN_TRIPLES = 64
 CLI_RANDOM_FILES = 40
+SOLVER_DRAWS = 3000
 
 
 def _hex(x) -> str:
@@ -215,11 +220,42 @@ def _scenario_cli_lines(cv):
         yield f"{' '.join(argv)} {code}\n{out.getvalue()}\0{err.getvalue()}"
 
 
+def _solver_inputs():
+    modes = (0.5, 1.0, 1.0 + 2e-8, 2.0, 3.0, 1e160, 1e200, 1e300, math.nan, math.inf)
+    coefficients = (0.0, -0.0, 0.1, 0.5, 1.0, -1.2, 1.5, -1.5, math.nan, math.inf)
+    yield from itertools.product(modes, modes, coefficients, coefficients)
+    rng = np.random.default_rng(0)
+    for k in range(SOLVER_DRAWS):
+        n, m = (float(x) for x in 1.0 + rng.exponential(2.0, 2))
+        c = float(rng.uniform(-1.0, 1.0)) * math.sqrt(n * m)
+        if k % 3 == 0:
+            cp = float(rng.uniform(-1.0, 1.0)) * abs(c)
+        elif k % 3 == 1:
+            cp = math.copysign(c, float(rng.uniform(-1.0, 1.0)))
+        else:
+            cp = c * float(rng.uniform(1.0, 1.5))
+        yield n, m, c, cp
+
+
+def _solver_lines(cv):
+    from cvsep.standard_form import solve_form_II_root
+
+    for args in _solver_inputs():
+        head = " ".join(_hex(x) for x in args)
+        try:
+            r1, r2 = solve_form_II_root(*args)
+        except (cv.CvsepError, ValueError) as exc:
+            yield f"{head} {type(exc).__name__}: {exc}"
+        else:
+            yield f"{head} {_hex(r1)} {_hex(r2)}"
+
+
 SECTIONS = (
     ("scans", _scan_lines),
     ("verdicts", _verdict_lines),
     ("state-file CLI", _cli_lines),
     ("scenario CLI", _scenario_cli_lines),
+    ("solver", _solver_lines),
 )
 
 
