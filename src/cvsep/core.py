@@ -212,13 +212,18 @@ class EprPair:
     sign_v: int = -1
 
     def __post_init__(self) -> None:
-        a = math.fabs(self.a)
-        if not (0.0 < a * a < math.inf and 1.0 / (a * a) < math.inf):
-            raise ZeroCoefficient(
-                f"coefficient a = {self.a!r}: a^2 and 1/a^2 must be finite and nonzero"
-            )
+        _check_coefficient(self.a)
         if self.sign_u not in (-1, 1) or self.sign_v not in (-1, 1):
             raise ValueError("signs must be -1 or +1")
+
+
+def _check_coefficient(a: float) -> None:
+    """ZeroCoefficient unless ``a^2`` and ``1/a^2`` are finite and nonzero."""
+    a_abs = math.fabs(a)
+    if not (0.0 < a_abs * a_abs < math.inf and 1.0 / (a_abs * a_abs) < math.inf):
+        raise ZeroCoefficient(
+            f"coefficient a = {a!r}: a^2 and 1/a^2 must be finite and nonzero"
+        )
 
 
 def validate(m: np.ndarray) -> CorrelationMatrix:
@@ -528,13 +533,16 @@ def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:
     ``a**2``.
     """
     (x1, _, u, _), (_, p1, _, v), (_, _, x2, _), (*_, p2) = state._rows
-    return _total_variance(pair, x1 + p1, x2 + p2, u, v)
+    return _total_variance(pair.a, pair.sign_u, pair.sign_v, x1 + p1, x2 + p2, u, v)
 
 
-def _total_variance(pair: EprPair, tr1: float, tr2: float, u: float, v: float) -> float:
-    """``<(du)^2> + <(dv)^2>`` of ``pair`` on a matrix with ``tr G1 = tr1``,
-    ``tr G2 = tr2``, ``M[0, 2] = u`` and ``M[1, 3] = v``.  The factor 1/2,
-    which converts matrix entries to operator variances, is applied to each
-    term before the sum, so no term overflows where the result is finite."""
-    a2 = pair.a * pair.a
-    return a2 * (0.5 * tr1) + (0.5 * tr2) / a2 + pair.sign_u * u + pair.sign_v * v
+def _total_variance(
+    a: float, sign_u: int, sign_v: int, tr1: float, tr2: float, u: float, v: float
+) -> float:
+    """``<(du)^2> + <(dv)^2>`` of the pair ``EprPair(a, sign_u, sign_v)`` on a
+    matrix with ``tr G1 = tr1``, ``tr G2 = tr2``, ``M[0, 2] = u`` and
+    ``M[1, 3] = v``.  The factor 1/2, which converts matrix entries to
+    operator variances, is applied to each term before the sum, so no term
+    overflows where the result is finite."""
+    a2 = a * a
+    return a2 * (0.5 * tr1) + (0.5 * tr2) / a2 + sign_u * u + sign_v * v

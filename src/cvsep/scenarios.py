@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import List, NamedTuple
 
 from .core import CorrelationMatrix, _validate_rows
-from .separability import Decision, decide_separability
+from .separability import EPS_DECIDE, Decision, _decide_form_II
+from .standard_form import to_standard_form_II
 
 
 #: Returned by :func:`threshold_time` when the state never disentangles.
@@ -117,8 +118,10 @@ def scan_boundary(
     ``[t_min, t_max]``; with nbar > 0 and a grid straddling the threshold,
     the sign change of the margin brackets the closed form within one step.
     Each point's state is built from floats as in :func:`evolve_thermal`,
-    with every check of :func:`~cvsep.core.validate`, and decided with no
-    array: each point equals ``decide_separability(evolve_thermal(...))``.
+    with every check of :func:`~cvsep.core.validate`, and reduced to form
+    II; the decision core of :func:`~cvsep.separability.decide_separability`
+    gives its decision and margin, with no array, form I, witness pair or
+    verdict: each point equals ``decide_separability(evolve_thermal(...))``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -128,6 +131,7 @@ def scan_boundary(
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []
     for t in times:
-        verdict = decide_separability(_thermal_state(r, eta, nbar, t))
-        points.append(ScanPoint(t=t, margin=verdict.margin, decision=verdict.decision))
+        form = to_standard_form_II(_thermal_state(r, eta, nbar, t))
+        _, decision, _, _, _, margin = _decide_form_II(form, EPS_DECIDE)
+        points.append(ScanPoint(t, margin, decision))
     return points

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
-from .core import _frozen, _total_variance
+from .core import _check_coefficient, _frozen, _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -123,7 +123,14 @@ def construct_epr_pair(form: StandardFormII) -> EprPair:
     Raises:
         DegenerateForm: a mode at vacuum purity or a vanishing ``c1``;
             callers must fall back to the spectral decision.
+        ZeroCoefficient: ``a0**2`` or ``1/a0**2`` is not finite and nonzero.
     """
+    return EprPair(*_witness(form))
+
+
+def _witness(form: StandardFormII) -> tuple[float, int, int]:
+    """``(a, sign_u, sign_v)`` of :func:`construct_epr_pair`, with every
+    check of it and of ``EprPair``, in that order."""
     if form.degenerate:
         raise DegenerateForm("trivial form has no optimal pair")
     if form.n1 - 1.0 <= EPS_FORM or form.m1 - 1.0 <= EPS_FORM:
@@ -137,19 +144,9 @@ def construct_epr_pair(form: StandardFormII) -> EprPair:
             raise CvsepError(
                 f"inconsistent standard form: a0^2 = {a0_sq!r} vs {alt!r}"
             )
-    return EprPair(
-        a=math.sqrt(a0_sq),
-        sign_u=-1 if form.c1 > 0.0 else 1,
-        sign_v=-1 if form.c2 > 0.0 else 1,
-    )
-
-
-def _fallback_pair(form: StandardFormII) -> EprPair:
-    # a = 1 with signs opposing whatever correlations exist; the correlated
-    # EPR choice (-1, +1) when they vanish.
-    sign_u = -1 if form.c1 >= 0.0 else 1
-    sign_v = 1 if form.c2 <= 0.0 else -1
-    return EprPair(1.0, sign_u, sign_v)
+    a = math.sqrt(a0_sq)
+    _check_coefficient(a)
+    return a, -1 if form.c1 > 0.0 else 1, -1 if form.c2 > 0.0 else 1
 
 
 def _block_min_eig(p: float, q: float, r: float) -> float:
@@ -172,29 +169,12 @@ def _form_spectrum(form: StandardFormII) -> tuple[float, float]:
     return min(lam_x, lam_p), scale
 
 
-def decide_separability(
-    state: CorrelationMatrix, tol_decide: float = EPS_DECIDE
-) -> SeparabilityVerdict:
-    """Exact three-valued separability decision for a Gaussian state.
-
-    Reduces to standard form II and tests ``M_II - I >= 0``; the boundary
-    band is ``tol_decide`` relative to the entry scale of ``M_II - I``, so
-    exactly reducible families (vacuum-bath decay, TMSV) are decided at
-    their intrinsic precision.  Non-degenerate forms also carry the optimal
-    witness pair, whose variance margin is asserted consistent with the
-    spectral decision.  Separable verdicts carry a P-representation
-    certificate, built when first read.
-
-    The state passed :func:`~cvsep.core.validate`, so this never raises
-    ``NotPhysical``.
-
-    Raises:
-        ValueError: ``tol_decide`` is negative, NaN or infinite.
-        InvalidLlubo: a form's transform has a determinant rounded away
-            from 1 (local squeezes beyond about e^6.7 per mode).
-    """
-    _check_tol("tol_decide", tol_decide)
-    form = to_standard_form_II(state)
+def _decide_form_II(form: StandardFormII, tol_decide: float) -> tuple:
+    """Decision core: ``(lam_min, decision, witness, total_variance, bound,
+    margin)`` of ``form`` as plain values, with every check of
+    :func:`decide_separability` after its reduction.  ``witness`` is the
+    optimal pair's ``(a, sign_u, sign_v)``, or ``None`` for a degenerate
+    form, whose variance data belong to the fallback ``a = 1`` pair."""
     lam_min, scale = _form_spectrum(form)
     band = tol_decide * scale
     if lam_min < -band:
@@ -209,13 +189,20 @@ def decide_separability(
         decision = Decision.BOUNDARY
 
     try:
-        witness: Optional[EprPair] = construct_epr_pair(form)
+        witness: Optional[tuple[float, int, int]] = _witness(form)
     except DegenerateForm:
         witness = None
-    pair = witness if witness is not None else _fallback_pair(form)
+    if witness is None:
+        # a = 1 with signs opposing whatever correlations exist; the
+        # correlated EPR choice (-1, +1) when they vanish.
+        a = 1.0
+        sign_u = -1 if form.c1 >= 0.0 else 1
+        sign_v = 1 if form.c2 <= 0.0 else -1
+    else:
+        a, sign_u, sign_v = witness
     tr1, tr2 = form.n1 + form.n2, form.m1 + form.m2
-    total = _total_variance(pair, tr1, tr2, form.c1, form.c2)
-    bound = pair.a * pair.a + 1.0 / (pair.a * pair.a)
+    total = _total_variance(a, sign_u, sign_v, tr1, tr2, form.c1, form.c2)
+    bound = a * a + 1.0 / (a * a)
     margin = bound - total
 
     if witness is not None:
@@ -227,13 +214,41 @@ def decide_separability(
         if decision is Decision.SEPARABLE and margin > slack:
             raise CvsepError("witness margin contradicts spectral decision")
 
+    return lam_min, decision, witness, total, bound, margin
+
+
+def decide_separability(
+    state: CorrelationMatrix, tol_decide: float = EPS_DECIDE
+) -> SeparabilityVerdict:
+    """Exact three-valued separability decision for a Gaussian state.
+
+    Reduces to standard form II and tests ``M_II - I >= 0``; the boundary
+    band is ``tol_decide`` relative to the entry scale of ``M_II - I``, so
+    exactly reducible families (vacuum-bath decay, TMSV) are decided at
+    their intrinsic precision.  Non-degenerate forms also carry the optimal
+    witness pair, whose variance margin is asserted consistent with the
+    spectral decision.  Separable verdicts carry a P-representation
+    certificate, built when first read.  The verdict wraps the values of a
+    private decision core on form II, which ``scan_boundary`` calls directly.
+
+    The state passed :func:`~cvsep.core.validate`, so this never raises
+    ``NotPhysical``.
+
+    Raises:
+        ValueError: ``tol_decide`` is negative, NaN or infinite.
+        InvalidLlubo: a form's transform has a determinant rounded away
+            from 1 (local squeezes beyond about e^6.7 per mode).
+    """
+    _check_tol("tol_decide", tol_decide)
+    form = to_standard_form_II(state)
+    lam_min, decision, witness, total, bound, margin = _decide_form_II(form, tol_decide)
     return _frozen(
         SeparabilityVerdict,
         {
             "decision": decision,
             "total_variance": total,
             "bound": bound,
-            "witness": witness,
+            "witness": None if witness is None else EprPair(*witness),
             "margin": margin,
             "form": form,
             "min_eigenvalue": lam_min,

@@ -97,14 +97,21 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
         InvalidLlubo: the transform's determinant is rounded away from 1
             (local squeezes beyond about e^6.7 per mode).
     """
+    n, m, c, c_prime, transform = _form_I_parts(state)
+    return _frozen(
+        StandardFormI,
+        {"n": n, "m": m, "c": c, "c_prime": c_prime, "transform": transform},
+    )
+
+
+def _form_I_parts(state: CorrelationMatrix) -> tuple:
+    """Form I's ``(n, m, c, c', transform)`` as :func:`to_standard_form_I`
+    describes them, without the :class:`StandardFormI` around them."""
     n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = state._form_I
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
     h1 = (cx * u1 + sx * v1, cx * v1 + sx * w1, cx * v1 - sx * u1, cx * w1 - sx * v1)
     h2 = (cy * u2 - sy * v2, cy * v2 - sy * w2, sy * u2 + cy * v2, sy * v2 + cy * w2)
-    return _frozen(
-        StandardFormI,
-        {"n": n, "m": m, "c": c, "c_prime": c_prime, "transform": Llubo._fresh(h1, h2)},
-    )
+    return n, m, c, c_prime, Llubo._fresh(h1, h2)
 
 
 def solve_r2_given_r1(n: float, m: float, r1: float) -> float:
@@ -166,8 +173,8 @@ def solve_form_II_root(
     Raises:
         DegenerateForm: ``n`` or ``m`` within ``EPS_FORM`` of 1.
         ValueError: ``n`` is NaN.
-        RootNotBracketed: ``f(n)`` is positive beyond rounding or NaN
-            (unphysical input, or overflow).
+        RootNotBracketed: ``f(n)`` is positive beyond rounding, +inf or NaN
+            (unphysical input, an infinite ``|c|``, or overflow).
     """
     abs_c, abs_cp = abs(c), abs(c_prime)
     swapped = n < m
@@ -182,8 +189,9 @@ def solve_form_II_root(
         return 1.0, 1.0
     solve_r2_given_r1(n, m, 1.0)  # raises where f(1) would: a vacuum mode, or NaN n
     f_n = _balance_residual(n, m, abs_c, abs_cp, n)
-    # A small positive f(n) is rounding at a root exactly at n.
-    if not f_n <= EPS_FORM * max(1.0, n * abs_c):
+    # A small positive f(n) is rounding at a root exactly at n; an infinite
+    # |c| makes both f(n) and that allowance +inf.
+    if not f_n <= EPS_FORM * max(1.0, n * abs_c) or f_n == math.inf:
         raise RootNotBracketed(f"no sign change of f on [1, n]: f(n) = {f_n!r}")
     lo, hi = 1.0, n
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -215,8 +223,7 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     flagged ``degenerate``.  Where ``r1 = r2 = 1`` (those, and the
     ``|c| = |c'|`` family), the transform is form I's own.
     """
-    form1 = to_standard_form_I(state)
-    n, m, c, cp = form1.n, form1.m, form1.c, form1.c_prime
+    n, m, c, cp, transform = _form_I_parts(state)
     degenerate = (
         max(abs(c), abs(cp)) < EPS_FORM
         or n - 1.0 < EPS_FORM
@@ -226,7 +233,7 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         r1, r2 = 1.0, 1.0
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
-    transform = form1.transform  # exact when r1 = r2 = 1: _squeezed(h, 1.0) is h
+    # Form I's transform is exact when r1 = r2 = 1: _squeezed(h, 1.0) is h.
     if not r1 == r2 == 1.0:
         h1, h2 = transform._e1, transform._e2
         transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))

@@ -1,0 +1,26 @@
+"""Smoke test of ``tools/same_outputs.py``, the outputs-unchanged check."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECTIONS = ("scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "total")
+
+
+def test_prints_one_digest_per_section():
+    # Every section reads the library as a caller would (verdict fields,
+    # transforms, certificates, CLI text), so a refactor that breaks one of
+    # those reads fails here.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_outputs.py"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == list(SECTIONS)
+    for line in lines:
+        assert re.fullmatch(r"[a-zA-Z -]+: [0-9a-f]{64}", line), line

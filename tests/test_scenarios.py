@@ -1,6 +1,7 @@
 """Thermal-decoherence scenario tests: closed forms and the scanned boundary."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -244,7 +245,7 @@ class TestScanBoundary:
         triples = [(10.0, 1.0, 1.0)] + [
             (rng.uniform(0.1, 10.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0))
             for _ in range(23)
-        ]
+        ] + [(2.0, 1.0, 0.0)]  # vacuum bath
         for k, (r, eta, nbar) in enumerate(triples):
             t_max = float(rng.uniform(0.05, 1.5))
             t_min = t_max * float(rng.uniform(0.1, 0.9)) if k % 2 else 0.0
@@ -255,9 +256,35 @@ class TestScanBoundary:
                 verdict = cv.decide_separability(
                     cv.evolve_thermal(cv.ThermalScenario(r=r, eta=eta, nbar=nbar, t=t))
                 )
-                expected.append((t, verdict.margin, verdict.decision))
+                expected.append((t.hex(), verdict.margin.hex(), verdict.decision))
             points = cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min)
-            assert [tuple(p) for p in points] == expected
+            # float.hex, not ==, so that -0.0 and 0.0 differ.
+            assert [(p.t.hex(), p.margin.hex(), p.decision) for p in points] == expected
+
+    def test_points_build_no_per_point_values(self, monkeypatch):
+        # A point is decided from its form II by the decision core: no form I,
+        # witness pair or verdict, but each point's form II and transform.
+        built = Counter()
+        for module in (cv.core, cv.standard_form, cv.separability):
+            frozen = module._frozen
+
+            def counted(cls, fields, frozen=frozen):
+                built[cls.__name__] += 1
+                return frozen(cls, fields)
+
+            monkeypatch.setattr(module, "_frozen", counted)
+        pair_init = cv.EprPair.__init__
+
+        def counted_pair(self, *args, **kwargs):
+            built["EprPair"] += 1
+            pair_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cv.EprPair, "__init__", counted_pair)
+        points = cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
+        assert len(points) == 20
+        assert built["SeparabilityVerdict"] == built["EprPair"] == 0
+        assert built["StandardFormI"] == 0
+        assert built["StandardFormII"] == built["Llubo"] == 20
 
     @pytest.mark.parametrize(
         "r, eta, nbar",

@@ -84,6 +84,16 @@ class TestConstructEprPair:
         with pytest.raises(cv.CvsepError):
             cv.separability.construct_epr_pair(form)
 
+    def test_overflowing_coefficient_raises_from_the_decision_core(self):
+        # (m1 - 1)/(n1 - 1) overflows, so a = inf fails EprPair's range check;
+        # the decision core runs the same check with the same message.
+        form = make_form(1.0 + 2e-8, 1.0, 1e301, 2.0, c1=1.0, c2=0.0)
+        msg = "coefficient a = inf: a^2 and 1/a^2 must be finite and nonzero"
+        with pytest.raises(cv.ZeroCoefficient, match=f"^{re.escape(msg)}$"):
+            cv.separability.construct_epr_pair(form)
+        with pytest.raises(cv.ZeroCoefficient, match=f"^{re.escape(msg)}$"):
+            cv.separability._decide_form_II(form, cv.EPS_DECIDE)
+
 
 class TestDecideSeparability:
     def test_tmsv_entangled_with_closed_form_margin(self):

@@ -327,6 +327,10 @@ class TestSolveRoot:
             (math.inf, 2.0, 1.0, 1.0, cv.RootNotBracketed),
             (2.0, math.inf, 1.0, 1.0, cv.RootNotBracketed),
             (2.0, 2.0, 0.1, math.inf, (1.0, 1.0)),
+            # An infinite |c| makes f(n) = +inf, not a root at n.
+            (2.0, 2.0, math.inf, 0.1, cv.RootNotBracketed),
+            (2.0, 2.0, -math.inf, 0.1, cv.RootNotBracketed),
+            (3.0, 2.0, math.inf, 1.0, cv.RootNotBracketed),
             # (n - 1)(m - 1) overflows: f(1) is NaN, not |c| - |c'|.
             (1e200, 1e200, 1.0, 1.0, cv.RootNotBracketed),
             (1e160, 1e160, 1.0, 1.0, cv.RootNotBracketed),
