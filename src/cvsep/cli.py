@@ -294,12 +294,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.kind == "random":
-        state = sample_random_physical(args.seed)
-    else:
-        state = ensemble_covariance(
-            sample_separable_ensemble(args.seed, args.max_components)
-        )
+    if args.seed < 0:
+        raise CliError(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
+    try:
+        if args.kind == "random":
+            state = sample_random_physical(args.seed)
+        else:
+            state = ensemble_covariance(
+                sample_separable_ensemble(args.seed, args.max_components)
+            )
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     _write_out(args.out, json.dumps(_state_document(state), indent=2) + "\n")
     return 0
 

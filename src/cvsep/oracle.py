@@ -11,56 +11,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .core import EPS_SYM, OMEGA, CorrelationMatrix, _real_array, validate
+from .core import EPS_SYM, CorrelationMatrix, _real_array, validate
 from .exceptions import NotPhysical, NotSymmetric
 from .separability import EPS_DECIDE, Decision, PRepresentation, _check_tol
-
-# Eigenvalue slack of ppt_decision, relative to the largest diagonal entry.
-_EPS_PSD = 1e-9
-
-#: Momentum reversal on mode 2 (the partial-transpose map on covariances).
-_PT = np.diag([1.0, 1.0, 1.0, -1.0])
-
-
-def min_eig_hermitian_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian matrix A + iB.
-
-    Uses the real symmetric embedding ``[[A, -B], [B, A]]``, whose spectrum
-    is the spectrum of ``A + iB`` doubled, so no complex eigensolver is
-    needed.
-    """
-    emb = np.block([[a, -b], [b, a]])
-    return float(np.linalg.eigvalsh(emb)[0])
 
 
 def ppt_decision(
     state: CorrelationMatrix, tol_decide: float = EPS_DECIDE
 ) -> Decision:
-    """Partial-transpose separability test.
+    """Partial-transpose separability test, exact on the state's floats.
 
-    The partial transpose acts on the correlation matrix as momentum
-    reversal on mode 2; the state is separable iff the reversed matrix is
-    still physical.  The margin is the smallest eigenvalue of the reversed
-    ``M + i*Omega``: down to a private slack of ``-1e-9`` relative to the
-    largest diagonal entry it is separable, and anything between that and
-    ``-tol_decide`` is boundary.  Unlike ``validate``, which allows only
-    rounding estimates in form-I units, this slack is not local-invariant.
+    The state is separable iff momentum reversal on mode 2 gives a physical
+    ``M~``: ``M`` is positive definite and ``M~``'s smallest symplectic
+    eigenvalue ``nu~`` is at least 1.  With ``M = [[A, C], [C^T, B]]`` and
+    ``D = det A + det B - 2 det C``, ``nu~^2 >= t`` iff ``D >= 2t`` and
+    ``det M - t D + t^2 >= 0`` (Serafini, Illuminati & De Siena 2004).
+    These local invariants are evaluated in rational arithmetic, so the
+    test is exact and no local operation that is exact in floats changes
+    it.  ``nu~^2 >= 1`` is separable and ``1 - tol_decide <= nu~^2 < 1``
+    boundary (the band is in units of ``nu~^2``); anything below, or a
+    matrix that ``validate`` accepted within rounding but that is not
+    positive definite, is entangled.
 
     Raises:
         ValueError: ``tol_decide`` is negative, NaN or infinite.
     """
     _check_tol("tol_decide", tol_decide)
-    mt = _PT @ state.m @ _PT
-    lam_min = min_eig_hermitian_pair(mt, OMEGA)
-    scale = max(float(np.max(np.diag(mt))), 1.0)
-    if lam_min >= -_EPS_PSD * scale:
+    u, v, w, x = ([Fraction(e) for e in row] for row in state._rows)
+    # 2x2 minors of rows 1-2 and 3-4; column pairs k and 5 - k are complementary.
+    top = [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(4), 2)]
+    bottom = [w[i] * x[j] - w[j] * x[i] for i, j in combinations(range(4), 2)]
+    det_m = sum(s * p * q for s, p, q in zip((1, -1, 1, 1, -1, 1), top, bottom[::-1]))
+    delta = top[0] + bottom[5] - 2 * top[5]  # det A + det B - 2 det C
+    # Sylvester's leading minors; the 3x3 one expanded along row 3.
+    minor3 = w[0] * top[3] - w[1] * top[1] + w[2] * top[0]
+    definite = min(u[0], top[0], minor3, det_m) > 0
+
+    def at_least(t) -> bool:
+        return definite and delta >= 2 * t and det_m - t * delta + t * t >= 0
+
+    if at_least(1):
         return Decision.SEPARABLE
-    if lam_min < -tol_decide * scale:
-        return Decision.ENTANGLED
-    return Decision.BOUNDARY
+    if at_least(1 - Fraction(float(tol_decide))):
+        return Decision.BOUNDARY
+    return Decision.ENTANGLED
 
 
 @dataclass(frozen=True, eq=False)

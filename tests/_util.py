@@ -5,6 +5,7 @@ manual layouts, manual symplectics) so tests check the package against an
 independent path rather than against itself.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -64,10 +65,64 @@ def complex_min_eig(m):
     """Smallest eigenvalue of M + i*Omega via a complex eigensolver.
 
     Independent of both of the package's physicality tests: validate's
-    closed-form test on the form-I scalars, and the PPT oracle's real
-    symmetric embedding.
+    closed-form test on the form-I scalars, and the PPT oracle's exact
+    symplectic invariants.
     """
     return float(np.linalg.eigvalsh(m + 1j * OMEGA4)[0])
+
+
+def _complex_det(a):
+    """Determinant of a square matrix of ``(re, im)`` pairs, by cofactor expansion."""
+    if len(a) == 1:
+        return a[0][0]
+    re = im = 0
+    for j, (x, y) in enumerate(a[0]):
+        mr, mi = _complex_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        sign = -1 if j % 2 else 1
+        re += sign * (x * mr - y * mi)
+        im += sign * (x * mi + y * mr)
+    return re, im
+
+
+def exact_ppt(m):
+    """Whether the floats of ``m`` are exactly PPT: ``M~ + i*Omega >= 0``.
+
+    ``M~`` is ``m`` with mode 2's momentum reversed.  Decided by Sylvester's
+    criterion for semidefiniteness, every one of the 15 principal minors
+    ``>= 0``, in complex ``Fraction`` arithmetic: an algorithm independent
+    of the PPT oracle's symplectic invariants.
+    """
+    flip = (1, 1, 1, -1)
+    h = [
+        [(Fraction(x) * flip[i] * flip[j], int(OMEGA4[i, j])) for j, x in enumerate(row)]
+        for i, row in enumerate(np.asarray(m, dtype=float).tolist())
+    ]
+    for size in range(1, 5):
+        for idx in itertools.combinations(range(4), size):
+            re, im = _complex_det([[h[i][j] for j in idx] for i in idx])
+            assert im == 0  # principal minors of a Hermitian matrix are real
+            if re < 0:
+                return False
+    return True
+
+
+def strong_local_squeezes(matrices):
+    """Each matrix under a strong random local operation, symmetrized.
+
+    Each mode gets ``rot(a) diag(e^k, e^-k) rot(b)`` with ``k ~ U[0, 12]``,
+    drawn from ``default_rng(123)`` in turn for the given matrices.
+    """
+    rng = np.random.default_rng(123)
+    out = []
+    for m in matrices:
+        blocks = []
+        for _ in range(2):
+            k, a, b = rng.uniform(0.0, 12.0), *rng.uniform(0.0, 2 * math.pi, size=2)
+            blocks.append(rot2(a) @ np.diag([math.exp(k), math.exp(-k)]) @ rot2(b))
+        op = blockdiag(*blocks)
+        moved = op @ m @ op.T
+        out.append(0.5 * (moved + moved.T))
+    return out
 
 
 def random_llubo_blocks(rng, max_log_squeeze=1.0):

@@ -333,6 +333,23 @@ class TestSample:
         assert code == 0
         assert cli.main(["check", str(out_path)]) == cli.EXIT_SEPARABLE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "separable", "--max-components", "0"], "max_components must be >= 1"),
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--seed", "-1", "--kind", "separable"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["max-components-0", "negative-seed", "negative-seed-separable"],
+    )
+    def test_bad_arguments_are_usage_errors(self, argv, message, tmp_path, capsys):
+        out_path = tmp_path / "state.json"
+        assert cli.main(["sample", *argv, "--out", str(out_path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_path.exists()
+
 
 class TestInternalError:
     def test_unexpected_exception_exits_70(self, tmsv_file, capsys, monkeypatch):

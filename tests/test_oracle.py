@@ -6,7 +6,28 @@ import numpy as np
 import pytest
 
 import cvsep as cv
-from _util import blockdiag, complex_min_eig, non_number_identities, rot2, tmsv_layout
+from _util import (
+    blockdiag,
+    complex_min_eig,
+    edge_family_matrices,
+    exact_ppt,
+    non_number_identities,
+    rot2,
+    strong_local_squeezes,
+    tmsv_layout,
+)
+
+
+def _edge_states(seeds):
+    """Validated, symmetrized ``edge_family_matrices`` (rejected ones dropped)."""
+    out = []
+    for seed in seeds:
+        for m in edge_family_matrices(seed).values():
+            try:
+                out.append(cv.validate(0.5 * (m + m.T)))
+            except cv.CvsepError:
+                pass
+    return out
 
 
 class TestPptDecision:
@@ -29,6 +50,53 @@ class TestPptDecision:
         state = cv.validate(tmsv_layout(0.05))
         assert cv.ppt_decision(state) is cv.Decision.ENTANGLED
         assert cv.ppt_decision(state, tol_decide=1.0) is cv.Decision.BOUNDARY
+
+    @pytest.mark.parametrize(
+        "tol, decision",
+        [
+            (0.18, cv.Decision.ENTANGLED),
+            (0.19, cv.Decision.BOUNDARY),
+            (np.float32(0.19), cv.Decision.BOUNDARY),
+        ],
+    )
+    def test_band_in_units_of_nu_squared(self, tol, decision):
+        # nu~^2 = e^{-4r} = 0.8187 at r = 0.05: boundary iff 1 - tol <= 0.8187.
+        state = cv.validate(tmsv_layout(0.05))
+        assert cv.ppt_decision(state, tol_decide=tol) is decision
+
+    @pytest.mark.parametrize("k1, k2", [(10, 0), (0, -10), (20, 20), (-20, 15), (5, -5)])
+    def test_invariant_under_exact_local_squeezes(self, k1, k2):
+        # Power-of-two squeezes scale entries exactly, so the input's
+        # PPT class, and the exact oracle's answer, cannot change.
+        s = np.diag([2.0**k1, 2.0**-k1, 2.0**k2, 2.0**-k2])
+        states = [cv.sample_random_physical(seed) for seed in range(100)]
+        states += _edge_states(range(4))
+        for state in states:
+            moved = cv.validate(s @ state.m @ s.T)
+            np.testing.assert_array_equal(moved.m / np.outer(np.diag(s), np.diag(s)), state.m)
+            assert cv.ppt_decision(moved) is cv.ppt_decision(state)
+
+    @pytest.mark.parametrize("seed", [481, 760, 1029])
+    def test_indefinite_input_is_entangled(self, seed):
+        # validate accepts these within its rounding estimate, but M is
+        # exactly indefinite, where D and det M alone would read as PPT.
+        m = edge_family_matrices(seed)["large_squeeze"]
+        state = cv.validate(0.5 * (m + m.T))
+        assert not exact_ppt(state.m)
+        assert cv.ppt_decision(state) is cv.Decision.ENTANGLED
+
+    def test_separable_split_matches_exact_reference(self):
+        # Sylvester's criterion on M~ + i Omega in complex rationals; the
+        # strong squeezes put many inputs within rounding of the PPT edge.
+        states = [cv.sample_random_physical(seed) for seed in range(200)]
+        squeezed = strong_local_squeezes([state.m for state in states])
+        states += [cv.validate(m) for m in squeezed]
+        split = {True: 0, False: 0}
+        for state in states:
+            ppt = exact_ppt(state.m)
+            split[ppt] += 1
+            assert (cv.ppt_decision(state) is cv.Decision.SEPARABLE) == ppt
+        assert min(split.values()) > 50
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-7])
     def test_invalid_tolerance_rejected(self, tol):
@@ -147,7 +215,11 @@ class TestEnsembleCovariance:
         np.testing.assert_allclose(
             state.m, np.eye(4) + 2.0 * d * d * np.outer(v, v), atol=1e-14
         )
-        assert cv.ppt_decision(state) is cv.Decision.SEPARABLE
+        # The reversal leaves M = I + rank one unchanged, so nu~ = 1 exactly
+        # and rounding of the entries decides between separable and boundary.
+        ppt = cv.ppt_decision(state)
+        assert ppt is not cv.Decision.ENTANGLED
+        assert (ppt is cv.Decision.SEPARABLE) == exact_ppt(state.m)
         assert cv.decide_separability(state).decision is not cv.Decision.ENTANGLED
 
     def test_random_ensembles_never_entangled(self):
@@ -191,7 +263,11 @@ class TestSampleRandomPhysical:
             s = blockdiag(s1, s2)
             state = cv.validate(s @ s.T)
             assert cv.decide_separability(state).decision is cv.Decision.SEPARABLE
-            assert cv.ppt_decision(state) is cv.Decision.SEPARABLE
+            # A pure product state sits exactly at the PPT edge, so rounding
+            # of the entries decides between separable and boundary.
+            ppt = cv.ppt_decision(state)
+            assert ppt is not cv.Decision.ENTANGLED
+            assert (ppt is cv.Decision.SEPARABLE) == exact_ppt(state.m)
 
 
 class TestReconstruction:

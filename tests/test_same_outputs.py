@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECTIONS = ("scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "total")
+SECTIONS = ("scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "oracle", "total")
 
 
 def test_prints_one_digest_per_section():

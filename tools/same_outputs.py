@@ -18,7 +18,10 @@ prints one sha256 per section of outputs, then one over all of them:
 * ``solver``: ``solve_form_II_root`` results, or the exception type and
   message, on a grid of mode and coefficient values (vacuum modes, ``n < 1``,
   NaN, infinite and overflowing entries) and on seeded draws with
-  ``|c| > |c'|``, ``|c| = |c'|`` and ``|c| < |c'|``.
+  ``|c| > |c'|``, ``|c| = |c'|`` and ``|c| < |c'|``;
+* ``oracle``: ``ppt_decision`` on the ``verdicts`` states and on the
+  symmetrized ``edge_family_matrices`` (from ``tests/_util.py``) of seeds
+  0..99, or the exception type and message where ``validate`` rejects one.
 
 Floats enter the digests bit for bit (``float.hex``, ``ndarray.tobytes``), so
 two trees print the same digest only if every output is identical; the
@@ -43,6 +46,7 @@ RANDOM_STATES = 3000
 SCAN_TRIPLES = 64
 CLI_RANDOM_FILES = 40
 SOLVER_DRAWS = 3000
+EDGE_SEEDS = 100
 
 
 def _hex(x) -> str:
@@ -250,12 +254,27 @@ def _solver_lines(cv):
             yield f"{head} {_hex(r1)} {_hex(r2)}"
 
 
+def _oracle_lines(cv):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from _util import edge_family_matrices
+
+    for seed in range(RANDOM_STATES):
+        yield cv.ppt_decision(cv.sample_random_physical(seed)).value
+    for seed in range(EDGE_SEEDS):
+        for name, m in edge_family_matrices(seed).items():
+            try:
+                yield f"{name} {cv.ppt_decision(cv.validate(0.5 * (m + m.T))).value}"
+            except cv.CvsepError as exc:
+                yield f"{name} {type(exc).__name__}: {exc}"
+
+
 SECTIONS = (
     ("scans", _scan_lines),
     ("verdicts", _verdict_lines),
     ("state-file CLI", _cli_lines),
     ("scenario CLI", _scenario_cli_lines),
     ("solver", _solver_lines),
+    ("oracle", _oracle_lines),
 )
 
 
