@@ -26,7 +26,7 @@ from .core import CorrelationMatrix, llubo_invariants, validate
 from .exceptions import CvsepError
 from .oracle import ensemble_covariance, sample_random_physical, sample_separable_ensemble
 from .scenarios import INFINITE, scan_boundary, threshold_time
-from .separability import EPS_DECIDE, Decision, decide_separability
+from .separability import EPS_DECIDE, Decision, _check_tol, decide_separability
 from .standard_form import balance_residuals, to_standard_form_I, to_standard_form_II
 
 ORDERING_TAG = "x1p1x2p2"
@@ -167,11 +167,11 @@ def _write_out(path: Optional[str], text: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    tol = args.tol_decide if args.tol_decide is not None else EPS_DECIDE
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise CliError(
-            EXIT_USAGE, f"--tol-decide must be finite and >= 0, got {tol!r}"
-        )
+    tol = args.tol_decide
+    try:
+        _check_tol("--tol-decide", tol)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     state = load_state_file(args.path)
     verdict = decide_separability(state, tol_decide=tol)
     if args.json:
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--tol-decide",
         type=float,
-        default=None,
+        default=EPS_DECIDE,
         help="override the boundary-band tolerance",
     )
 

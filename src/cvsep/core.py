@@ -65,8 +65,8 @@ class CorrelationMatrix:
         return f"CorrelationMatrix({self._rows!r})"
 
 
-def _rows_array(rows: list[list[float]]) -> np.ndarray:
-    """Read-only 4x4 array of a state's rows."""
+def _rows_array(rows: list | tuple) -> np.ndarray:
+    """Read-only array of the rows of a state's matrix or a block."""
     arr = np.array(rows)
     arr.flags.writeable = False
     return arr
@@ -113,12 +113,12 @@ class Llubo:
     @cached_property
     def h1(self) -> np.ndarray:
         """Mode-1 block, a read-only 2x2 array."""
-        return _block_array(self._e1)
+        return _rows_array((self._e1[:2], self._e1[2:]))
 
     @cached_property
     def h2(self) -> np.ndarray:
         """Mode-2 block, a read-only 2x2 array."""
-        return _block_array(self._e2)
+        return _rows_array((self._e2[:2], self._e2[2:]))
 
     @classmethod
     def identity(cls) -> "Llubo":
@@ -173,14 +173,6 @@ def _check_unit_det(name: str, entries: tuple) -> None:
         if not all(map(math.isfinite, entries)):
             raise InvalidLlubo(f"{name} has non-finite entries")
         raise InvalidLlubo(f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}")
-
-
-def _block_array(entries: tuple) -> np.ndarray:
-    """Read-only 2x2 array of a block's row-major entries."""
-    a, b, c, d = entries
-    blk = np.array([[a, b], [c, d]])
-    blk.flags.writeable = False
-    return blk
 
 
 @dataclass(frozen=True)

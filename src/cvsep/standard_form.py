@@ -224,11 +224,8 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     ``|c| = |c'|`` family), the transform is form I's own.
     """
     n, m, c, cp, transform = _form_I_parts(state)
-    degenerate = (
-        max(abs(c), abs(cp)) < EPS_FORM
-        or n - 1.0 < EPS_FORM
-        or m - 1.0 < EPS_FORM
-    )
+    # Form I has c >= |c'| >= 0.
+    degenerate = c < EPS_FORM or n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM
     if degenerate:
         r1, r2 = 1.0, 1.0
     else:

@@ -1,13 +1,15 @@
 """Command-line interface tests: exit codes, reports, file formats."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 import cvsep as cv
 from cvsep import cli
-from _util import tmsv_layout
+from _util import edge_family_matrices, rot2, tmsv_layout
 
 
 def write_state(path, matrix, ordering="x1p1x2p2", scaling="vacuum-identity"):
@@ -24,6 +26,24 @@ def vacuum_file(tmp_path):
 @pytest.fixture
 def tmsv_file(tmp_path):
     return write_state(tmp_path / "tmsv.json", tmsv_layout(0.5))
+
+
+@pytest.fixture
+def squeezed_file(tmp_path):
+    # Local squeezes of e^6 round form I's transform off det 1 beyond EPS_DET.
+    op = cv.Llubo(
+        rot2(0.3) @ np.diag([math.exp(6.0), math.exp(-6.0)]) @ rot2(1.1),
+        rot2(0.7) @ np.diag([math.exp(-6.0), math.exp(6.0)]) @ rot2(0.2),
+    )
+    state = cv.apply_llubo(cv.sample_random_physical(0), op)
+    return write_state(tmp_path / "squeezed.json", state.m)
+
+
+@pytest.fixture
+def unbracketed_file(tmp_path):
+    # Accepted by validate, but form I has f(n) > 0 on the bracket [1, n].
+    m = edge_family_matrices(760)["large_squeeze"]
+    return write_state(tmp_path / "unbracketed.json", 0.5 * (m + m.T))
 
 
 class TestCheck:
@@ -147,6 +167,37 @@ class TestCheck:
         missing = str(tmp_path / "nope.json")
         assert cli.main(["check", missing, "--tol-decide", value]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_message(self, tmsv_file, capsys, value):
+        cli.main(["check", tmsv_file, "--tol-decide", value])
+        message = f"--tol-decide must be finite and >= 0, got {float(value)!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_directory_path_unreadable(self, tmp_path, capsys):
+        assert cli.main(["check", str(tmp_path)]) == cli.EXIT_NOFILE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {tmp_path}: ")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (np.eye(4).tolist(), "missing 'matrix' key"),
+            (
+                {"matrix": np.eye(4).tolist(), "ordering": "x1p1x2p2", "scaling": "shot-noise"},
+                "scaling tag must be 'vacuum-identity', got 'shot-noise'",
+            ),
+        ],
+        ids=["top-level-list", "shot-noise-scaling"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_json_key_order(self, tmp_path, capsys):
         state = cv.evolve_thermal(cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=0.5))
         path = write_state(tmp_path / "thermal.json", state.m)
@@ -268,6 +319,11 @@ class TestScan:
         assert all(row.endswith("entangled") for row in rows)
         assert "vacuum bath" in out
 
+    def test_no_sign_change_on_grid(self, capsys):
+        assert cli.main(["scan", "1", "1", "1", "0.05", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "no sign change on this grid"
+
     def test_steps_floor_is_usage_error(self, capsys):
         assert cli.main(["scan", "1", "1", "1", "0.4", "1"]) == cli.EXIT_USAGE
 
@@ -381,6 +437,36 @@ class TestInternalError:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:")
+
+
+class TestDecisionErrors:
+    # A CvsepError raised after the file is accepted exits 67, as a rejected
+    # matrix does, with the library's message.
+
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["check", "--json"], ["reduce"], ["reduce", "--form", "I"]]
+    )
+    def test_transform_off_unit_determinant(self, squeezed_file, capsys, argv):
+        assert cli.main([argv[0], squeezed_file, *argv[1:]]) == cli.EXIT_UNPHYSICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # The determinant comes from a numpy matmul, so only its shape is fixed.
+        pattern = r"error: det\(h[12]\) = \S+ differs from 1 beyond 1e-10\n"
+        assert re.fullmatch(pattern, captured.err)
+
+    @pytest.mark.parametrize("argv", [["check"], ["reduce"]])
+    def test_unbracketed_root(self, unbracketed_file, capsys, argv):
+        assert cli.main([argv[0], unbracketed_file]) == cli.EXIT_UNPHYSICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        pattern = r"error: no sign change of f on \[1, n\]: f\(n\) = \S+\n"
+        assert re.fullmatch(pattern, captured.err)
+
+    def test_unbracketed_root_still_reduces_to_form_I(self, unbracketed_file, capsys):
+        assert cli.main(["reduce", unbracketed_file, "--form", "I"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("form I: ")
+        assert captured.err == ""
 
 
 class TestUsage:

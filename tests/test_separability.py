@@ -78,6 +78,14 @@ class TestConstructEprPair:
         form = make_form(1.0, 1.0, 2.0, 2.0, c1=0.0, c2=0.0, degenerate=True)
         with pytest.raises(cv.DegenerateForm):
             cv.separability.construct_epr_pair(form)
+        # Flagged non-degenerate, a vacuum-pure mode 1 or mode 2 still fails.
+        msg = "a mode at vacuum purity has no optimal pair"
+        for form in (
+            make_form(1.0, 1.0, 2.0, 2.0, c1=0.5, c2=-0.5),
+            make_form(2.0, 2.0, 1.0, 1.0, c1=0.5, c2=-0.5),
+        ):
+            with pytest.raises(cv.DegenerateForm, match=f"^{msg}$"):
+                cv.separability.construct_epr_pair(form)
 
     def test_inconsistent_form_rejected(self):
         form = make_form(3.0, 5.0, 2.0, 1.5, c1=1.0, c2=-0.3)

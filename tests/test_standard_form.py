@@ -14,9 +14,11 @@ from _util import (
     SINH1,
     blockdiag,
     complex_min_eig,
+    edge_family_matrices,
     layout,
     random_llubo_blocks,
     rot2,
+    strong_local_squeezes,
     tmsv_layout,
 )
 
@@ -130,6 +132,30 @@ class TestFormI:
                 continue
             assert abs(form.c) <= math.sqrt(n * (m - 1.0 / m)) + 1e-8
 
+    def test_scalars_ordered_on_accepted_states(self):
+        # c >= |c'| >= 0 and n, m >= 1, which form II's degeneracy test reads
+        # off c alone.  The scalars are the state's own (to_standard_form_I
+        # returns them), read directly because strong squeezes make its
+        # transform raise InvalidLlubo.
+        states = [cv.sample_random_physical(seed) for seed in range(1000)]
+        for seed in range(100):
+            for matrix in edge_family_matrices(seed).values():
+                try:
+                    states.append(cv.validate(0.5 * (matrix + matrix.T)))
+                except cv.CvsepError:
+                    pass
+        accepted = len(states)
+        for matrix in strong_local_squeezes([state.m for state in states[:1000]]):
+            try:
+                states.append(cv.validate(matrix))
+            except cv.CvsepError:
+                pass
+        assert accepted > 1500 and len(states) - accepted > 900
+        for state in states:
+            n, m, c, c_prime = state._form_I[:4]
+            assert c >= abs(c_prime) >= 0.0
+            assert n >= 1.0 and m >= 1.0
+
 
 class TestSolveR2:
     def test_unit_r1_gives_unit_r2(self):
@@ -231,6 +257,24 @@ class TestFormII:
             )
             assert k_res < 1e-10
             assert f_res < 1e-10
+
+    def test_gap_residual_is_the_solvers_residual(self):
+        # balance_residuals' gap is f at the returned root, bit for bit, with
+        # the larger mode first as the solver takes it.
+        checked = 0
+        for seed in range(3000):
+            state = cv.sample_random_physical(seed)
+            form = cv.to_standard_form_II(state)
+            if form.degenerate:
+                continue
+            n, m, c, c_prime = state._form_I[:4]
+            if n >= m:
+                f = cv.standard_form._balance_residual(n, m, abs(c), abs(c_prime), form.r1)
+            else:
+                f = cv.standard_form._balance_residual(m, n, abs(c), abs(c_prime), form.r2)
+            assert cv.balance_residuals(form)[1] == f
+            checked += 1
+        assert checked > 2900
 
     def test_invariants_preserved_through_form_ii(self):
         for seed in range(40):
@@ -391,13 +435,13 @@ class TestInternalTransforms:
 
     def test_decisions_build_no_transform_array(self, monkeypatch):
         built = []
-        block_array = cv.core._block_array
+        rows_array = cv.core._rows_array
 
-        def counted(entries):
-            built.append(entries)
-            return block_array(entries)
+        def counted(rows):
+            built.append(rows)
+            return rows_array(rows)
 
-        monkeypatch.setattr(cv.core, "_block_array", counted)
+        monkeypatch.setattr(cv.core, "_rows_array", counted)
         verdicts = [cv.decide_separability(cv.sample_random_physical(s)) for s in range(40)]
         assert {v.decision for v in verdicts} >= {cv.Decision.SEPARABLE, cv.Decision.ENTANGLED}
         cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)

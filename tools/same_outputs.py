@@ -12,7 +12,8 @@ prints one sha256 per section of outputs, then one over all of them:
   state's array ``m`` (bytes and writeable flag) read after the decision;
 * ``state-file CLI``: stdout, stderr and exit code of ``cvsep.cli.main`` for
   ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
-  on state files written to a temporary directory, including rejected ones;
+  on state files written to a temporary directory, including rejected ones
+  and ones whose decision raises;
 * ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
   ``cvsep scan`` over a grid of arguments, including rejected ones;
 * ``solver``: ``solve_form_II_root`` results, or the exception type and
@@ -106,6 +107,16 @@ def _verdict_lines(cv):
             )
 
 
+def _edge_family_matrices(seed: int) -> dict:
+    """``edge_family_matrices(seed)`` of this checkout's ``tests/_util.py``."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    from _util import edge_family_matrices
+
+    return edge_family_matrices(seed)
+
+
 def _state_files(cv, folder: Path):
     """Write the state files the CLI is run on; return their (name, path) pairs."""
     docs = []
@@ -164,6 +175,18 @@ def _state_files(cv, folder: Path):
         signed_zero = np.diag([g1, g1, g2, g2])
         signed_zero[1, 3] = signed_zero[3, 1] = -0.06
         docs.append((f"signed-zero{g1}", signed_zero.tolist()))
+    # Errors raised while deciding: local squeezes of e^6 round form I's
+    # transform off det 1, and an accepted large_squeeze item has no bracket.
+    def rot(t):
+        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+
+    op = cv.Llubo(
+        rot(0.3) @ np.diag([math.exp(6.0), math.exp(-6.0)]) @ rot(1.1),
+        rot(0.7) @ np.diag([math.exp(-6.0), math.exp(6.0)]) @ rot(0.2),
+    )
+    docs.append(("squeezed-e6", cv.apply_llubo(cv.sample_random_physical(0), op).m.tolist()))
+    large = _edge_family_matrices(760)["large_squeeze"]
+    docs.append(("unbracketed-large-squeeze", (0.5 * (large + large.T)).tolist()))
     asym = np.eye(4)
     asym[0, 1] = 0.5
     docs.append(("asymmetric", asym.tolist()))
@@ -255,13 +278,10 @@ def _solver_lines(cv):
 
 
 def _oracle_lines(cv):
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-    from _util import edge_family_matrices
-
     for seed in range(RANDOM_STATES):
         yield cv.ppt_decision(cv.sample_random_physical(seed)).value
     for seed in range(EDGE_SEEDS):
-        for name, m in edge_family_matrices(seed).items():
+        for name, m in _edge_family_matrices(seed).items():
             try:
                 yield f"{name} {cv.ppt_decision(cv.validate(0.5 * (m + m.T))).value}"
             except cv.CvsepError as exc:
