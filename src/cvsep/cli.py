@@ -90,18 +90,11 @@ def load_state_file(path: str) -> CorrelationMatrix:
         raise CliError(EXIT_PARSE, f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise CliError(EXIT_PARSE, f"{path}: missing 'matrix' key")
-    if doc.get("ordering") != ORDERING_TAG:
-        raise CliError(
-            EXIT_PARSE,
-            f"{path}: ordering tag must be '{ORDERING_TAG}', "
-            f"got {doc.get('ordering')!r}",
-        )
-    if doc.get("scaling") != SCALING_TAG:
-        raise CliError(
-            EXIT_PARSE,
-            f"{path}: scaling tag must be '{SCALING_TAG}', "
-            f"got {doc.get('scaling')!r}",
-        )
+    for key, tag in (("ordering", ORDERING_TAG), ("scaling", SCALING_TAG)):
+        if doc.get(key) != tag:
+            raise CliError(
+                EXIT_PARSE, f"{path}: {key} tag must be '{tag}', got {doc.get(key)!r}"
+            )
     try:
         matrix = np.array(doc["matrix"], dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
@@ -149,9 +142,9 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
     return doc
 
 
-def _print_matrix(m: np.ndarray, indent: str = "  ") -> None:
+def _print_matrix(m: np.ndarray) -> None:
     for row in m:
-        print(indent + "  ".join(f"{_fmt(v):>15s}" for v in row))
+        print("  " + "  ".join(f"{_fmt(v):>15s}" for v in row))
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -240,7 +233,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if not args.nbar >= 0.0:
         raise CliError(EXIT_USAGE, "nbar must be >= 0")
     t_star = threshold_time(args.r, args.eta, args.nbar)
-    if t_star == INFINITE:
+    if args.nbar == 0.0:
         print("threshold time: infinite (vacuum bath never disentangles the state)")
     else:
         print(f"threshold time: {_fmt(t_star)}")

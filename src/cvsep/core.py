@@ -48,7 +48,7 @@ class CorrelationMatrix:
 
     Only :func:`validate` builds one (``CorrelationMatrix(m)`` raises
     ``TypeError``), so every state is physical.  The state holds its checked
-    rows as Python floats and their :func:`_form_I_scalars`, which
+    rows as Python floats and their form I ``(n, m, c, c', h1, h2)``, which
     :func:`validate` computed to test physicality; ``m`` is built from the
     rows as a read-only array, owned by the state, on first read.
     """
@@ -243,7 +243,7 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
     :func:`_check_physical`): a few eps for exact inputs, and form I's own
     rounding under local squeezes.  So the answer depends neither on a
     local operation applied first nor on the state's scale.  The state
-    keeps those scalars, so ``to_standard_form_I`` does not recompute them.
+    keeps form I, so ``to_standard_form_I`` does not recompute it.
 
     The checks run on the entries as Python floats, which the state keeps:
     it builds its array ``m`` only when a caller reads it, so
@@ -284,7 +284,7 @@ def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
         )
     form_I = _form_I_scalars(rows)
     _check_physical(rows, form_I)
-    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": form_I})
+    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": form_I[:6]})
 
 
 def _require(
@@ -390,16 +390,18 @@ def _check_physical(rows: list[list[float]], form_I: tuple) -> None:
 
 
 def _form_I_scalars(rows: list[list[float]]) -> tuple:
-    """``(n, m, c, c', x, y, s1, s2, (e1, e2))`` of standard form I.
+    """``(n, m, c, c', h1, h2, s1, s2, (e1, e2))`` of standard form I.
 
     ``rows`` is a symmetric 4x4 matrix as nested lists of floats.
     ``s_i = (u, v, w)`` is the symmetric squeeze ``S_i = [[u, v], [v, w]]``
     that makes the diagonal block ``G_i`` scalar, and ``e_i`` is the
     rounding estimate of its computed ``det G_i`` (see
     :func:`_scalarize_block`); ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
-    :func:`_signed_svd`).  Called once per state, by :func:`_validate_rows`,
-    which keeps the result as the state's ``_form_I``; so only validation
-    meets its errors, and form I read from a state raises none.
+    :func:`_signed_svd`); ``h_i`` are form I's transform ``R(x)^T S1`` and
+    ``R(y) S2``, row-major.  Called once per state, by
+    :func:`_validate_rows`, which keeps ``(n, m, c, c', h1, h2)`` as the
+    state's ``_form_I``; so only validation meets its errors, and form I
+    read from a state raises none.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with
@@ -414,7 +416,10 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
     c, c_prime, x, y = _signed_svd(
         x0 * u2 + y0 * v2, x0 * v2 + y0 * w2, x1 * u2 + y1 * v2, x1 * v2 + y1 * w2
     )
-    return n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), (e1, e2)
+    cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
+    h1 = (cx * u1 + sx * v1, cx * v1 + sx * w1, cx * v1 - sx * u1, cx * w1 - sx * v1)
+    h2 = (cy * u2 - sy * v2, cy * v2 - sy * w2, sy * u2 + cy * v2, sy * v2 + cy * w2)
+    return n, m, c, c_prime, h1, h2, (u1, v1, w1), (u2, v2, w2), (e1, e2)
 
 
 def _scalarize_block(

@@ -114,9 +114,11 @@ def scan_boundary(
 ) -> List[ScanPoint]:
     """Decision pipeline evaluated on a uniform time grid.
 
-    Returns ``(t, margin, decision)`` per grid point over
-    ``[t_min, t_max]``; with nbar > 0 and a grid straddling the threshold,
-    the sign change of the margin brackets the closed form within one step.
+    Returns ``(t, margin, decision)`` per grid point
+    ``t_min + (t_max - t_min) * i / (resolution - 1)`` over
+    ``[t_min, t_max]``, which needs ``(t_max - t_min) * (resolution - 1)``
+    finite; with nbar > 0 and a grid straddling the threshold, the sign
+    change of the margin brackets the closed form within one step.
     Each point's state is built from floats as in :func:`evolve_thermal`,
     with every check of :func:`~cvsep.core.validate`, and reduced to form
     II; the decision core of :func:`~cvsep.separability.decide_separability`
@@ -127,6 +129,12 @@ def scan_boundary(
         raise ValueError("resolution must be >= 2")
     if not 0.0 <= t_min <= t_max < math.inf:
         raise ValueError("need 0 <= t_min <= t_max")
+    try:  # the grid's products (t_max - t_min) * i must stay finite
+        span = (t_max - t_min) * (resolution - 1)
+    except OverflowError:  # a resolution beyond the float range
+        span = math.inf
+    if not span < math.inf:
+        raise ValueError("(t_max - t_min) * (resolution - 1) overflows")
     ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)  # rejects bad r, eta, nbar
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []

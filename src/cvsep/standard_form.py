@@ -89,29 +89,20 @@ def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:
     and ``m`` exactly; ``c`` and ``c'`` are exact when ``|c'| = c`` (the
     squeezed vacuum and its thermal evolution) and may otherwise move by
     rounding, as ``c = hypot(E, H) + hypot(F, G)``.  The result satisfies
-    ``n, m >= 1`` and ``c >= |c'|``.  The scalars are the state's own,
-    computed once when :func:`~cvsep.core.validate` tested its physicality,
-    so this never raises ``NotPhysical``.
+    ``n, m >= 1`` and ``c >= |c'|``.  The scalars and blocks are the
+    state's own, computed once when :func:`~cvsep.core.validate` tested
+    its physicality, so this never raises ``NotPhysical``.
 
     Raises:
         InvalidLlubo: the transform's determinant is rounded away from 1
             (local squeezes beyond about e^6.7 per mode).
     """
-    n, m, c, c_prime, transform = _form_I_parts(state)
+    n, m, c, c_prime, h1, h2 = state._form_I
+    transform = Llubo._fresh(h1, h2)
     return _frozen(
         StandardFormI,
         {"n": n, "m": m, "c": c, "c_prime": c_prime, "transform": transform},
     )
-
-
-def _form_I_parts(state: CorrelationMatrix) -> tuple:
-    """Form I's ``(n, m, c, c', transform)`` as :func:`to_standard_form_I`
-    describes them, without the :class:`StandardFormI` around them."""
-    n, m, c, c_prime, x, y, (u1, v1, w1), (u2, v2, w2), _ = state._form_I
-    cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
-    h1 = (cx * u1 + sx * v1, cx * v1 + sx * w1, cx * v1 - sx * u1, cx * w1 - sx * v1)
-    h2 = (cy * u2 - sy * v2, cy * v2 - sy * w2, sy * u2 + cy * v2, sy * v2 + cy * w2)
-    return n, m, c, c_prime, Llubo._fresh(h1, h2)
 
 
 def solve_r2_given_r1(n: float, m: float, r1: float) -> float:
@@ -223,7 +214,8 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     flagged ``degenerate``.  Where ``r1 = r2 = 1`` (those, and the
     ``|c| = |c'|`` family), the transform is form I's own.
     """
-    n, m, c, cp, transform = _form_I_parts(state)
+    n, m, c, cp, h1, h2 = state._form_I
+    transform = Llubo._fresh(h1, h2)
     # Form I has c >= |c'| >= 0.
     degenerate = c < EPS_FORM or n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM
     if degenerate:
@@ -232,7 +224,6 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
         r1, r2 = solve_form_II_root(n, m, c, cp)
     # Form I's transform is exact when r1 = r2 = 1: _squeezed(h, 1.0) is h.
     if not r1 == r2 == 1.0:
-        h1, h2 = transform._e1, transform._e2
         transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
     geo = math.sqrt(r1 * r2)
     return _frozen(

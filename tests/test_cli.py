@@ -266,6 +266,11 @@ class TestThreshold:
         assert cli.main(["threshold", "1", "1", "0"]) == 0
         assert "infinite" in capsys.readouterr().out
 
+    def test_overflowed_lifetime_prints_inf(self, capsys):
+        # The lifetime ~1.8e319 overflows; the bath is not vacuum.
+        assert cli.main(["threshold", "1", "1e-320", "1"]) == 0
+        assert capsys.readouterr().out == "threshold time: inf\n"
+
     def test_asymptote_printed_for_large_nbar(self, capsys):
         assert cli.main(["threshold", "1", "1", "100"]) == 0
         out = capsys.readouterr().out
@@ -340,6 +345,9 @@ class TestScan:
             ["1", "1", "1", "inf", "5"],
             ["1", "1", "1", "inf", "5", "--t-min", "inf"],
             ["1", "1", "1", "1", "5", "--t-min", "nan"],
+            # (t_max - t_min) * (steps - 1) overflows, or steps is beyond floats.
+            ["1", "1", "1", "1e308", "3"],
+            ["1", "1", "1", "1", "1" + "0" * 400],
         ],
     )
     def test_non_finite_parameters_are_usage_errors(self, args, capsys):

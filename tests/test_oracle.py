@@ -144,6 +144,10 @@ class TestSeparableEnsemble:
         with pytest.raises(ValueError, match="weights must lie in"):
             cv.SeparableEnsemble(tuple((w, mode, mode) for w in weights))
 
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="ensemble needs at least one component"):
+            cv.SeparableEnsemble(())
+
     def test_unphysical_mode_rejected(self):
         with pytest.raises(cv.NotPhysical):
             cv.ModeSpec(0.0, 0.0, 0.25 * np.eye(2))
@@ -177,6 +181,11 @@ class TestSeparableEnsemble:
     @pytest.mark.parametrize("cov", non_number_identities(2))
     def test_non_number_mode_covariance_rejected(self, cov):
         with pytest.raises(ValueError, match="mode covariance must be real, got dtype"):
+            cv.ModeSpec(0.0, 0.0, cov)
+
+    @pytest.mark.parametrize("cov", [np.eye(3), np.ones(2), np.ones((2, 3)), [[1.0]]])
+    def test_mode_covariance_not_2x2_rejected(self, cov):
+        with pytest.raises(ValueError, match=r"mode covariance must be 2x2, got \("):
             cv.ModeSpec(0.0, 0.0, cov)
 
     def test_integer_mode_covariance_accepted(self):

@@ -294,6 +294,14 @@ class TestScanBoundary:
         with pytest.raises(ValueError):
             cv.scan_boundary(r, eta, nbar, 0.4, 5)
 
+    @pytest.mark.parametrize(
+        "t_max, resolution", [(1e308, 3), (1.0, 10**400)], ids=["t_max", "resolution"]
+    )
+    def test_grid_beyond_float_range_rejected(self, t_max, resolution):
+        # A grid point would be inf, or the resolution has no float value.
+        with pytest.raises(ValueError, match=r"\(resolution - 1\) overflows"):
+            cv.scan_boundary(1.0, 1.0, 1.0, t_max, resolution)
+
     def test_largest_squeezing_scans(self):
         points = cv.scan_boundary(177.7, 1.0, 1.0, 1.0, 3)
         assert len(points) == 3

@@ -9,7 +9,8 @@ prints one sha256 per section of outputs, then one over all of them:
 * ``verdicts``: the fields of ``decide_separability`` (decision, margin, min
   eigenvalue, variances, witness, standard form II with its transform,
   certificate bytes) for ``sample_random_physical(0..2999)``, with the
-  state's array ``m`` (bytes and writeable flag) read after the decision;
+  state's array ``m`` (bytes and writeable flag) and its standard form I
+  (``n, m, c, c'`` and the transform) read after the decision;
 * ``state-file CLI``: stdout, stderr and exit code of ``cvsep.cli.main`` for
   ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
   on state files written to a temporary directory, including rejected ones
@@ -97,6 +98,14 @@ def _verdict_lines(cv):
                 # Read after the decision, as a caller would.
                 state.m.tobytes().hex(),
                 str(state.m.flags.writeable),
+            ]
+        )
+        f1 = cv.to_standard_form_I(state)
+        yield " ".join(
+            [
+                *(_hex(x) for x in (f1.n, f1.m, f1.c, f1.c_prime)),
+                _array(f1.transform.h1),
+                _array(f1.transform.h2),
             ]
         )
         cert = v.certificate
