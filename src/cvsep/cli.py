@@ -18,11 +18,9 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .core import CorrelationMatrix, llubo_invariants, validate
+from .core import CorrelationMatrix, _validate_rows, llubo_invariants
 from .exceptions import CvsepError
 from .oracle import ensemble_covariance, sample_random_physical, sample_separable_ensemble
 from .scenarios import INFINITE, scan_boundary, threshold_time
@@ -79,14 +77,13 @@ def load_state_file(path: str) -> CorrelationMatrix:
     """Read and validate a state file, mapping failures to exit codes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            doc = json.loads(fh.read())
     except FileNotFoundError:
         raise CliError(EXIT_NOFILE, f"state file not found: {path}")
     except OSError as exc:
         raise CliError(EXIT_NOFILE, f"cannot read {path}: {exc}")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # Not UTF-8, not JSON, or nested beyond the decoder's recursion limit.
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise CliError(EXIT_PARSE, f"{path}: missing 'matrix' key")
@@ -95,21 +92,24 @@ def load_state_file(path: str) -> CorrelationMatrix:
             raise CliError(
                 EXIT_PARSE, f"{path}: {key} tag must be '{tag}', got {doc.get(key)!r}"
             )
-    try:
-        matrix = np.array(doc["matrix"], dtype=float)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"{path}: matrix is not numeric ({exc})")
-    if matrix.shape != (4, 4):
-        raise CliError(
-            EXIT_PARSE, f"{path}: matrix must be 4x4, got shape {matrix.shape}"
-        )
-    # numpy also reads true/false, strings of digits and null (as NaN).
-    if not all(type(x) in (int, float) for row in doc["matrix"] for x in row):
+    matrix = doc["matrix"]
+    if not (
+        type(matrix) is list
+        and len(matrix) == 4
+        and all(type(row) is list and len(row) == 4 for row in matrix)
+    ):
+        raise CliError(EXIT_PARSE, f"{path}: matrix must be 4x4 (4 rows of 4 entries)")
+    # JSON true/false, strings and null are not numbers.
+    if not all(type(x) in (int, float) for row in matrix for x in row):
         raise CliError(
             EXIT_PARSE, f"{path}: matrix is not numeric (entries must be JSON numbers)"
         )
     try:
-        return validate(matrix)
+        rows = [[float(x) for x in row] for row in matrix]
+    except OverflowError as exc:  # an integer beyond the float range
+        raise CliError(EXIT_PARSE, f"{path}: matrix is not numeric ({exc})")
+    try:
+        return _validate_rows(rows)
     except CvsepError as exc:
         raise CliError(EXIT_UNPHYSICAL, f"{path}: {exc}")
 
@@ -142,8 +142,8 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
     return doc
 
 
-def _print_matrix(m: np.ndarray) -> None:
-    for row in m:
+def _print_matrix(rows: Iterable[Iterable[float]]) -> None:
+    for row in rows:
         print("  " + "  ".join(f"{_fmt(v):>15s}" for v in row))
 
 
@@ -226,35 +226,23 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    if not args.r > 0.0:
-        raise CliError(EXIT_USAGE, "r must be > 0")
-    if not args.eta > 0.0:
-        raise CliError(EXIT_USAGE, "eta must be > 0")
-    if not args.nbar >= 0.0:
-        raise CliError(EXIT_USAGE, "nbar must be >= 0")
-    t_star = threshold_time(args.r, args.eta, args.nbar)
+    try:
+        t_star = threshold_time(args.r, args.eta, args.nbar)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
     if args.nbar == 0.0:
         print("threshold time: infinite (vacuum bath never disentangles the state)")
     else:
         print(f"threshold time: {_fmt(t_star)}")
         if args.nbar > 10.0:
-            asym = 0.25 * (1.0 - math.exp(-2.0 * args.r)) / (args.eta * args.nbar)
+            asym = 0.25 * -math.expm1(-2.0 * args.r) / (args.eta * args.nbar)
             print(f"large-nbar asymptote: {_fmt(asym)}")
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise CliError(EXIT_USAGE, "steps must be >= 2")
-    if not (
-        0.0 < args.r < math.inf
-        and 0.0 < args.eta < math.inf
-        and 0.0 <= args.nbar < math.inf
-    ):
-        raise CliError(EXIT_USAGE, "invalid scan parameters")
-    if not (0.0 <= args.t_min <= args.t_max < math.inf):
-        raise CliError(EXIT_USAGE, "need 0 <= t-min <= t-max")
-    try:
+    try:  # the closed form the bracket is compared with; it rejects r = 0
+        t_star = threshold_time(args.r, args.eta, args.nbar)
         points = scan_boundary(
             args.r, args.eta, args.nbar, args.t_max, args.steps, t_min=args.t_min
         )
@@ -274,7 +262,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             break
     if bracket is not None:
         print(f"sign change bracket: [{_fmt(bracket[0])}, {_fmt(bracket[1])}]")
-        t_star = threshold_time(args.r, args.eta, args.nbar)
         if t_star != INFINITE:
             mid = 0.5 * (bracket[0] + bracket[1])
             print(f"closed-form threshold: {_fmt(t_star)}")

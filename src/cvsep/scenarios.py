@@ -33,15 +33,23 @@ class ThermalScenario:
     def __post_init__(self) -> None:
         # Negated so that NaN fails too; t = inf is the thermal product state.
         if not 0.0 <= self.r < math.inf:
-            raise ValueError("squeezing parameter r must be >= 0")
+            raise ValueError(
+                f"squeezing parameter r must be finite and >= 0, got {self.r!r}"
+            )
         try:  # cosh(2r)**2, the scale of det M, overflows from r = 177.79...
-            math.cosh(2.0 * self.r) ** 2
+            scale = math.cosh(2.0 * self.r) ** 2
         except OverflowError:
-            raise ValueError(f"cosh(2r)**2 overflows for r = {self.r!r}") from None
+            scale = math.inf
+        if not scale < math.inf:  # 2r itself is inf from r = 8.99e307
+            raise ValueError(f"cosh(2r)**2 overflows for r = {self.r!r}")
         if not 0.0 < self.eta < math.inf:
-            raise ValueError("damping coefficient eta must be > 0")
+            raise ValueError(
+                f"damping coefficient eta must be finite and > 0, got {self.eta!r}"
+            )
         if not 0.0 <= self.nbar < math.inf:
-            raise ValueError("thermal occupation nbar must be >= 0")
+            raise ValueError(
+                f"thermal occupation nbar must be finite and >= 0, got {self.nbar!r}"
+            )
         bath = 2.0 * self.nbar + 1.0  # n at long times, so det G1 is bath**2
         if not bath * bath < math.inf:  # from nbar = 6.7e153
             raise ValueError(f"(2 nbar + 1)**2 overflows for nbar = {self.nbar!r}")
@@ -68,7 +76,8 @@ def evolve_thermal(scenario: ThermalScenario) -> CorrelationMatrix:
 
 def _thermal_state(r: float, eta: float, nbar: float, t: float) -> CorrelationMatrix:
     """The validated form-I layout :func:`evolve_thermal` names."""
-    d = math.exp(-2.0 * eta * t)
+    # eta * t first: -2 eta is -inf from eta = 8.99e307, and -inf * 0 is NaN.
+    d = math.exp(-2.0 * (eta * t))
     n = math.cosh(2.0 * r) * d + (2.0 * nbar + 1.0) * (1.0 - d)
     c = math.sinh(2.0 * r) * d
     return _validate_rows(
@@ -82,6 +91,7 @@ def threshold_time(r: float, eta: float, nbar: float) -> float:
     The state is entangled exactly while
     ``t < ln(1 + (1 - e^{-2r}) / (2 nbar)) / (2 eta)``.  A vacuum bath
     (nbar = 0) never disentangles the state, reported as :data:`INFINITE`.
+    ``1 - e^{-2r}`` is ``-expm1(-2r)``, so a small ``r`` does not cancel.
     """
     if not r > 0.0:
         raise ValueError("squeezing parameter r must be > 0")
@@ -91,7 +101,7 @@ def threshold_time(r: float, eta: float, nbar: float) -> float:
         raise ValueError("thermal occupation nbar must be >= 0")
     if nbar == 0.0:
         return INFINITE
-    gap = 1.0 - math.exp(-2.0 * r)
+    gap = -math.expm1(-2.0 * r)
     ratio = 0.5 * gap / nbar  # not gap / (2 nbar): 2 nbar overflows from ~9e307
     if ratio == math.inf:  # subnormal nbar: the ratio overflows, its log does not
         return (math.log(gap) - math.log(2.0 * nbar)) / (2.0 * eta)

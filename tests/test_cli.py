@@ -18,6 +18,18 @@ def write_state(path, matrix, ordering="x1p1x2p2", scaling="vacuum-identity"):
     return str(path)
 
 
+def library_usage_message(argv):
+    """The ValueError message the library raises for the floats of a
+    ``threshold`` or ``scan`` argv, in the order the CLI calls it."""
+    r, eta, nbar = (float(x) for x in argv[1:4])
+    with pytest.raises(ValueError) as info:
+        cv.threshold_time(r, eta, nbar)
+        if argv[0] == "scan":
+            t_min = float(argv[7]) if argv[6:7] == ["--t-min"] else 0.0
+            cv.scan_boundary(r, eta, nbar, float(argv[4]), int(argv[5]), t_min=t_min)
+    return str(info.value)
+
+
 @pytest.fixture
 def vacuum_file(tmp_path):
     return write_state(tmp_path / "vacuum.json", np.eye(4))
@@ -198,6 +210,51 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[[float(i == j)] for j in range(4)] for i in range(4)],
+            1.0,
+            {"rows": np.eye(4).tolist()},
+        ],
+        ids=["2x2", "ragged", "4x4x1", "scalar", "object"],
+    )
+    def test_malformed_matrix_rejected(self, tmp_path, capsys, matrix):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(
+            {"matrix": matrix, "ordering": "x1p1x2p2", "scaling": "vacuum-identity"}
+        ))
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        pattern = rf"error: {re.escape(str(path))}: matrix [^\n]*\n"
+        assert re.fullmatch(pattern, captured.err)
+
+    @pytest.mark.parametrize("command", ["check", "reduce"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            json.dumps({"matrix": np.eye(4).tolist(), "ordering": "x1p1x2p2",
+                        "scaling": "vacuum-identity"}).encode("utf-16"),
+            '{"matrix": [], "note": "\u00e9"}'.encode("latin-1"),
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["utf-16", "latin-1", "nested-100000"],
+    )
+    def test_undecodable_or_overdeep_file_is_parse_error(
+        self, tmp_path, capsys, data, command
+    ):
+        # Bytes that are not UTF-8 (a UTF-16 file starts with ff fe), and
+        # nesting beyond the JSON decoder's recursion limit.
+        path = tmp_path / "raw.json"
+        path.write_bytes(data)
+        assert cli.main([command, str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not valid JSON (")
+
     def test_json_key_order(self, tmp_path, capsys):
         state = cv.evolve_thermal(cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=0.5))
         path = write_state(tmp_path / "thermal.json", state.m)
@@ -281,6 +338,15 @@ class TestThreshold:
         assert cli.main(["threshold", "0", "1", "1"]) == cli.EXIT_USAGE
         assert cli.main(["threshold", "1", "-1", "1"]) == cli.EXIT_USAGE
 
+    def test_small_squeezing_does_not_cancel(self, capsys):
+        # 1 - e^{-2r} is -expm1(-2r): 2r, not 0, at a subnormal r.
+        assert cli.main(["threshold", "1e-320", "0.5", "1e-320"]) == 0
+        assert capsys.readouterr().out == "threshold time: 0.693147181\n"
+        assert cli.main(["threshold", "1e-15", "1", "100"]) == 0
+        assert capsys.readouterr().out == (
+            "threshold time: 5e-18\nlarge-nbar asymptote: 5e-18\n"
+        )
+
     def test_subnormal_occupation_prints_finite_time(self, capsys):
         assert cli.main(["threshold", "1", "1", "1e-320"]) == 0
         assert capsys.readouterr().out == "threshold time: 367.99434\n"
@@ -356,7 +422,7 @@ class TestScan:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
-    @pytest.mark.parametrize("r", ["178", "400"])
+    @pytest.mark.parametrize("r", ["178", "400", "9e307", "1e308"])
     def test_squeezing_beyond_float_range_is_usage_error(self, r, capsys):
         assert cli.main(["scan", r, "1", "1", "1", "3"]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
@@ -375,6 +441,35 @@ class TestScan:
         target = tmp_path / "missing-dir" / "scan.csv"
         code = cli.main(["scan", "1", "1", "1", "0.4", "5", "--out", str(target)])
         assert code == cli.EXIT_CANTWRITE
+
+
+class TestLibraryMessages:
+    # The CLI checks no scenario argument itself: a usage error prints the
+    # message the library raises for the same floats.
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "0", "1", "1"],
+            ["threshold", "1", "nan", "1"],
+            ["scan", "1", "1", "1", "0.4", "1"],
+            ["scan", "0", "1", "1", "0.4", "5"],
+            ["scan", "inf", "1", "1", "1", "5"],
+            ["scan", "1", "1", "1", "0.4", "5", "--t-min", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error_prints_library_message(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {library_usage_message(argv)}\n"
+
+    def test_infinite_squeezing_message_says_finite(self, capsys):
+        assert cli.main(["scan", "inf", "1", "1", "1", "5"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: squeezing parameter r must be finite and >= 0, got inf\n"
+        )
 
 
 class TestSample:

@@ -1,7 +1,9 @@
 """Thermal-decoherence scenario tests: closed forms and the scanned boundary."""
 
 import math
+import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +35,10 @@ class TestTmsvMatrix:
         with pytest.raises(ValueError):
             cv.tmsv_matrix(-0.1)
 
-    @pytest.mark.parametrize("r", [178.0, 400.0, INF, NAN])
+    @pytest.mark.parametrize("r", [178.0, 400.0, INF, NAN, 9e307, 1e308])
     def test_squeezing_beyond_float_range_rejected(self, r):
-        # cosh(2r)**2 overflows from r = 177.79...; cosh itself from ~355.
+        # cosh(2r)**2 overflows from r = 177.79...; cosh itself from ~355, and
+        # 2r is inf from ~8.99e307, where cosh(inf) raises no OverflowError.
         with pytest.raises(ValueError):
             cv.tmsv_matrix(r)
 
@@ -81,7 +84,7 @@ class TestEvolveThermal:
         with pytest.raises(ValueError):
             cv.ThermalScenario(**params)
 
-    @pytest.mark.parametrize("r", [178.0, 400.0])
+    @pytest.mark.parametrize("r", [178.0, 400.0, 9e307, 1e308])
     def test_squeezing_beyond_float_range_rejected(self, r):
         with pytest.raises(ValueError):
             cv.ThermalScenario(r=r, eta=1.0, nbar=1.0, t=0.0)
@@ -167,6 +170,20 @@ class TestThresholdTime:
     def test_nan_arguments_rejected(self, args):
         with pytest.raises(ValueError):
             cv.threshold_time(*args)
+
+    @pytest.mark.parametrize(
+        "r, eta, nbar",
+        [(1e-9, 1.0, 1.0), (1e-12, 1.0, 1.0), (1e-15, 1.0, 1.0), (1e-320, 0.5, 1e-320)],
+    )
+    def test_small_squeezing_matches_decimal_reference(self, r, eta, nbar):
+        # 1 - e^{-2r} cancels for small r; the reference carries 60 digits
+        # beyond the cancellation.  At r = nbar = 1e-320 the lifetime is ln 2.
+        with localcontext() as ctx:
+            ctx.prec = 60 - Decimal(r).adjusted()
+            gap = 1 - (-2 * Decimal(r)).exp()
+            ref = float((1 + gap / (2 * Decimal(nbar))).ln() / (2 * Decimal(eta)))
+        t = cv.threshold_time(r, eta, nbar)
+        assert abs(t - ref) <= 2 * sys.float_info.epsilon * ref
 
 
 class TestScanBoundary:
@@ -301,6 +318,13 @@ class TestScanBoundary:
         # A grid point would be inf, or the resolution has no float value.
         with pytest.raises(ValueError, match=r"\(resolution - 1\) overflows"):
             cv.scan_boundary(1.0, 1.0, 1.0, t_max, resolution)
+
+    def test_huge_damping_scans(self):
+        # -2 eta is -inf from eta = 8.99e307, but eta * t at t = 0 is 0.
+        points = cv.scan_boundary(1.0, 1e308, 1.0, 1.0, 3)
+        assert [p.decision for p in points] == [cv.Decision.ENTANGLED] + [
+            cv.Decision.SEPARABLE
+        ] * 2
 
     def test_largest_squeezing_scans(self):
         points = cv.scan_boundary(177.7, 1.0, 1.0, 1.0, 3)

@@ -14,9 +14,11 @@ prints one sha256 per section of outputs, then one over all of them:
 * ``state-file CLI``: stdout, stderr and exit code of ``cvsep.cli.main`` for
   ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
   on state files written to a temporary directory, including rejected ones
-  and ones whose decision raises;
+  (malformed matrices, files that are not UTF-8 or nest too deeply) and
+  ones whose decision raises;
 * ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
-  ``cvsep scan`` over a grid of arguments, including rejected ones;
+  ``cvsep scan`` over a grid of arguments, including rejected ones and
+  arguments at the float range's edges;
 * ``solver``: ``solve_form_II_root`` results, or the exception type and
   message, on a grid of mode and coefficient values (vacuum modes, ``n < 1``,
   NaN, infinite and overflowing entries) and on seeded draws with
@@ -203,12 +205,32 @@ def _state_files(cv, folder: Path):
     nonfinite = np.eye(4).tolist()
     nonfinite[2][3] = math.nan
     docs.append(("nonfinite", nonfinite))
+    # Matrices that are not 4x4 arrays of JSON numbers.
+    eye = np.eye(4).tolist()
+    docs.append(("shape-2x2", [[1.0, 0.0], [0.0, 1.0]]))
+    docs.append(("ragged", [eye[0], eye[1][:3], eye[2], eye[3]]))
+    for name, entry in (("boolean", True), ("numeric-string", "1"), ("null", None),
+                        ("int-beyond-float", 10**400), ("dict-entry", {"x": 1.0})):
+        bad = np.eye(4).tolist()
+        bad[0][0] = entry
+        docs.append((name, bad))
+    # Files given as bytes: a UTF-16 state file, a Latin-1 one, and nesting
+    # beyond the JSON decoder's recursion limit.
+    text = json.dumps(
+        {"matrix": eye, "ordering": "x1p1x2p2", "scaling": "vacuum-identity"}
+    )
+    docs.append(("utf-16", b"\xff\xfe" + text.encode("utf-16-le")))
+    docs.append(("latin-1", (text[:-1] + ', "note": "\u00e9"}').encode("latin-1")))
+    docs.append(("nested-100000", b"[" * 100000 + b"]" * 100000))
     paths = []
     for name, matrix in docs:
         path = folder / f"{name}.json"
+        paths.append((name, str(path)))
+        if isinstance(matrix, bytes):
+            path.write_bytes(matrix)
+            continue
         doc = {"matrix": matrix, "ordering": "x1p1x2p2", "scaling": "vacuum-identity"}
         path.write_text(json.dumps(doc), encoding="utf-8")
-        paths.append((name, str(path)))
     return paths
 
 
@@ -244,6 +266,13 @@ def _scenario_argvs():
                  ("1", "1", "1", "0.4", "5", "--t-min", "1"),
                  ("1", "1", "1", "0.4", "5", "--t-min", "-0.1")):
         yield ["scan", *args]
+    # Float edges: r beyond the float range, eta * t at t = 0 with eta = 1e308,
+    # 1 - e^{-2r} at a subnormal r, and NaN.
+    for args in (("inf", "1", "1", "1", "5"), ("1e308", "1", "1", "1", "3"),
+                 ("1", "1e308", "1", "1", "3")):
+        yield ["scan", *args]
+    yield ["threshold", "1e-320", "0.5", "1e-320"]
+    yield ["threshold", "nan", "1", "1"]
 
 
 def _scenario_cli_lines(cv):
