@@ -235,7 +235,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     else:
         print(f"threshold time: {_fmt(t_star)}")
         if args.nbar > 10.0:
-            asym = 0.25 * -math.expm1(-2.0 * args.r) / (args.eta * args.nbar)
+            asym = 0.25 * -math.expm1(-2.0 * args.r)
+            rate = args.eta * args.nbar  # where it overflows, divide in turn
+            asym = asym / rate if rate < math.inf else asym / args.eta / args.nbar
             print(f"large-nbar asymptote: {_fmt(asym)}")
     return 0
 

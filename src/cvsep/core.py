@@ -35,11 +35,16 @@ EPS_DET = 1e-10  # allowed departure of local-block determinants from 1
 # products it is formed from (see _check_physical).
 _ROUND = 8.0 * sys.float_info.epsilon
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+def _rows_array(rows) -> np.ndarray:
+    """Read-only float64 copy of ``rows``: every read-only array cvsep owns."""
+    arr = np.array(rows, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
 
 #: Symplectic form for two modes in (x1, p1, x2, p2) ordering.
-OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
-OMEGA.flags.writeable = False
+OMEGA = _rows_array(((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -63,13 +68,6 @@ class CorrelationMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CorrelationMatrix({self._rows!r})"
-
-
-def _rows_array(rows: list | tuple) -> np.ndarray:
-    """Read-only array of the rows of a state's matrix or a block."""
-    arr = np.array(rows)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -132,9 +130,10 @@ class Llubo:
         return out
 
     def inverse(self) -> "Llubo":
-        """Element-wise inverse pair (adjugate; the blocks have det 1)."""
+        """Element-wise inverse pair (adjugate; the blocks have det 1), unchecked:
+        ``d*a - (-b)*(-c)`` is the checked ``a*d - b*c`` bit for bit."""
         (a1, b1, c1, d1), (a2, b2, c2, d2) = self._e1, self._e2
-        return Llubo._fresh((d1, -b1, -c1, a1), (d2, -b2, -c2, a2))
+        return _frozen(Llubo, {"_e1": (d1, -b1, -c1, a1), "_e2": (d2, -b2, -c2, a2)})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Llubo(h1={self.h1!r}, h2={self.h2!r})"
@@ -282,9 +281,7 @@ def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
         )
-    form_I = _form_I_scalars(rows)
-    _check_physical(rows, form_I)
-    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": form_I[:6]})
+    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": _form_I_scalars(rows)})
 
 
 def _require(
@@ -307,15 +304,15 @@ def _require(
         )
 
 
-def _check_physical(rows: list[list[float]], form_I: tuple) -> None:
+def _check_physical(n0, m0, c, cp, s1, s2, e1, e2, block) -> None:
     """Simon's condition (see :func:`validate`) on form I's scalars.
 
-    ``form_I`` is :func:`_form_I_scalars` of ``rows``, a symmetric 4x4
-    matrix as nested lists of floats.  Each value is tested within a
-    first-order running estimate of its rounding error (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3): ``_ROUND`` (8 eps) times
-    the sizes of the products it is formed from, plus what its operands'
-    estimates carry into it.
+    The scalars ``(n0, m0, c, cp)``, squeezes ``s_i`` and estimates ``e_i``
+    are those of :func:`_form_I_scalars`; ``block`` is ``C``, row-major.
+    Each value is tested within a first-order running estimate of its
+    rounding error (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3): ``_ROUND`` (8 eps) times the sizes of the products it is formed
+    from, plus what its operands' estimates carry into it.
 
     * ``det G = ad - b^2`` carries ``e = _ROUND (|ad| + b^2)``, from
       :func:`_scalarize_block`.  As ``n`` and the exact ``sqrt(det G)`` are
@@ -350,7 +347,6 @@ def _check_physical(rows: list[list[float]], form_I: tuple) -> None:
         NotPhysical: the first condition that fails beyond its estimate,
             or ``c`` out of range.
     """
-    n0, m0, c, cp, _, _, (u1, v1, w1), (u2, v2, w2), (e1, e2) = form_I
     if not c < 2.0**512:
         raise NotPhysical(
             f"c = {c:.6g} of form I is out of range (beyond ~1.3e154); "
@@ -368,7 +364,7 @@ def _check_physical(rows: list[list[float]], form_I: tuple) -> None:
     if f1 >= 0.0 and det >= unit4 and gap >= 0.0:
         return
     # Some value falls short of its bound: is it by more than rounding?
-    (_, _, p, q), (_, _, r, s) = rows[:2]  # the block C
+    (u1, v1, w1), (u2, v2, w2), (p, q, r, s) = s1, s2, block
     rho = 2.0 * _ROUND + e1 / n0 / (n0 + 1.0) + e2 / m0 / (m0 + 1.0)
     # 1^T |S1| and |S2| 1 (both squeezes are symmetric), around |C|.
     row1, row2 = abs(u1) + abs(v1), abs(v1) + abs(w1)
@@ -390,22 +386,24 @@ def _check_physical(rows: list[list[float]], form_I: tuple) -> None:
 
 
 def _form_I_scalars(rows: list[list[float]]) -> tuple:
-    """``(n, m, c, c', h1, h2, s1, s2, (e1, e2))`` of standard form I.
+    """``(n, m, c, c', h1, h2)`` of standard form I, checked physical.
 
     ``rows`` is a symmetric 4x4 matrix as nested lists of floats.
     ``s_i = (u, v, w)`` is the symmetric squeeze ``S_i = [[u, v], [v, w]]``
     that makes the diagonal block ``G_i`` scalar, and ``e_i`` is the
     rounding estimate of its computed ``det G_i`` (see
     :func:`_scalarize_block`); ``S1 C S2 = R(x) diag(c, c') R(y)`` (see
-    :func:`_signed_svd`); ``h_i`` are form I's transform ``R(x)^T S1`` and
-    ``R(y) S2``, row-major.  Called once per state, by
-    :func:`_validate_rows`, which keeps ``(n, m, c, c', h1, h2)`` as the
-    state's ``_form_I``; so only validation meets its errors, and form I
-    read from a state raises none.
+    :func:`_signed_svd`).  Simon's condition is tested on these
+    (:func:`_check_physical`) before the transform is built: ``h_i`` are
+    ``R(x)^T S1`` and ``R(y) S2``, row-major.  Called once per state, by
+    :func:`_validate_rows`, which keeps the result as the state's
+    ``_form_I``; so only validation meets its errors, and form I read from
+    a state raises none.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with
-            ``det >= 1`` within its rounding estimate, or ``det`` overflows.
+            ``det >= 1`` within its rounding estimate, or ``det`` overflows;
+            then the first condition of :func:`_check_physical` that fails.
     """
     (a1, b1, p, q), (_, d1, r, s), (_, _, a2, b2), (*_, d2) = rows
     n, e1, u1, v1, w1 = _scalarize_block(a1, b1, d1, "G1")
@@ -416,10 +414,11 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
     c, c_prime, x, y = _signed_svd(
         x0 * u2 + y0 * v2, x0 * v2 + y0 * w2, x1 * u2 + y1 * v2, x1 * v2 + y1 * w2
     )
+    _check_physical(n, m, c, c_prime, (u1, v1, w1), (u2, v2, w2), e1, e2, (p, q, r, s))
     cx, sx, cy, sy = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
     h1 = (cx * u1 + sx * v1, cx * v1 + sx * w1, cx * v1 - sx * u1, cx * w1 - sx * v1)
     h2 = (cy * u2 - sy * v2, cy * v2 - sy * w2, sy * u2 + cy * v2, sy * v2 + cy * w2)
-    return n, m, c, c_prime, h1, h2, (u1, v1, w1), (u2, v2, w2), (e1, e2)
+    return n, m, c, c_prime, h1, h2
 
 
 def _scalarize_block(

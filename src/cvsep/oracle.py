@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import EPS_SYM, CorrelationMatrix, _real_array, validate
+from .core import EPS_SYM, CorrelationMatrix, _real_array, _rows_array, validate
 from .exceptions import NotPhysical, NotSymmetric
 from .separability import EPS_DECIDE, Decision, PRepresentation, _check_tol
 
@@ -73,7 +73,7 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mean_x) and math.isfinite(self.mean_p)):
             raise ValueError("mode means must be finite")
-        arr = np.array(_real_array(self.cov, ValueError, "mode covariance"))
+        arr = _real_array(self.cov, ValueError, "mode covariance")
         if arr.shape != (2, 2):
             raise ValueError(f"mode covariance must be 2x2, got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -91,8 +91,7 @@ class ModeSpec:
         err = 8.0 * np.finfo(float).eps * (abs(a * d) + abs(b * c))
         if not (tr > 0.0 and det - 1.0 >= -err):
             raise NotPhysical(f"mode covariance unphysical (tr {tr:.6g}, det {det!r})")
-        arr.flags.writeable = False
-        object.__setattr__(self, "cov", arr)
+        object.__setattr__(self, "cov", _rows_array(((a, b), (c, d))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,8 +104,11 @@ def threshold_time(r: float, eta: float, nbar: float) -> float:
     gap = -math.expm1(-2.0 * r)
     ratio = 0.5 * gap / nbar  # not gap / (2 nbar): 2 nbar overflows from ~9e307
     if ratio == math.inf:  # subnormal nbar: the ratio overflows, its log does not
-        return (math.log(gap) - math.log(2.0 * nbar)) / (2.0 * eta)
-    return math.log1p(ratio) / (2.0 * eta)
+        log = math.log(gap) - math.log(2.0 * nbar)
+    else:
+        log = math.log1p(ratio)
+    # 2 eta overflows from eta ~ 9e307: there divide by 2 and by eta in turn.
+    return log / (2.0 * eta) if 2.0 * eta < math.inf else log / 2.0 / eta
 
 
 class ScanPoint(NamedTuple):

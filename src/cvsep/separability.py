@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
-from .core import _check_coefficient, _frozen, _total_variance
+from .core import _check_coefficient, _frozen, _rows_array, _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -274,10 +274,9 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         raise NotInSeparableRegime(
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
-    cov = 0.5 * _layout(
+    cov = _rows_array(0.5 * _layout(
         form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0, form.c1, form.c2
-    )
-    cov.flags.writeable = False
+    ))
     return PRepresentation(covariance=cov, transform_back=form.transform.inverse())
 
 

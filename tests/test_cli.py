@@ -358,6 +358,22 @@ class TestThreshold:
             "threshold time: 2.16166179e-309\nlarge-nbar asymptote: 2.16166179e-309\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, out",
+        [
+            # 2 eta and eta * nbar overflow; the lifetime ~1.07e-310 does not.
+            (["1", "1e308", "20"],
+             "threshold time: 1.06931461e-310\nlarge-nbar asymptote: 1.0808309e-310\n"),
+            # Only eta * nbar overflows; both values are ~gap / (4 eta nbar).
+            (["1", "1e300", "1e10"],
+             "threshold time: 2.16166179e-311\nlarge-nbar asymptote: 2.16166179e-311\n"),
+        ],
+        ids=["eta-1e308-nbar-20", "eta-1e300-nbar-1e10"],
+    )
+    def test_huge_damping_prints_positive_time(self, args, out, capsys):
+        assert cli.main(["threshold", *args]) == 0
+        assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize("args", [["nan", "1", "1"], ["1", "nan", "1"], ["1", "1", "nan"]])
     def test_nan_is_usage_error(self, args, capsys):
         assert cli.main(["threshold", *args]) == cli.EXIT_USAGE

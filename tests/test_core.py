@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import cvsep as cv
 from _util import (
     COSH1,
+    OMEGA4,
     SINH1,
     blockdiag,
     complex_min_eig,
@@ -373,6 +374,26 @@ class TestLlubo:
         assert np.signbit(inv.h1).tolist() == [[False, True], [True, False]]
         assert np.signbit(inv.h2).tolist() == [[False, False], [True, False]]
 
+    @pytest.mark.parametrize("kind", ["gaussian", "unit-det", "squeezed-e12"])
+    def test_inverse_keeps_determinants_bit_for_bit(self, kind):
+        # inverse() skips the determinant check: the adjugate's d*a - (-b)*(-c)
+        # is a*d - b*c bit for bit, so it passes exactly where the block's did.
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            if kind == "gaussian":  # any determinant
+                h1, h2 = rng.normal(size=(2, 2, 2))
+            else:
+                h1, h2 = random_llubo_blocks(rng, 12.0 if kind == "squeezed-e12" else 1.0)
+            e1, e2 = (tuple(h.ravel().tolist()) for h in (h1, h2))
+            # Unchecked, so that blocks rejected by Llubo(h1, h2) are covered.
+            op = cv.core._frozen(cv.Llubo, {"_e1": e1, "_e2": e2})
+            inv = op.inverse()
+            for (a, b, c, d), (ai, bi, ci, di) in ((e1, inv._e1), (e2, inv._e2)):
+                assert (ai * di - bi * ci).hex() == (a * d - b * c).hex()
+            back = inv.inverse()
+            assert [x.hex() for x in back._e1 + back._e2] == [x.hex() for x in e1 + e2]
+            assert _accepted(h1, h2) == _accepted(inv.h1, inv.h2)
+
     def test_inverse_blocks(self):
         rng = np.random.default_rng(3)
         h1, h2 = random_llubo_blocks(rng)
@@ -380,6 +401,67 @@ class TestLlubo:
         inv = op.inverse()
         np.testing.assert_allclose(inv.h1 @ h1, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(inv.h2 @ h2, np.eye(2), atol=1e-12)
+
+
+def _accepted(h1, h2):
+    try:
+        cv.Llubo(h1, h2)
+    except cv.InvalidLlubo:
+        return False
+    return True
+
+
+class TestReadOnlyArrays:
+    """Arrays cvsep owns are read-only float64 copies of what they were built
+    from."""
+
+    @staticmethod
+    def _assert_owned(arr, source=None):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7.0
+        if source is not None:
+            assert not np.shares_memory(arr, source)
+            np.testing.assert_array_equal(arr, source)
+
+    def test_omega(self):
+        self._assert_owned(cv.core.OMEGA)
+        assert cv.core.OMEGA.tobytes() == OMEGA4.tobytes()
+
+    def test_state_and_blocks(self):
+        m = np.array(cv.sample_random_physical(4).m)
+        self._assert_owned(cv.validate(m).m, m)
+        h1, h2 = random_llubo_blocks(np.random.default_rng(2))
+        op = cv.Llubo(h1, h2)
+        self._assert_owned(op.h1, h1)
+        self._assert_owned(op.h2, h2)
+        inv = op.inverse()
+        self._assert_owned(inv.h1)
+        self._assert_owned(inv.h2)
+
+    def test_certificate_covariance(self):
+        verdict = cv.decide_separability(cv.sample_random_physical(0))
+        cert = verdict.certificate
+        assert cert is not None
+        self._assert_owned(cert.covariance)
+        assert not np.shares_memory(cert.covariance, verdict.form.matrix())
+        assert cv.p_representation(verdict.form).covariance.tobytes() == (
+            cert.covariance.tobytes()
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_mode_covariance(self, dtype):
+        cov = np.array([[2, 1], [1, 3]], dtype=dtype)
+        spec = cv.ModeSpec(0.0, 0.0, cov)
+        self._assert_owned(spec.cov, cov)
+        cov[0, 0] = 5
+        assert spec.cov[0, 0] == 2.0
+
+    def test_mode_covariance_from_lists(self):
+        nested = [[1.5, -0.0], [0.0, 1.5]]
+        spec = cv.ModeSpec(0.0, 0.0, nested)
+        self._assert_owned(spec.cov)
+        assert spec.cov.tobytes() == np.array(nested).tobytes()  # -0.0 kept
 
 
 class TestApplyLlubo:

@@ -6,7 +6,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECTIONS = ("scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "oracle", "total")
+SECTIONS = (
+    "scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "oracle", "local ops",
+    "total",
+)
 
 
 def test_prints_one_digest_per_section():

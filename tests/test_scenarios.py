@@ -16,6 +16,15 @@ T_STAR_111 = 0.17965206772540485  # ln(1 + (1 - e^-2)/2) / 2
 NAN, INF = math.nan, math.inf
 
 
+def decimal_threshold(r, eta, nbar):
+    """``ln(1 + (1 - e^{-2r}) / (2 nbar)) / (2 eta)`` to 60 digits beyond the
+    cancellation of ``1 - e^{-2r}``, rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60 - Decimal(r).adjusted()
+        gap = 1 - (-2 * Decimal(r)).exp()
+        return float((1 + gap / (2 * Decimal(nbar))).ln() / (2 * Decimal(eta)))
+
+
 class TestTmsvMatrix:
     def test_zero_squeezing_is_vacuum(self):
         np.testing.assert_array_equal(cv.tmsv_matrix(0.0).m, np.eye(4))
@@ -176,14 +185,26 @@ class TestThresholdTime:
         [(1e-9, 1.0, 1.0), (1e-12, 1.0, 1.0), (1e-15, 1.0, 1.0), (1e-320, 0.5, 1e-320)],
     )
     def test_small_squeezing_matches_decimal_reference(self, r, eta, nbar):
-        # 1 - e^{-2r} cancels for small r; the reference carries 60 digits
-        # beyond the cancellation.  At r = nbar = 1e-320 the lifetime is ln 2.
-        with localcontext() as ctx:
-            ctx.prec = 60 - Decimal(r).adjusted()
-            gap = 1 - (-2 * Decimal(r)).exp()
-            ref = float((1 + gap / (2 * Decimal(nbar))).ln() / (2 * Decimal(eta)))
+        # 1 - e^{-2r} cancels for small r.  At r = nbar = 1e-320 the
+        # lifetime is ln 2.
+        ref = decimal_threshold(r, eta, nbar)
         t = cv.threshold_time(r, eta, nbar)
         assert abs(t - ref) <= 2 * sys.float_info.epsilon * ref
+
+    @pytest.mark.parametrize(
+        "r, eta, nbar",
+        [(1.0, 1e308, 1.0), (1.0, 1.7e308, 20.0), (1e-9, 1e308, 1.0),
+         (1.0, 1e308, 1e-300), (3.0, 9e307, 1e-5), (1.0, 1e308, 1e-320),
+         (0.5, 1.7976931348623157e308, 1e308)],
+    )
+    def test_huge_damping_matches_decimal_reference(self, r, eta, nbar):
+        # 2 eta overflows from eta ~ 8.99e307, yet the lifetime is finite:
+        # subnormal in most cases, normal for a small nbar, and 0 only where
+        # it underflows itself (the last case).
+        ref = decimal_threshold(r, eta, nbar)
+        t = cv.threshold_time(r, eta, nbar)
+        assert abs(t - ref) <= 2 * math.ulp(ref)
+        assert (t > 0.0) == (ref > 0.0)
 
 
 class TestScanBoundary:

@@ -296,6 +296,46 @@ class TestModeSwap:
         assert _outcomes(MODE_SWAP @ m @ MODE_SWAP) == _outcomes(m)
 
 
+def _exact_local_orbit():
+    """17 operations that are exact on floats, as ``(perm, scale)``: the
+    matrix ``m`` goes to ``scale_i scale_j m[perm_i, perm_j]``.
+
+    The identity, a 90 degree rotation of each mode, the mode swap, momentum
+    reversal on both modes (``diag(1, -1, 1, -1)``), and ``diag(2^k, 2^-k)``
+    squeezes for k in {3, 6, 10} on mode 1, on mode 2, on both, and on both
+    in opposite directions.  None changes whether a state is separable.
+    """
+    same = [0, 1, 2, 3]
+    yield same, [1, 1, 1, 1]
+    yield [1, 0, 2, 3], [1, -1, 1, 1]  # (x1, p1) -> (p1, -x1)
+    yield [0, 1, 3, 2], [1, 1, 1, -1]
+    yield [2, 3, 0, 1], [1, 1, 1, 1]
+    yield same, [1, -1, 1, -1]
+    for k in (3, 6, 10):
+        up, down = 2.0**k, 2.0**-k
+        for scale in ([up, down, 1, 1], [1, 1, up, down], [up, down, up, down],
+                      [up, down, down, up]):
+            yield same, scale
+
+
+class TestExactLocalOrbits:
+    """A verdict does not depend on a local operation applied first."""
+
+    def test_no_orbit_splits(self):
+        orbit = [(np.array(p), np.outer(s, s)) for p, s in _exact_local_orbit()]
+        assert len(orbit) == 17
+        seen = set()
+        for seed in range(300):
+            m = cv.sample_random_physical(seed).m
+            decisions = {
+                cv.decide_separability(cv.validate(m[np.ix_(p, p)] * scale)).decision
+                for p, scale in orbit
+            }
+            assert not {cv.Decision.ENTANGLED, cv.Decision.SEPARABLE} <= decisions, seed
+            seen |= decisions
+        assert {cv.Decision.ENTANGLED, cv.Decision.SEPARABLE} <= seen
+
+
 class TestPRepresentation:
     def test_vacuum_point_mass(self):
         form = cv.to_standard_form_II(cv.validate(np.eye(4)))

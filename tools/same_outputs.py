@@ -25,7 +25,13 @@ prints one sha256 per section of outputs, then one over all of them:
   ``|c| > |c'|``, ``|c| = |c'|`` and ``|c| < |c'|``;
 * ``oracle``: ``ppt_decision`` on the ``verdicts`` states and on the
   symmetrized ``edge_family_matrices`` (from ``tests/_util.py``) of seeds
-  0..99, or the exception type and message where ``validate`` rejects one.
+  0..99, or the exception type and message where ``validate`` rejects one;
+* ``local ops``: ``OMEGA``; ``Llubo(h1, h2)`` on seeded blocks squeezed up
+  to e^8 per mode and on malformed ones (the blocks and their
+  ``inverse()``, or the exception type and message), with ``apply_llubo``
+  of each accepted one to a random state and ``llubo_invariants`` before
+  and after; and ``ModeSpec`` covariances, accepted (bytes and writeable
+  flag) or rejected.
 
 Floats enter the digests bit for bit (``float.hex``, ``ndarray.tobytes``), so
 two trees print the same digest only if every output is identical; the
@@ -51,6 +57,7 @@ SCAN_TRIPLES = 64
 CLI_RANDOM_FILES = 40
 SOLVER_DRAWS = 3000
 EDGE_SEEDS = 100
+LOCAL_OP_DRAWS = 300
 
 
 def _hex(x) -> str:
@@ -273,6 +280,9 @@ def _scenario_argvs():
         yield ["scan", *args]
     yield ["threshold", "1e-320", "0.5", "1e-320"]
     yield ["threshold", "nan", "1", "1"]
+    # 2 eta and eta * nbar overflow, or only eta * nbar.
+    yield ["threshold", "1", "1e308", "20"]
+    yield ["threshold", "1", "1e300", "1e10"]
 
 
 def _scenario_cli_lines(cv):
@@ -326,6 +336,65 @@ def _oracle_lines(cv):
                 yield f"{name} {type(exc).__name__}: {exc}"
 
 
+def _rejected_or(cv, build, show):
+    """``show(build())``, or the exception type and message."""
+    try:
+        value = build()
+    except (cv.CvsepError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return show(value)
+
+
+def _read_only(a) -> str:
+    return f"{_array(a)} {a.dtype} {a.flags.writeable}"
+
+
+def _local_op_lines(cv):
+    yield _read_only(cv.core.OMEGA)
+
+    def rot(t):
+        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+
+    def show_op(op):
+        inv = op.inverse()
+        return " ".join(_read_only(a) for a in (op.h1, op.h2, inv.h1, inv.h2))
+
+    def show_state(state):
+        invariants = " ".join(_hex(x) for x in cv.llubo_invariants(state).as_tuple())
+        return f"{_read_only(state.m)} {invariants}"
+
+    # Squeezes beyond about e^6.7 round the determinant off 1 and are rejected.
+    rng = np.random.default_rng(0)
+    for seed in range(LOCAL_OP_DRAWS):
+        state = cv.sample_random_physical(seed)
+        yield show_state(state)
+        h1, h2 = (
+            rot(a) @ np.diag([math.exp(k), math.exp(-k)]) @ rot(b)
+            for k, a, b in rng.uniform([-8.0, 0.0, 0.0], [8.0, 6.3, 6.3], (2, 3))
+        )
+        try:
+            op = cv.Llubo(h1, h2)
+        except cv.CvsepError as exc:
+            yield f"{type(exc).__name__}: {exc}"
+            continue
+        yield show_op(op)
+        yield _rejected_or(cv, lambda: cv.apply_llubo(state, op), show_state)
+    eye = np.eye(2)
+    for h in (np.array([[1.0, -0.0], [0.0, 1.0]]), np.array([[2, 1], [1, 1]]),
+              np.full((2, 2), 1e200), np.array([[math.inf, 0.0], [0.0, 1.0]]),
+              2.0 * eye, np.eye(3), eye + 0j, eye.astype(bool)):
+        yield _rejected_or(cv, lambda: cv.Llubo(eye, h), show_op)
+    covs = [np.eye(2), np.array([[2, 1], [1, 3]]), np.eye(2, dtype=np.float32),
+            np.array([[1.5, -0.0], [0.0, 1.5]]), np.array([[2.0, 1e-11], [0.0, 1.0]]),
+            0.5 * np.eye(2), np.array([[2.0, 0.5], [0.0, 2.0]]), np.eye(3),
+            np.array([[math.nan, 0.0], [0.0, 1.0]]), np.eye(2) + 0j]
+    for seed in range(20):
+        g = rng.normal(size=(2, 2))
+        covs.append(g @ g.T + np.eye(2))
+    for cov in covs:
+        yield _rejected_or(cv, lambda: cv.ModeSpec(0.1, -0.2, cov), lambda s: _read_only(s.cov))
+
+
 SECTIONS = (
     ("scans", _scan_lines),
     ("verdicts", _verdict_lines),
@@ -333,6 +402,7 @@ SECTIONS = (
     ("scenario CLI", _scenario_cli_lines),
     ("solver", _solver_lines),
     ("oracle", _oracle_lines),
+    ("local ops", _local_op_lines),
 )
 
 
