@@ -341,6 +341,64 @@ class TestFormII:
             cv.standard_form.solve_form_II_root(2.0, 2.0, 3.0, 0.1)
 
 
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Arguments of each call to ``standard_form.solve_r2_given_r1``: one per
+    residual evaluation of the root solve, counted as the benchmark does."""
+    calls = []
+    solve_r2 = cv.standard_form.solve_r2_given_r1
+
+    def counted(*args):
+        calls.append(args)
+        return solve_r2(*args)
+
+    monkeypatch.setattr(cv.standard_form, "solve_r2_given_r1", counted)
+    return calls
+
+
+def evaluation_bound(n):
+    """The documented bound on one call's residual evaluations, bigger mode n:
+    ``2 log2((n - 1) / ulp(1))`` steps, plus the guard, ``f(n)`` and ``r2``,
+    plus 2 for the midpoint's rounding."""
+    return 5 + math.ceil(2.0 * math.log2((n - 1.0) / math.ulp(1.0)))
+
+
+def _contract_forms():
+    """Accepted, non-degenerate form-I scalars of seeded random and edge states."""
+    states = [cv.sample_random_physical(seed) for seed in range(1000)]
+    for seed in range(200):
+        for matrix in edge_family_matrices(seed).values():
+            try:
+                states.append(cv.validate(0.5 * (matrix + matrix.T)))
+            except cv.CvsepError:
+                pass
+    eps = cv.standard_form.EPS_FORM
+    for state in states:
+        n, m, c, cp = state._form_I[:4]
+        if not (c < eps or n - 1.0 < eps or m - 1.0 < eps):
+            yield n, m, c, cp
+
+
+def _residual_signs(big, small, c, cp, r1):
+    """Signs (0 for a root) of the residual at the floats within 8 steps of
+    r1 in ``[1, big]``; f(big) within its rounding allowance counts as a
+    root, as in the solver's bracket check."""
+    near = [r1]
+    for toward in (0.0, math.inf):
+        x = r1
+        for _ in range(8):
+            x = math.nextafter(x, toward)
+            if 1.0 <= x <= big:
+                near.append(x)
+    allowance = cv.standard_form.EPS_FORM * max(1.0, big * abs(c))
+    signs = set()
+    for x in near:
+        f = cv.standard_form._balance_residual(big, small, abs(c), abs(cp), x)
+        root = f == 0.0 or (x == big and f <= allowance)
+        signs.add(0.0 if root else math.copysign(1.0, f))
+    return signs
+
+
 class TestSolveRoot:
     @pytest.mark.parametrize(
         "n, m, c, cp, expected",
@@ -352,9 +410,10 @@ class TestSolveRoot:
             # |c| < |c'|, either mode order.
             (3.0, 2.0, 1.0, -1.2, (1.0, 1.0)),
             (2.0, 3.0, 1.0, 1.2, (1.0, 1.0)),
-            # |c| > |c'|: bisected, the root mirrored with the modes.
-            (3.0, 2.0, 1.5, 0.5, (1.527549915583628, 1.364836553111573)),
-            (2.0, 3.0, 1.5, 0.5, (1.364836553111573, 1.527549915583628)),
+            # |c| > |c'|: solved, the root mirrored with the modes (see
+            # test_root_within_4_ulp_of_bisection).
+            (3.0, 2.0, 1.5, 0.5, (1.5275499155836278, 1.3648365531115727)),
+            (2.0, 3.0, 1.5, 0.5, (1.3648365531115727, 1.5275499155836278)),
             # Vacuum modes and n < 1.
             (1.0, 2.0, 0.5, 0.5, cv.DegenerateForm),
             (2.0, 1.0, 0.5, 0.5, cv.DegenerateForm),
@@ -383,7 +442,7 @@ class TestSolveRoot:
         ],
     )
     def test_unit_exit_as_the_residual_decides(self, n, m, c, cp, expected):
-        # The root is (1, 1) without a bisection exactly where f(1) <= 0,
+        # The root is (1, 1) without a solve exactly where f(1) <= 0,
         # and the residual's guards raise as the solver does.
         solve = cv.standard_form.solve_form_II_root
         big, small = (m, n) if n < m else (n, m)
@@ -400,6 +459,114 @@ class TestSolveRoot:
         else:
             with pytest.raises(expected):
                 solve(n, m, c, cp)
+
+    @pytest.mark.parametrize("n, m, c, cp", [(3.0, 2.0, 1.5, 0.5), (2.0, 3.0, 1.5, 0.5)])
+    def test_root_within_4_ulp_of_bisection(self, n, m, c, cp):
+        # Bisection to the last bit found (1.527549915583628, 1.364836553111573),
+        # where the residual is exactly 0; the secant loop stops at a 4-ulp
+        # bracket, one ulp below in each mode here.
+        bisected = (1.527549915583628, 1.364836553111573)
+        if n < m:
+            bisected = bisected[::-1]
+        root = cv.standard_form.solve_form_II_root(n, m, c, cp)
+        for r, b in zip(root, bisected):
+            assert abs(r - b) <= 4.0 * math.ulp(b)
+
+    def test_root_just_above_one(self, residual_calls):
+        # |c| one ulp above |c'|: f(1) = 2.2e-16 and f(1 + ulp) = -2.2e-16, so
+        # the root is the bracket's lower end to rounding.
+        c, cp = 1.5, math.nextafter(1.5, 0.0)
+        residual = cv.standard_form._balance_residual
+        assert residual(3.0, 2.0, c, cp, 1.0) > 0.0 > residual(3.0, 2.0, c, cp, 1.0 + math.ulp(1.0))
+        residual_calls.clear()
+        root = cv.standard_form.solve_form_II_root(3.0, 2.0, c, cp)
+        assert 1.0 <= root[0] <= 1.0 + 4.0 * math.ulp(1.0)
+        assert 1.0 <= root[1] <= 1.0 + 4.0 * math.ulp(1.0)
+        # The secant point lands one ulp above 1 and ends the loop in one step.
+        assert len(residual_calls) <= 6
+
+    def test_converged_end_does_not_stall(self, residual_calls):
+        # Form I of sample_random_physical(4): a secant step lands 2.2e-16
+        # below zero while the lower end is 6e-10 away, so the next secant
+        # point rounds onto the upper end.  Moved 2 ulp inside, it ends the
+        # loop; bisecting there walks the lower end in, 31 evaluations.
+        n, m = 3.8481353235089175, 2.5941391306400003
+        c, cp = 0.6625787839344379, -0.3426801439506831
+        r1, _ = cv.standard_form.solve_form_II_root(n, m, c, cp)
+        assert len(residual_calls) <= 12
+        assert _residual_signs(n, m, c, cp, r1) == {-1.0, 1.0}
+
+    def test_exact_zero_at_the_bracket_end(self, residual_calls):
+        # c' = 0 and c = sqrt((n^2 - 1)(m^2 - 1) / nm) = 2 put f(n) at 0
+        # exactly: n is returned with no step.
+        assert cv.standard_form.solve_form_II_root(3.0, 2.0, 2.0, 0.0) == (3.0, 2.0)
+        assert len(residual_calls) == 3
+
+    def test_root_at_n_inside_the_allowance(self, residual_calls):
+        # c one ulp above 2: f(n) = 1.1e-15 > 0 lies in the rounding allowance,
+        # so no sign change is stored and every step bisects towards n.
+        c = math.nextafter(2.0, 3.0)
+        assert 0.0 < cv.standard_form._balance_residual(3.0, 2.0, c, 0.0, 3.0) < 1e-14
+        residual_calls.clear()
+        root = cv.standard_form.solve_form_II_root(3.0, 2.0, c, 0.0)
+        assert 3.0 - 4.0 * math.ulp(3.0) <= root[0] <= 3.0
+        assert root[1] == cv.standard_form.solve_r2_given_r1(3.0, 2.0, root[0])
+        assert 50 <= len(residual_calls) <= evaluation_bound(3.0)
+        assert cv.standard_form.solve_form_II_root(2.0, 3.0, c, 0.0) == root[::-1]
+
+    def test_returns_the_end_with_the_smaller_true_residual(self, monkeypatch):
+        # The Illinois rule halves stored end values, so the returned end is
+        # chosen by the true |f| of the last point evaluated on each side.
+        residual = cv.standard_form._balance_residual
+        evaluated = []
+
+        def logged(*args):
+            evaluated.append((args[-1], residual(*args)))
+            return evaluated[-1][1]
+
+        monkeypatch.setattr(cv.standard_form, "_balance_residual", logged)
+        checked = 0
+        for seed in range(1000):
+            evaluated.clear()
+            n, m, c, cp = cv.sample_random_physical(seed)._form_I[:4]
+            r1 = cv.standard_form.solve_form_II_root(max(n, m), min(n, m), c, cp)[0]
+            last = {f > 0.0: (x, abs(f)) for x, f in evaluated if f != 0.0}
+            if len(last) == 2 and r1 in (last[True][0], last[False][0]):
+                assert dict(last.values())[r1] == min(last[True][1], last[False][1])
+                checked += 1
+        assert checked > 600  # the rest end at an exact zero
+
+    def test_contract_on_seeded_states(self, residual_calls):
+        # Random and edge states in both mode orders: a bracketed root with
+        # a sign change within 8 floats, mirrored bit for bit, and the
+        # documented evaluation bound.
+        solve = cv.standard_form.solve_form_II_root
+        evals = []
+        solved = unbracketed = 0
+        for n, m, c, cp in _contract_forms():
+            big, small = max(n, m), min(n, m)
+            roots = []
+            for args in ((n, m, c, cp), (m, n, c, cp)):
+                residual_calls.clear()
+                try:
+                    roots.append(solve(*args))
+                except cv.RootNotBracketed:
+                    roots.append(None)
+                evals.append(len(residual_calls))
+                assert evals[-1] <= evaluation_bound(big)
+            if roots[0] is None:
+                assert roots[1] is None
+                unbracketed += 1
+                continue
+            solved += 1
+            if n != m:  # n = m gives the same call twice
+                assert roots[1] == roots[0][::-1]
+            r1 = roots[0][0] if n >= m else roots[0][1]
+            assert 1.0 <= r1 <= big
+            signs = _residual_signs(big, small, c, cp, r1)
+            assert 0.0 in signs or signs == {-1.0, 1.0}, (n, m, c, cp, r1)
+        assert solved > 1500 and 0 < unbracketed < 40
+        assert sum(evals) / len(evals) <= 16.0
 
 
 class TestInternalTransforms:

@@ -31,7 +31,10 @@ prints one sha256 per section of outputs, then one over all of them:
   ``inverse()``, or the exception type and message), with ``apply_llubo``
   of each accepted one to a random state and ``llubo_invariants`` before
   and after; and ``ModeSpec`` covariances, accepted (bytes and writeable
-  flag) or rejected.
+  flag) or rejected;
+* ``decisions``: only the decision of each ``verdicts`` state and scan
+  point, and the exit code of each ``state-file CLI`` call, so a change that
+  moves outputs by rounding can show that no verdict moved.
 
 Floats enter the digests bit for bit (``float.hex``, ``ndarray.tobytes``), so
 two trees print the same digest only if every output is identical; the
@@ -64,7 +67,8 @@ def _hex(x) -> str:
     return float(x).hex()
 
 
-def _scan_lines(cv):
+def _scans(cv):
+    """The label (empty for the last two) and the points of each seeded scan."""
     rng = np.random.default_rng(0)
     for k in range(SCAN_TRIPLES):
         r = float(rng.uniform(0.1, 10.0))
@@ -74,11 +78,17 @@ def _scan_lines(cv):
         # Every fourth scan starts inside the window rather than at t = 0.
         t_min = 0.25 * t_max if k % 4 == 3 else 0.0
         resolution = 12 + k % 5
-        yield f"scan {_hex(r)} {_hex(eta)} {_hex(nbar)} {_hex(t_min)}"
-        for p in cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min):
-            yield f"{_hex(p.t)} {_hex(p.margin)} {p.decision.value}"
+        label = f"scan {_hex(r)} {_hex(eta)} {_hex(nbar)} {_hex(t_min)}"
+        yield label, cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min)
     for nbar in (0.0, 1.0):
-        for p in cv.scan_boundary(10.0, 1.0, nbar, 3.0, 7):
+        yield "", cv.scan_boundary(10.0, 1.0, nbar, 3.0, 7)
+
+
+def _scan_lines(cv):
+    for label, points in _scans(cv):
+        if label:
+            yield label
+        for p in points:
             yield f"{_hex(p.t)} {_hex(p.margin)} {p.decision.value}"
 
 
@@ -241,7 +251,8 @@ def _state_files(cv, folder: Path):
     return paths
 
 
-def _cli_lines(cv):
+def _cli_runs(cv):
+    """``(argv label, exit code, stdout and stderr)`` of each state-file call."""
     from cvsep import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -253,7 +264,12 @@ def _cli_lines(cv):
                     code = cli.main([extra[0], path, *extra[1:]])
                 # The temporary directory differs between runs.
                 text = (out.getvalue() + "\0" + err.getvalue()).replace(path, name)
-                yield f"{' '.join(extra)} {name} {code}\n{text}"
+                yield f"{' '.join(extra)} {name}", code, text
+
+
+def _cli_lines(cv):
+    for label, code, text in _cli_runs(cv):
+        yield f"{label} {code}\n{text}"
 
 
 def _scenario_argvs():
@@ -395,6 +411,16 @@ def _local_op_lines(cv):
         yield _rejected_or(cv, lambda: cv.ModeSpec(0.1, -0.2, cov), lambda s: _read_only(s.cov))
 
 
+def _decision_lines(cv):
+    for seed in range(RANDOM_STATES):
+        yield cv.decide_separability(cv.sample_random_physical(seed)).decision.value
+    for _, points in _scans(cv):
+        for p in points:
+            yield p.decision.value
+    for label, code, _ in _cli_runs(cv):
+        yield f"{label} {code}"
+
+
 SECTIONS = (
     ("scans", _scan_lines),
     ("verdicts", _verdict_lines),
@@ -403,6 +429,7 @@ SECTIONS = (
     ("solver", _solver_lines),
     ("oracle", _oracle_lines),
     ("local ops", _local_op_lines),
+    ("decisions", _decision_lines),
 )
 
 
