@@ -3,14 +3,15 @@
 Form I has scalar diagonal blocks ``n*I``, ``m*I`` and a diagonal intermode
 block ``diag(c, c')`` with ``c >= |c'|``; form II applies one more diagonal
 squeeze per mode, with the squeeze parameters ``(r1, r2)`` solving a balance
-condition located by a bracketed secant (Illinois) step on the physical
-bracket ``[1, n]`` of the larger mode's squeeze.
+condition located by a bracketed secant (Anderson-Bjorck) step on the
+physical bracket ``[1, n]`` of the larger mode's squeeze.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt, ulp
 
 import numpy as np
 
@@ -134,13 +135,14 @@ def _balance_residual(
 ) -> float:
     """f(r1) = LHS - RHS of the squeeze-balance condition."""
     r2 = solve_r2_given_r1(n, m, r1)
-    s = math.sqrt(r1 * r2)
-    lhs = s * abs_c - abs_cp / s
+    s = sqrt(r1 * r2)
     t_up = (n * r1 - 1.0) * (m * r2 - 1.0)
     t_dn = (n / r1 - 1.0) * (m / r2 - 1.0)
-    # Both products are nonnegative along the branch; clamp roundoff.
-    rhs = math.sqrt(max(t_up, 0.0)) - math.sqrt(max(t_dn, 0.0))
-    return lhs - rhs
+    # Both products are nonnegative along the branch; clamp roundoff as
+    # max(t, 0.0) would, passing NaN and -0.0 to sqrt.
+    rhs = sqrt(t_up) if not t_up < 0.0 else 0.0
+    rhs -= sqrt(t_dn) if not t_dn < 0.0 else 0.0
+    return (s * abs_c - abs_cp / s) - rhs
 
 
 def solve_form_II_root(
@@ -161,20 +163,23 @@ def solve_form_II_root(
     radicands are equal), so ``f(1) <= 0`` is tested without evaluating
     ``f``; the ``|c| = |c'|`` family exits there.
 
-    Otherwise ``[1, n]`` is narrowed by regula falsi with the Illinois rule
-    (Dowell & Jarratt, BIT 11, 168 (1971)): where the same end moves twice
-    in a row, the other end's stored ``f`` is halved.  The secant starts
-    from that exact ``f(1)`` and from ``f(n) < 0``; while an end has no
-    proven sign (``f(1)`` not exact, or ``f(n)`` in its rounding allowance)
-    each step bisects.  A secant point within 2 ulp of an end is moved 2 ulp
-    inside, so a converged end cannot stall the other.  Each step evaluates
-    ``f`` strictly inside the bracket; the loop stops at
-    ``hi - lo <= 4 ulp(hi)`` or an exact zero and returns the end with the
-    smaller true ``|f|``.  A step bisects whenever the bracket is wider than
-    ``4 (n - 1) 2^(-j/2)`` before step ``j``, so the loop takes at most about
-    ``2 log2((n - 1) / ulp(1))`` steps, twice bisection's; a random state
-    takes about 9.  Each step, the guard, ``f(n)`` and the returned ``r2``
-    call :func:`solve_r2_given_r1` once.
+    Otherwise ``[1, n]`` is narrowed by regula falsi with the
+    Anderson-Bjorck rule (BIT 13, 253 (1973)): where an end moves twice in
+    a row, from ``f_old`` to ``f_new``, the other end's stored ``f`` is
+    scaled by ``g = 1 - f_new / f_old``, or halved where ``g <= 0``.  The
+    secant starts from that exact ``f(1)`` and from ``f(n) < 0``; while an
+    end has no proven sign (``f(1)`` not exact, or ``f(n)`` in its rounding
+    allowance) each step bisects.  A secant point within 2 ulp of an end is
+    moved 2 ulp inside, so a converged end cannot stall the other.  The
+    loop stops at ``hi - lo <= 4 ulp(hi)`` or an exact zero and returns the
+    end with the smaller true ``|f|``.  Step ``j`` bisects where the bracket
+    is wider than ``4 cap_j = 4 (n - 1) 2^(-j/2)``: no step widens it and
+    ``2 cap_(j-1) < 4 cap_j``, so whatever the step rule it is at most
+    ``4 cap_j`` wide after step ``j``, and no step follows the
+    ``2 log2((n - 1) / ulp(1))``-th, twice bisection's count (up to the
+    midpoint's rounding); a random state takes about 7.  Each step, the
+    guard, ``f(n)`` and the returned ``r2`` call :func:`solve_r2_given_r1`
+    once.
 
     Raises:
         DegenerateForm: ``n`` or ``m`` within ``EPS_FORM`` of 1.
@@ -195,33 +200,38 @@ def solve_form_II_root(
     # |c| makes both f(n) and that allowance +inf.
     if not f_n <= EPS_FORM * max(1.0, n * abs_c) or f_n == math.inf:
         raise RootNotBracketed(f"no sign change of f on [1, n]: f(n) = {f_n!r}")
-    # f_lo > 0 > f_hi are the stored (Illinois-scaled) end values, NaN where
-    # no sign is stored; err_lo and err_hi are the true |f| at the ends.
+    # f_lo > 0 > f_hi are the stored (scaled) end values, NaN where no sign
+    # is stored; err_lo and err_hi are the true |f| at the ends.
     lo, hi = (n if f_n == 0.0 else 1.0), n
     f_lo = abs_c - abs_cp if exact else math.nan  # f(1), where proven
     f_hi = f_n if f_n < 0.0 else math.nan
     err_lo, err_hi = abs(f_lo), abs(f_n)
     moved = 0  # +1 after lo moved, -1 after hi moved
-    cap = n - 1.0  # a quarter of the widest bracket allowed before a step
-    while hi - lo > 4.0 * math.ulp(hi):
+    cap = n - 1.0
+    while (w := hi - lo) > 4.0 * ulp(hi):
         cap *= _SQRT_HALF
-        # The secant point; NaN (an end with no stored sign, or inf / inf)
-        # falls back to bisection, as does a bracket wider than 4 cap.
-        t = f_lo / (f_lo - f_hi) if f_lo > 0.0 > f_hi else math.nan
-        x = lo + (hi - lo) * t
-        if 0.25 * (hi - lo) > cap or math.isnan(x):
+        # A bracket wider than 4 cap, an end with no stored sign, or a NaN
+        # secant point (inf / inf) bisects.
+        x = math.nan
+        if 0.25 * w <= cap and f_lo > 0.0 > f_hi:
+            x = lo + w * (f_lo / (f_lo - f_hi))
+            step = 2.0 * ulp(hi)
+            if x < lo + step:
+                x = lo + step
+            elif x > hi - step:
+                x = hi - step
+        if x != x:
             x = 0.5 * (lo + hi)
-        else:
-            step = 2.0 * math.ulp(hi)
-            x = min(max(x, lo + step), hi - step)
         f_x = _balance_residual(n, m, abs_c, abs_cp, x)
         if f_x > 0.0:
             if moved > 0:
-                f_hi *= 0.5
+                g = 1.0 - f_x / f_lo
+                f_hi *= g if g > 0.0 else 0.5
             lo, f_lo, err_lo, moved = x, f_x, f_x, 1
         elif f_x < 0.0:
             if moved < 0:
-                f_lo *= 0.5
+                g = 1.0 - f_x / f_hi
+                f_lo *= g if g > 0.0 else 0.5
             hi, f_hi, err_hi, moved = x, f_x, -f_x, -1
         else:
             lo = hi = x

@@ -1,0 +1,110 @@
+"""Residual evaluations per call of cvsep's form-II root solve.
+
+    python3 tools/solver_evals.py SRC_DIR
+
+Imports cvsep from ``SRC_DIR`` (the ``src`` directory of a checkout) and
+counts the calls to ``standard_form.solve_r2_given_r1`` made inside each
+``solve_form_II_root`` call, as the benchmark's ``--trace 1`` does: the
+steps, ``f(n)``, the guard and the returned ``r2`` each count one.  The
+solver runs on the form-I scalars ``(n, m, c, c')`` of
+``sample_random_physical(0..2999)`` and of each symmetrized
+``edge_family_matrices`` family (from ``tests/_util.py``) of seeds 0..299,
+in both mode orders, skipping the forms ``to_standard_form_II`` flags
+degenerate and the matrices ``validate`` rejects.  It prints, per source
+and over all of them, the calls, the calls that raised, and the mean, p99
+and max evaluations per call.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from pathlib import Path
+
+RANDOM_STATES = 3000
+EDGE_SEEDS = 300
+
+
+def _edge_family_matrices(seed: int) -> dict:
+    """``edge_family_matrices(seed)`` of this checkout's ``tests/_util.py``."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    from _util import edge_family_matrices
+
+    return edge_family_matrices(seed)
+
+
+def _sources(cv):
+    """``{source name: [accepted states]}``."""
+    sources = {"random": [cv.sample_random_physical(seed) for seed in range(RANDOM_STATES)]}
+    for seed in range(EDGE_SEEDS):
+        for family, matrix in _edge_family_matrices(seed).items():
+            try:
+                state = cv.validate(0.5 * (matrix + matrix.T))
+            except cv.CvsepError:
+                continue
+            sources.setdefault(family, []).append(state)
+    return sources
+
+
+def count_evaluations(cv, states) -> tuple[list[int], int]:
+    """Evaluations of each solver call on ``states`` in both mode orders,
+    and the number of calls that raised ``RootNotBracketed``."""
+    sf = cv.standard_form
+    solve_r2 = sf.solve_r2_given_r1
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve_r2(*args)
+
+    evals, raised = [], 0
+    sf.solve_r2_given_r1 = counted
+    try:
+        for state in states:
+            n, m, c, cp = state._form_I[:4]
+            if c < sf.EPS_FORM or n - 1.0 < sf.EPS_FORM or m - 1.0 < sf.EPS_FORM:
+                continue
+            for args in ((n, m, c, cp), (m, n, c, cp)):
+                calls = 0
+                try:
+                    sf.solve_form_II_root(*args)
+                except cv.RootNotBracketed:
+                    raised += 1
+                evals.append(calls)
+    finally:
+        sf.solve_r2_given_r1 = solve_r2
+    return evals, raised
+
+
+def _summary(evals: list[int]) -> str:
+    ranked = sorted(evals)
+    p99 = ranked[min(len(ranked) - 1, math.ceil(0.99 * len(ranked)) - 1)]
+    return f"mean {sum(evals) / len(evals):6.2f}  p99 {p99:3d}  max {ranked[-1]:3d}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/solver_evals.py SRC_DIR", file=sys.stderr)
+        return 64
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    import cvsep
+
+    if not Path(cvsep.__file__).resolve().is_relative_to(src):
+        print(f"cvsep was imported from {cvsep.__file__}, not {src}", file=sys.stderr)
+        return 1
+    every = []
+    for name, states in _sources(cvsep).items():
+        evals, raised = count_evaluations(cvsep, states)
+        every += evals
+        if evals:
+            print(f"{name:22s} calls {len(evals):5d}  raised {raised:3d}  {_summary(evals)}")
+    print(f"{'all':22s} calls {len(every):5d}  {'':10s} {_summary(every)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
