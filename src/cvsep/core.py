@@ -143,7 +143,9 @@ def _frozen(cls: type, fields: dict):
     """Instance of the frozen dataclass ``cls`` whose attributes are
     ``fields``, a fresh dict in declaration order, without running
     ``__init__``: for values cvsep builds itself, of classes with no
-    ``__post_init__``.  Equality, hash, ``repr`` and ``vars()`` are those of
+    ``__post_init__``, and for a verdict's ``EprPair``, whose
+    ``__post_init__`` checks ``separability._witness`` has already run.
+    Equality, hash, ``repr`` and ``vars()`` are those of
     ``cls(**fields)``."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
@@ -266,17 +268,17 @@ def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
     """:func:`validate` on a 4x4 matrix given as nested lists of floats.
 
     Runs every check of :func:`validate`, in its order and with its
-    messages, and symmetrizes ``rows`` in place; the state keeps them.
+    messages; the state keeps the symmetrized rows.
     """
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise NotFinite("correlation matrix has non-finite entries")
-    asym = 0.0
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        x, y = rows[i][j], rows[j][i]
-        if abs(x - y) > asym:
-            asym = abs(x - y)
-        rows[i][j] = rows[j][i] = 0.5 * (x + y)
-    scale = max(1.0, rows[0][0], rows[1][1], rows[2][2], rows[3][3])
+    (a, b, c, d), (e, f, g, h), (i, j, k, s), (t, u, v, w) = rows
+    # Differences of finite floats are never NaN, so max is the largest.
+    asym = max(abs(b - e), abs(c - i), abs(d - t), abs(g - j), abs(h - u), abs(s - v))
+    b, c, d = 0.5 * (b + e), 0.5 * (c + i), 0.5 * (d + t)
+    g, h, s = 0.5 * (g + j), 0.5 * (h + u), 0.5 * (s + v)
+    rows = [[a, b, c, d], [b, f, g, h], [c, g, k, s], [d, h, s, w]]
+    scale = max(1.0, a, f, k, w)
     if asym > EPS_SYM * scale:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
@@ -449,7 +451,8 @@ def _scalarize_block(
             f"det {name} overflows: entries beyond ~1.3e154 are out of range"
         )
     det = a * d - b * b
-    _require(f"det {name}", det, 1.0, err)
+    if not det - 1.0 >= -err:
+        _require(f"det {name}", det, 1.0, err)
     if not a + d > 0.0:
         raise NotPhysical(
             f"{name} is negative definite (tr {name} = {a + d:.6g}); state "

@@ -248,7 +248,10 @@ def decide_separability(
             "decision": decision,
             "total_variance": total,
             "bound": bound,
-            "witness": None if witness is None else EprPair(*witness),
+            # _witness ran EprPair's checks.
+            "witness": None if witness is None else _frozen(
+                EprPair, {"a": witness[0], "sign_u": witness[1], "sign_v": witness[2]}
+            ),
             "margin": margin,
             "form": form,
             "min_eigenvalue": lam_min,

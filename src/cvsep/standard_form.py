@@ -3,8 +3,9 @@
 Form I has scalar diagonal blocks ``n*I``, ``m*I`` and a diagonal intermode
 block ``diag(c, c')`` with ``c >= |c'|``; form II applies one more diagonal
 squeeze per mode, with the squeeze parameters ``(r1, r2)`` solving a balance
-condition located by a bracketed secant (Anderson-Bjorck) step on the
-physical bracket ``[1, n]`` of the larger mode's squeeze.
+condition located from its closed form for alike modes by a bracketed
+secant (Anderson-Bjorck) step on the physical bracket ``[1, n]`` of the
+larger mode's squeeze.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import sqrt, ulp
 
 import numpy as np
 
-from .core import CorrelationMatrix, Llubo, _frozen
+from .core import CorrelationMatrix, Llubo, _check_unit_det, _frozen
 from .exceptions import DegenerateForm, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
@@ -161,25 +162,28 @@ def solve_form_II_root(
     Where :func:`solve_r2_given_r1` accepts ``r1 = 1`` and ``(n - 1)(m - 1)``
     is finite, ``f(1)`` is exactly ``|c| - |c'|`` (``s = 1`` and the two
     radicands are equal), so ``f(1) <= 0`` is tested without evaluating
-    ``f``; the ``|c| = |c'|`` family exits there.
+    ``f``; the ``|c| = |c'|`` family exits there.  Elsewhere a guard call
+    ``solve_r2_given_r1(n, m, 1)`` raises where ``f(1)`` would.
 
-    Otherwise ``[1, n]`` is narrowed by regula falsi with the
-    Anderson-Bjorck rule (BIT 13, 253 (1973)): where an end moves twice in
-    a row, from ``f_old`` to ``f_new``, the other end's stored ``f`` is
-    scaled by ``g = 1 - f_new / f_old``, or halved where ``g <= 0``.  The
-    secant starts from that exact ``f(1)`` and from ``f(n) < 0``; while an
-    end has no proven sign (``f(1)`` not exact, or ``f(n)`` in its rounding
-    allowance) each step bisects.  A secant point within 2 ulp of an end is
-    moved 2 ulp inside, so a converged end cannot stall the other.  The
+    Otherwise the first point is ``sqrt((q - |c'|)/(q - |c|))``,
+    ``q = sqrt(nm)``: the root where ``n = m`` (``+inf`` where ``|c| >= q``).
+    Then ``[1, n]`` is narrowed by regula falsi with the Anderson-Bjorck
+    rule (BIT 13, 253 (1973)): where an end moves twice in a row, from
+    ``f_old`` to ``f_new``, the other end's stored ``f`` is scaled by
+    ``g = 1 - f_new / f_old``, or halved where ``g <= 0``.  The ends start
+    from that exact ``f(1)`` and from ``f(n) < 0``; while an end has no
+    proven sign (``f(1)`` not exact, or ``f(n)`` in its rounding allowance)
+    each later step bisects.  A point within 2 ulp of an end, or beyond it,
+    is moved 2 ulp inside, so a converged end cannot stall the other.  The
     loop stops at ``hi - lo <= 4 ulp(hi)`` or an exact zero and returns the
     end with the smaller true ``|f|``.  Step ``j`` bisects where the bracket
     is wider than ``4 cap_j = 4 (n - 1) 2^(-j/2)``: no step widens it and
     ``2 cap_(j-1) < 4 cap_j``, so whatever the step rule it is at most
     ``4 cap_j`` wide after step ``j``, and no step follows the
     ``2 log2((n - 1) / ulp(1))``-th, twice bisection's count (up to the
-    midpoint's rounding); a random state takes about 7.  Each step, the
-    guard, ``f(n)`` and the returned ``r2`` call :func:`solve_r2_given_r1`
-    once.
+    midpoint's rounding); a random state takes about 6, alike modes about 2.
+    Each step, the guard, ``f(n)`` and the returned ``r2`` call
+    :func:`solve_r2_given_r1` once.
 
     Raises:
         DegenerateForm: ``n`` or ``m`` within ``EPS_FORM`` of 1.
@@ -192,9 +196,10 @@ def solve_form_II_root(
     if swapped:
         n, m = m, n
     exact = n - 1.0 >= EPS_FORM and m - 1.0 >= EPS_FORM and math.isfinite((n - 1.0) * (m - 1.0))
-    if exact and abs_c - abs_cp <= 0.0:
+    if not exact:
+        solve_r2_given_r1(n, m, 1.0)  # raises where f(1) would: a vacuum mode, or NaN n
+    elif abs_c - abs_cp <= 0.0:
         return 1.0, 1.0
-    solve_r2_given_r1(n, m, 1.0)  # raises where f(1) would: a vacuum mode, or NaN n
     f_n = _balance_residual(n, m, abs_c, abs_cp, n)
     # A small positive f(n) is rounding at a root exactly at n; an infinite
     # |c| makes both f(n) and that allowance +inf.
@@ -207,19 +212,16 @@ def solve_form_II_root(
     f_hi = f_n if f_n < 0.0 else math.nan
     err_lo, err_hi = abs(f_lo), abs(f_n)
     moved = 0  # +1 after lo moved, -1 after hi moved
-    cap = n - 1.0
-    while (w := hi - lo) > 4.0 * ulp(hi):
-        cap *= _SQRT_HALF
-        # A bracket wider than 4 cap, an end with no stored sign, or a NaN
-        # secant point (inf / inf) bisects.
-        x = math.nan
-        if 0.25 * w <= cap and f_lo > 0.0 > f_hi:
-            x = lo + w * (f_lo / (f_lo - f_hi))
-            step = 2.0 * ulp(hi)
-            if x < lo + step:
-                x = lo + step
-            elif x > hi - step:
-                x = hi - step
+    cap = (n - 1.0) * _SQRT_HALF
+    # x is the next point, NaN to bisect: first the root of alike modes.
+    q = sqrt(n * m)
+    x = sqrt(max((q - abs_cp) / (q - abs_c), 0.0)) if q > abs_c else math.inf
+    while hi - lo > 4.0 * ulp(hi):
+        step = 2.0 * ulp(hi)
+        if x < lo + step:
+            x = lo + step
+        elif x > hi - step:
+            x = hi - step
         if x != x:
             x = 0.5 * (lo + hi)
         f_x = _balance_residual(n, m, abs_c, abs_cp, x)
@@ -235,6 +237,12 @@ def solve_form_II_root(
             hi, f_hi, err_hi, moved = x, f_x, -f_x, -1
         else:
             lo = hi = x
+        # A bracket wider than 4 cap, an end with no stored sign, or a NaN
+        # secant point (inf / inf) bisects.
+        cap *= _SQRT_HALF
+        x = math.nan
+        if (w := hi - lo) <= 4.0 * cap and f_lo > 0.0 > f_hi:
+            x = lo + w * (f_lo / (f_lo - f_hi))
     r1 = lo if err_lo < err_hi else hi
     r2 = solve_r2_given_r1(n, m, r1)
     return (r2, r1) if swapped else (r1, r2)
@@ -258,7 +266,9 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     ``|c| = |c'|`` family), the transform is form I's own.
     """
     n, m, c, cp, h1, h2 = state._form_I
-    transform = Llubo._fresh(h1, h2)
+    # Form I's blocks are checked before the solve, as Llubo._fresh checks them.
+    _check_unit_det("h1", h1)
+    _check_unit_det("h2", h2)
     # Form I has c >= |c'| >= 0.
     degenerate = c < EPS_FORM or n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM
     if degenerate:
@@ -266,7 +276,9 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
     # Form I's transform is exact when r1 = r2 = 1: _squeezed(h, 1.0) is h.
-    if not r1 == r2 == 1.0:
+    if r1 == r2 == 1.0:
+        transform = _frozen(Llubo, {"_e1": h1, "_e2": h2})
+    else:
         transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
     geo = math.sqrt(r1 * r2)
     return _frozen(

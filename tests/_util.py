@@ -146,6 +146,19 @@ def blockdiag(h1, h2):
     return out
 
 
+def symmetric_layout(seed):
+    """Seeded form-I layout of two alike modes, ``n = m``, with ``c > |c'|``.
+
+    Its balance squeezes are ``r1 = r2 = sqrt((n - |c'|)/(n - c))``.  It is
+    physical: with ``c < n - 1`` and ``|c'| < c``, both ``(n - c)(n - c')``
+    and ``(n + c)(n + c')``, the squared symplectic eigenvalues, exceed 1.
+    """
+    rng = np.random.default_rng(seed)
+    n = rng.uniform(1.5, 5.0)
+    c = (n - 1.0) * rng.uniform(0.05, 0.95)
+    return layout(n, n, c, c * rng.uniform(-0.95, 0.95))
+
+
 def edge_family_matrices(seed):
     """One seeded matrix per adversarial family, under a random local operation.
 

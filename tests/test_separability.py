@@ -262,6 +262,21 @@ class TestBuiltValues:
             built += cert is not None
         assert 0 < built < len(states)
 
+    def test_witness_pairs(self):
+        # A verdict's witness skips EprPair's __init__, whose checks the
+        # decision core has run: it is the public pair in ==, hash and repr.
+        signs = set()
+        for seed in range(200):
+            verdict = cv.decide_separability(cv.sample_random_physical(seed))
+            pair = verdict.witness
+            if pair is None:
+                continue
+            built = cv.separability.construct_epr_pair(verdict.form)
+            for twin in (self._assert_as_init(pair), built):
+                assert pair == twin and hash(pair) == hash(twin) and repr(pair) == repr(twin)
+            signs.add((pair.sign_u, pair.sign_v))
+        assert len(signs) >= 2
+
 
 class TestModeSwap:
     """Exchanging the modes is not a local operation, but physicality,

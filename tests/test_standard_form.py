@@ -20,6 +20,7 @@ from _util import (
     random_llubo_blocks,
     rot2,
     strong_local_squeezes,
+    symmetric_layout,
     tmsv_layout,
 )
 
@@ -413,8 +414,8 @@ class TestSolveRoot:
             (2.0, 3.0, 1.0, 1.2, (1.0, 1.0)),
             # |c| > |c'|: solved, the root mirrored with the modes (see
             # test_root_within_4_ulp_of_bisection).
-            (3.0, 2.0, 1.5, 0.5, (1.5275499155836276, 1.3648365531115727)),
-            (2.0, 3.0, 1.5, 0.5, (1.3648365531115727, 1.5275499155836276)),
+            (3.0, 2.0, 1.5, 0.5, (1.5275499155836278, 1.3648365531115727)),
+            (2.0, 3.0, 1.5, 0.5, (1.3648365531115727, 1.5275499155836278)),
             # Vacuum modes and n < 1.
             (1.0, 2.0, 0.5, 0.5, cv.DegenerateForm),
             (2.0, 1.0, 0.5, 0.5, cv.DegenerateForm),
@@ -465,13 +466,27 @@ class TestSolveRoot:
     def test_root_within_4_ulp_of_bisection(self, n, m, c, cp):
         # Bisection to the last bit found (1.527549915583628, 1.364836553111573),
         # where the residual is exactly 0; the secant loop stops at a 4-ulp
-        # bracket, two ulp below in r1 and one in r2 here.
+        # bracket, one ulp below in r1 and in r2 here.
         bisected = (1.527549915583628, 1.364836553111573)
         if n < m:
             bisected = bisected[::-1]
         root = cv.standard_form.solve_form_II_root(n, m, c, cp)
         for r, b in zip(root, bisected):
             assert abs(r - b) <= 4.0 * math.ulp(b)
+
+    def test_closed_form_start_of_alike_modes(self, residual_calls):
+        # n = m: the first point, sqrt((q - |c'|)/(q - |c|)) with q = n, is the
+        # root, so the loop ends a step or two after it: f(n), the start,
+        # at most two steps, and r2 (no guard call).
+        for seed in range(300):
+            n, m, c, cp = cv.validate(symmetric_layout(seed))._form_I[:4]
+            assert n == m and c > abs(cp)
+            residual_calls.clear()
+            r1, r2 = cv.standard_form.solve_form_II_root(n, m, c, cp)
+            closed = math.sqrt((n - abs(cp)) / (n - c))
+            assert abs(r1 - closed) <= 2.0 * math.ulp(closed)
+            assert abs(r2 - closed) <= 4.0 * math.ulp(closed)
+            assert len(residual_calls) <= 5
 
     def test_root_just_above_one(self, residual_calls):
         # |c| one ulp above |c'|: f(1) = 2.2e-16 and f(1 + ulp) = -2.2e-16, so
@@ -499,9 +514,10 @@ class TestSolveRoot:
 
     def test_exact_zero_at_the_bracket_end(self, residual_calls):
         # c' = 0 and c = sqrt((n^2 - 1)(m^2 - 1) / nm) = 2 put f(n) at 0
-        # exactly: n is returned with no step.
+        # exactly: n is returned with no step, after f(n) and r2 (no guard
+        # call: both modes are away from vacuum).
         assert cv.standard_form.solve_form_II_root(3.0, 2.0, 2.0, 0.0) == (3.0, 2.0)
-        assert len(residual_calls) == 3
+        assert len(residual_calls) == 2
 
     def test_root_at_n_inside_the_allowance(self, residual_calls):
         # c one ulp above 2: f(n) = 1.1e-15 > 0 lies in the rounding allowance,
@@ -568,7 +584,7 @@ class TestSolveRoot:
             signs = _residual_signs(big, small, c, cp, r1)
             assert 0.0 in signs or signs == {-1.0, 1.0}, (n, m, c, cp, r1)
         assert solved > 1500 and 0 < unbracketed < 40
-        assert sum(evals) / len(evals) <= 10.3  # measured 9.78
+        assert sum(evals) / len(evals) <= 6.96  # measured 6.46
 
     @pytest.mark.parametrize(
         "f, root",
@@ -671,40 +687,47 @@ class TestInternalTransforms:
         assert len(built) == 1  # the first read builds the array
 
     def test_form_II_reuses_form_I_transform_at_unit_squeezes(self, monkeypatch):
-        # r1 = r2 = 1 squeezes nothing, so form II's transform is form I's.
-        fresh = cv.Llubo._fresh
-        calls = []
+        # r1 = r2 = 1 squeezes nothing, so form II's transform holds form I's
+        # blocks; every block a decision builds is checked once.
+        check = cv.core._check_unit_det
+        checked = []
 
-        def counted(e1, e2):
-            calls.append((e1, e2))
-            return fresh(e1, e2)
+        def counted(name, entries):
+            checked.append(entries)
+            check(name, entries)
 
-        monkeypatch.setattr(cv.Llubo, "_fresh", staticmethod(counted))
+        monkeypatch.setattr(cv.core, "_check_unit_det", counted)
+        monkeypatch.setattr(cv.standard_form, "_check_unit_det", counted)
         thermal = [
             cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=0.5, t=t))
             for r in (0.3, 2.0) for t in (0.0, 0.2, 1.0)
         ]
         product = cv.validate(np.diag([2.0, 2.0, 3.0, 3.0]))
         for state in thermal + [product]:
-            calls.clear()
+            checked.clear()
             form = cv.decide_separability(state).form
-            assert (form.r1, form.r2) == (1.0, 1.0) and len(calls) == 1
-            assert form.transform._e1 == cv.to_standard_form_I(state).transform._e1
+            h1, h2 = state._form_I[4:]
+            assert (form.r1, form.r2) == (1.0, 1.0)
+            assert form.transform._e1 is h1 and form.transform._e2 is h2
+            assert checked == [h1, h2]
         assert form.degenerate  # the product state, last in the loop
-        calls.clear()
+        checked.clear()
         cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
-        assert len(calls) == 20
+        assert len(checked) == 40
         for seed in range(20):
             state = cv.sample_random_physical(seed)
-            calls.clear()
+            checked.clear()
             form = cv.decide_separability(state).form
-            assert form.r1 != 1.0 and len(calls) == 2
+            assert form.r1 != 1.0
+            assert checked == [*state._form_I[4:], form.transform._e1, form.transform._e2]
 
     @pytest.mark.parametrize(
         "r, nu, k1, k2, a1, a2, stage",
         [(0.5, 1.0, 8.0, -4.0, 1.1, -1.1, "I"), (0.7, 3.0, 8.0, -8.0, 1.3, 1.3, "II")],
     )
-    def test_strong_squeeze_raises_from_the_decision(self, r, nu, k1, k2, a1, a2, stage):
+    def test_strong_squeeze_raises_from_the_decision(
+        self, monkeypatch, r, nu, k1, k2, a1, a2, stage
+    ):
         # The check runs when cvsep builds a transform, before any verdict:
         # deferring it to the first read of h1 or h2 gives wrong verdicts.
         h1 = rot2(a1) @ np.diag([math.exp(k1), math.exp(-k1)])
@@ -715,6 +738,14 @@ class TestInternalTransforms:
         with pytest.raises(cv.InvalidLlubo, match=r"^det\(h[12]\) = "):
             cv.decide_separability(state)
         if stage == "I":
+            # Form II checks form I's blocks before its solve (None would
+            # raise TypeError), with the message Llubo._fresh gives them.
+            with pytest.raises(cv.InvalidLlubo) as expected:
+                cv.Llubo._fresh(*state._form_I[4:])
+            with monkeypatch.context() as patch:
+                patch.setattr(cv.standard_form, "solve_form_II_root", None)
+                with pytest.raises(cv.InvalidLlubo, match=f"^{re.escape(str(expected.value))}$"):
+                    cv.decide_separability(state)
             with pytest.raises(cv.InvalidLlubo):
                 cv.to_standard_form_I(state)
         else:

@@ -7,9 +7,10 @@ counts the calls to ``standard_form.solve_r2_given_r1`` made inside each
 ``solve_form_II_root`` call, as the benchmark's ``--trace 1`` does: the
 steps, ``f(n)``, the guard and the returned ``r2`` each count one.  The
 solver runs on the form-I scalars ``(n, m, c, c')`` of
-``sample_random_physical(0..2999)`` and of each symmetrized
-``edge_family_matrices`` family (from ``tests/_util.py``) of seeds 0..299,
-in both mode orders, skipping the forms ``to_standard_form_II`` flags
+``sample_random_physical(0..2999)``, of ``symmetric_layout`` (alike modes,
+where the solver's first point is the root) and of each symmetrized
+``edge_family_matrices`` family (both from ``tests/_util.py``) of seeds
+0..299, in both mode orders, skipping the forms ``to_standard_form_II`` flags
 degenerate and the matrices ``validate`` rejects.  It prints, per source
 and over all of them, the calls, the calls that raised, and the mean, p99
 and max evaluations per call.
@@ -25,21 +26,25 @@ RANDOM_STATES = 3000
 EDGE_SEEDS = 300
 
 
-def _edge_family_matrices(seed: int) -> dict:
-    """``edge_family_matrices(seed)`` of this checkout's ``tests/_util.py``."""
+def _util():
+    """This checkout's ``tests/_util.py``."""
     tests = str(Path(__file__).resolve().parent.parent / "tests")
     if tests not in sys.path:
         sys.path.insert(0, tests)
-    from _util import edge_family_matrices
+    import _util
 
-    return edge_family_matrices(seed)
+    return _util
 
 
 def _sources(cv):
     """``{source name: [accepted states]}``."""
-    sources = {"random": [cv.sample_random_physical(seed) for seed in range(RANDOM_STATES)]}
+    util = _util()
+    sources = {
+        "random": [cv.sample_random_physical(seed) for seed in range(RANDOM_STATES)],
+        "symmetric": [cv.validate(util.symmetric_layout(seed)) for seed in range(EDGE_SEEDS)],
+    }
     for seed in range(EDGE_SEEDS):
-        for family, matrix in _edge_family_matrices(seed).items():
+        for family, matrix in util.edge_family_matrices(seed).items():
             try:
                 state = cv.validate(0.5 * (matrix + matrix.T))
             except cv.CvsepError:
