@@ -177,7 +177,11 @@ def _decide_form_II(form: StandardFormII, tol_decide: float) -> tuple:
     form, whose variance data belong to the fallback ``a = 1`` pair."""
     lam_min, scale = _form_spectrum(form)
     band = tol_decide * scale
-    if lam_min < -band:
+    # A degenerate form is form I, whose negative eigenvalue proves
+    # entanglement only where it is also form II: |c| = |c'| to rounding.
+    if lam_min < -band and (
+        not form.degenerate or form.c1 - abs(form.c2) <= EPS_FORM * form.c1
+    ):
         decision = Decision.ENTANGLED
     elif lam_min >= band:
         decision = Decision.SEPARABLE
@@ -225,7 +229,9 @@ def decide_separability(
     Reduces to standard form II and tests ``M_II - I >= 0``; the boundary
     band is ``tol_decide`` relative to the entry scale of ``M_II - I``, so
     exactly reducible families (vacuum-bath decay, TMSV) are decided at
-    their intrinsic precision.  Non-degenerate forms also carry the optimal
+    their intrinsic precision.  A degenerate form, which is form I, is
+    entangled only where ``c1 - |c2| <= EPS_FORM c1``, and boundary
+    elsewhere below the band.  Non-degenerate forms also carry the optimal
     witness pair, whose variance margin is asserted consistent with the
     spectral decision.  Separable verdicts carry a P-representation
     certificate, built when first read.  The verdict wraps the values of a

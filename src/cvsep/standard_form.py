@@ -133,8 +133,8 @@ def solve_r2_given_r1(n: float, m: float, r1: float) -> float:
 
 def _balance_residual(
     n: float, m: float, abs_c: float, abs_cp: float, r1: float
-) -> float:
-    """f(r1) = LHS - RHS of the squeeze-balance condition."""
+) -> tuple[float, float]:
+    """``(f(r1), r2)``: LHS - RHS of the squeeze-balance condition, and r2(r1)."""
     r2 = solve_r2_given_r1(n, m, r1)
     s = sqrt(r1 * r2)
     t_up = (n * r1 - 1.0) * (m * r2 - 1.0)
@@ -143,7 +143,7 @@ def _balance_residual(
     # max(t, 0.0) would, passing NaN and -0.0 to sqrt.
     rhs = sqrt(t_up) if not t_up < 0.0 else 0.0
     rhs -= sqrt(t_dn) if not t_dn < 0.0 else 0.0
-    return (s * abs_c - abs_cp / s) - rhs
+    return (s * abs_c - abs_cp / s) - rhs, r2
 
 
 def solve_form_II_root(
@@ -162,8 +162,9 @@ def solve_form_II_root(
     Where :func:`solve_r2_given_r1` accepts ``r1 = 1`` and ``(n - 1)(m - 1)``
     is finite, ``f(1)`` is exactly ``|c| - |c'|`` (``s = 1`` and the two
     radicands are equal), so ``f(1) <= 0`` is tested without evaluating
-    ``f``; the ``|c| = |c'|`` family exits there.  Elsewhere a guard call
-    ``solve_r2_given_r1(n, m, 1)`` raises where ``f(1)`` would.
+    ``f``; the ``|c| = |c'|`` family exits there.  Elsewhere ``f(1)`` is
+    evaluated: it raises where :func:`solve_r2_given_r1` does, or is NaN (a
+    NaN ``m``, an infinite mode, an overflowing ``(n - 1)(m - 1)``).
 
     Otherwise the first point is ``sqrt((q - |c'|)/(q - |c|))``,
     ``q = sqrt(nm)``: the root where ``n = m`` (``+inf`` where ``|c| >= q``).
@@ -182,8 +183,8 @@ def solve_form_II_root(
     ``4 cap_j`` wide after step ``j``, and no step follows the
     ``2 log2((n - 1) / ulp(1))``-th, twice bisection's count (up to the
     midpoint's rounding); a random state takes about 6, alike modes about 2.
-    Each step, the guard, ``f(n)`` and the returned ``r2`` call
-    :func:`solve_r2_given_r1` once.
+    Each evaluation of ``f`` (``f(1)`` where not exact, ``f(n)``, each step)
+    calls :func:`solve_r2_given_r1` once, whose ``r2`` is kept for its end.
 
     Raises:
         DegenerateForm: ``n`` or ``m`` within ``EPS_FORM`` of 1.
@@ -196,21 +197,20 @@ def solve_form_II_root(
     if swapped:
         n, m = m, n
     exact = n - 1.0 >= EPS_FORM and m - 1.0 >= EPS_FORM and math.isfinite((n - 1.0) * (m - 1.0))
-    if not exact:
-        solve_r2_given_r1(n, m, 1.0)  # raises where f(1) would: a vacuum mode, or NaN n
-    elif abs_c - abs_cp <= 0.0:
+    if exact and abs_c - abs_cp <= 0.0:
         return 1.0, 1.0
-    f_n = _balance_residual(n, m, abs_c, abs_cp, n)
+    # f(1): exact, or evaluated, which raises as the guards do or gives NaN.
+    f_lo = abs_c - abs_cp if exact else _balance_residual(n, m, abs_c, abs_cp, 1.0)[0]
+    f_n, r2_hi = _balance_residual(n, m, abs_c, abs_cp, n)
     # A small positive f(n) is rounding at a root exactly at n; an infinite
     # |c| makes both f(n) and that allowance +inf.
     if not f_n <= EPS_FORM * max(1.0, n * abs_c) or f_n == math.inf:
         raise RootNotBracketed(f"no sign change of f on [1, n]: f(n) = {f_n!r}")
     # f_lo > 0 > f_hi are the stored (scaled) end values, NaN where no sign
-    # is stored; err_lo and err_hi are the true |f| at the ends.
+    # is stored; err_* and r2_* are the true |f| and the r2 at the ends.
     lo, hi = (n if f_n == 0.0 else 1.0), n
-    f_lo = abs_c - abs_cp if exact else math.nan  # f(1), where proven
     f_hi = f_n if f_n < 0.0 else math.nan
-    err_lo, err_hi = abs(f_lo), abs(f_n)
+    err_lo, err_hi, r2_lo = abs(f_lo), abs(f_n), 1.0
     moved = 0  # +1 after lo moved, -1 after hi moved
     cap = (n - 1.0) * _SQRT_HALF
     # x is the next point, NaN to bisect: first the root of alike modes.
@@ -224,27 +224,26 @@ def solve_form_II_root(
             x = hi - step
         if x != x:
             x = 0.5 * (lo + hi)
-        f_x = _balance_residual(n, m, abs_c, abs_cp, x)
+        f_x, r2_x = _balance_residual(n, m, abs_c, abs_cp, x)
         if f_x > 0.0:
             if moved > 0:
                 g = 1.0 - f_x / f_lo
                 f_hi *= g if g > 0.0 else 0.5
-            lo, f_lo, err_lo, moved = x, f_x, f_x, 1
+            lo, f_lo, err_lo, r2_lo, moved = x, f_x, f_x, r2_x, 1
         elif f_x < 0.0:
             if moved < 0:
                 g = 1.0 - f_x / f_hi
                 f_lo *= g if g > 0.0 else 0.5
-            hi, f_hi, err_hi, moved = x, f_x, -f_x, -1
+            hi, f_hi, err_hi, r2_hi, moved = x, f_x, -f_x, r2_x, -1
         else:
-            lo = hi = x
+            lo, hi, err_hi, r2_hi = x, x, 0.0, r2_x
         # A bracket wider than 4 cap, an end with no stored sign, or a NaN
         # secant point (inf / inf) bisects.
         cap *= _SQRT_HALF
         x = math.nan
         if (w := hi - lo) <= 4.0 * cap and f_lo > 0.0 > f_hi:
             x = lo + w * (f_lo / (f_lo - f_hi))
-    r1 = lo if err_lo < err_hi else hi
-    r2 = solve_r2_given_r1(n, m, r1)
+    r1, r2 = (lo, r2_lo) if err_lo < err_hi else (hi, r2_hi)
     return (r2, r1) if swapped else (r1, r2)
 
 

@@ -57,6 +57,34 @@ def layout(n, m, c, cp):
     )
 
 
+#: Near-vacuum form-I families: the seed, then the log10 ranges of n - 1 and
+#: of m - 1.  ``probe`` is ROADMAP item 14's probe.
+NEAR_VACUUM = {
+    "probe": (99, (-12.0, -6.0), (-3.0, 1.0)),
+    "mid": (7, (-9.0, -7.0), (-9.0, 1.0)),
+    "both": (7, (-12.0, -4.0), (-12.0, -4.0)),
+    "one": (7, (-16.0, -6.0), (-6.0, 1.0)),
+}
+
+
+def near_vacuum_forms(family, count):
+    """The first ``count`` form-I scalars ``(n, m, c, c')`` of a near-vacuum family.
+
+    Each draw takes, in order, ``n - 1`` and ``m - 1`` log-uniform over the
+    family's ranges, ``c = U(0, 1) sqrt(2 (n - 1)(m - 1))`` and ``c'``, which
+    is ``-U(0, 1) c`` for ``probe`` and ``U(-1, 1) c`` otherwise.  ``validate``
+    rejects some of their layouts as unphysical.
+    """
+    seed, (n_lo, n_hi), (m_lo, m_hi) = NEAR_VACUUM[family]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = 1.0 + 10.0 ** rng.uniform(n_lo, n_hi)
+        m = 1.0 + 10.0 ** rng.uniform(m_lo, m_hi)
+        c = rng.uniform(0.0, 1.0) * math.sqrt(2.0 * (n - 1.0) * (m - 1.0))
+        cp = -rng.uniform(0.0, 1.0) * c if family == "probe" else rng.uniform(-1.0, 1.0) * c
+        yield float(n), float(m), float(c), float(cp)
+
+
 def tmsv_layout(r):
     return layout(math.cosh(2 * r), math.cosh(2 * r), math.sinh(2 * r), -math.sinh(2 * r))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = (
     "scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "oracle", "local ops",
-    "decisions", "total",
+    "near vacuum", "decisions", "total",
 )
 
 

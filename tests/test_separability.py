@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import cvsep as cv
-from _util import MODE_SWAP, edge_family_matrices, random_llubo_blocks, tmsv_layout
+from _util import (
+    MODE_SWAP,
+    edge_family_matrices,
+    layout,
+    near_vacuum_forms,
+    random_llubo_blocks,
+    tmsv_layout,
+)
 
 
 def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False):
@@ -212,6 +219,78 @@ class TestDecideSeparability:
         monkeypatch.setattr(cv.separability, "to_standard_form_II", no_reduction)
         with pytest.raises(ValueError, match="tol_decide"):
             cv.decide_separability(cv.validate(tmsv_layout(0.1)), tol_decide=tol)
+
+
+@pytest.fixture(scope="module")
+def mid_near_vacuum():
+    """``(n, m, c, c')``, whether form II is degenerate, the decision or the
+    ``CvsepError`` raised, and the truth, for each accepted draw among the
+    first 2000 of the ``mid`` near-vacuum family."""
+    out = []
+    for args in near_vacuum_forms("mid", 2000):
+        try:
+            state = cv.validate(layout(*args))
+        except cv.CvsepError:
+            continue
+        degenerate = cv.to_standard_form_II(state).degenerate
+        try:
+            decision = cv.decide_separability(state).decision
+        except cv.CvsepError as exc:
+            decision = exc
+        out.append((args, degenerate, decision, cv.ppt_decision(state, 0.0)))
+    return out
+
+
+class TestNearVacuum:
+    # A mode within EPS_FORM of vacuum snaps form II to form I, flagged
+    # degenerate.  Form I's negative eigenvalue proves entanglement only
+    # where form I is form II, at |c| = |c'| (ROADMAP item 14).
+    def test_degenerate_form_with_unequal_c_is_boundary(self):
+        # Item 14's example: form I's lam_min is -6.4e-9, yet the state is
+        # separable.
+        hexes = ("0x1.0000001e5d33dp+0", "0x1.01c187b91d81ep+0",
+                 "0x1.4227add03613cp-17", "-0x1.2aa6147a077bdp-19")
+        state = cv.validate(layout(*map(float.fromhex, hexes)))
+        verdict = cv.decide_separability(state)
+        assert verdict.form.degenerate and verdict.min_eigenvalue < -1e-9
+        assert verdict.decision is cv.Decision.BOUNDARY
+        assert cv.ppt_decision(state, 0.0) is cv.Decision.SEPARABLE
+
+    def test_weak_tmsv_under_local_operations_stays_entangled(self):
+        # n - 1 ~ 2 r^2 < 2e-9: every form is degenerate, with c = |c'| only
+        # to rounding on most draws, which the EPS_FORM tolerance accepts.
+        rng = np.random.default_rng(5)
+        unequal = 0
+        for _ in range(200):
+            r = 10.0 ** rng.uniform(-6.0, -4.5)
+            op = cv.Llubo(*random_llubo_blocks(rng, 1.0))
+            state = cv.apply_llubo(cv.tmsv_matrix(r), op)
+            verdict = cv.decide_separability(state)
+            assert verdict.form.degenerate
+            assert verdict.decision is cv.Decision.ENTANGLED
+            assert cv.ppt_decision(state, 0.0) is cv.Decision.ENTANGLED
+            unequal += verdict.form.c1 != abs(verdict.form.c2)
+        assert unequal > 100
+
+    def test_degenerate_forms_are_right_or_boundary(self, mid_near_vacuum):
+        degenerate = [row for row in mid_near_vacuum if row[1]]
+        wrong = [args for args, _, decision, truth in degenerate
+                 if decision not in (truth, cv.Decision.BOUNDARY)]
+        assert len(degenerate) > 800
+        assert wrong == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 14: solved near-vacuum forms cancel in n r1 - 1 and "
+        "the like, giving wrong verdicts and bare CvsepErrors",
+    )
+    def test_every_verdict_is_right_or_boundary(self, mid_near_vacuum):
+        wrong = [args for args, _, decision, truth in mid_near_vacuum
+                 if isinstance(decision, cv.Decision)
+                 and decision not in (truth, cv.Decision.BOUNDARY)]
+        bare = [args for args, _, decision, _ in mid_near_vacuum
+                if type(decision) is cv.CvsepError]
+        assert wrong == [] and bare == []
 
 
 def _outcomes(m):

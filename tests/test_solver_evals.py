@@ -27,7 +27,7 @@ def test_prints_the_counts_per_source():
         ), line
     # Both mode orders of 3000 random states, none degenerate or unbracketed.
     assert rows[0][1:5] == ["calls", "6000", "raised", "0"]
-    # Alike modes, where the first point is the root: f(n), that point, at
-    # most two more steps and r2.
+    # Alike modes, where the first point is the root: f(n), that point and at
+    # most two more steps.
     assert rows[1][1:5] == ["calls", "600", "raised", "0"]
-    assert int(rows[1][-1]) <= 5
+    assert int(rows[1][-1]) <= 4

@@ -271,9 +271,9 @@ class TestFormII:
                 continue
             n, m, c, c_prime = state._form_I[:4]
             if n >= m:
-                f = cv.standard_form._balance_residual(n, m, abs(c), abs(c_prime), form.r1)
+                f = cv.standard_form._balance_residual(n, m, abs(c), abs(c_prime), form.r1)[0]
             else:
-                f = cv.standard_form._balance_residual(m, n, abs(c), abs(c_prime), form.r2)
+                f = cv.standard_form._balance_residual(m, n, abs(c), abs(c_prime), form.r2)[0]
             assert cv.balance_residuals(form)[1] == f
             checked += 1
         assert checked > 2900
@@ -360,9 +360,9 @@ def residual_calls(monkeypatch):
 
 def evaluation_bound(n):
     """The documented bound on one call's residual evaluations, bigger mode n:
-    ``2 log2((n - 1) / ulp(1))`` steps, plus the guard, ``f(n)`` and ``r2``,
-    plus 2 for the midpoint's rounding."""
-    return 5 + math.ceil(2.0 * math.log2((n - 1.0) / math.ulp(1.0)))
+    ``2 log2((n - 1) / ulp(1))`` steps, plus ``f(1)`` and ``f(n)``, plus 2 for
+    the midpoint's rounding."""
+    return 4 + math.ceil(2.0 * math.log2((n - 1.0) / math.ulp(1.0)))
 
 
 def _contract_forms():
@@ -395,7 +395,7 @@ def _residual_signs(big, small, c, cp, r1):
     allowance = cv.standard_form.EPS_FORM * max(1.0, big * abs(c))
     signs = set()
     for x in near:
-        f = cv.standard_form._balance_residual(big, small, abs(c), abs(cp), x)
+        f = cv.standard_form._balance_residual(big, small, abs(c), abs(cp), x)[0]
         root = f == 0.0 or (x == big and f <= allowance)
         signs.add(0.0 if root else math.copysign(1.0, f))
     return signs
@@ -449,7 +449,7 @@ class TestSolveRoot:
         solve = cv.standard_form.solve_form_II_root
         big, small = (m, n) if n < m else (n, m)
         try:
-            unit = cv.standard_form._balance_residual(big, small, abs(c), abs(cp), 1.0) <= 0.0
+            unit = cv.standard_form._balance_residual(big, small, abs(c), abs(cp), 1.0)[0] <= 0.0
         except (cv.DegenerateForm, ValueError) as exc:
             assert type(exc) is expected
             with pytest.raises(expected, match=re.escape(str(exc))):
@@ -476,8 +476,8 @@ class TestSolveRoot:
 
     def test_closed_form_start_of_alike_modes(self, residual_calls):
         # n = m: the first point, sqrt((q - |c'|)/(q - |c|)) with q = n, is the
-        # root, so the loop ends a step or two after it: f(n), the start,
-        # at most two steps, and r2 (no guard call).
+        # root, so the loop ends a step or two after it: f(n), the start and
+        # at most two steps (no f(1): it is exact).
         for seed in range(300):
             n, m, c, cp = cv.validate(symmetric_layout(seed))._form_I[:4]
             assert n == m and c > abs(cp)
@@ -486,14 +486,14 @@ class TestSolveRoot:
             closed = math.sqrt((n - abs(cp)) / (n - c))
             assert abs(r1 - closed) <= 2.0 * math.ulp(closed)
             assert abs(r2 - closed) <= 4.0 * math.ulp(closed)
-            assert len(residual_calls) <= 5
+            assert len(residual_calls) <= 4
 
     def test_root_just_above_one(self, residual_calls):
         # |c| one ulp above |c'|: f(1) = 2.2e-16 and f(1 + ulp) = -2.2e-16, so
         # the root is the bracket's lower end to rounding.
         c, cp = 1.5, math.nextafter(1.5, 0.0)
         residual = cv.standard_form._balance_residual
-        assert residual(3.0, 2.0, c, cp, 1.0) > 0.0 > residual(3.0, 2.0, c, cp, 1.0 + math.ulp(1.0))
+        assert residual(3.0, 2.0, c, cp, 1.0)[0] > 0.0 > residual(3.0, 2.0, c, cp, 1.0 + math.ulp(1.0))[0]
         residual_calls.clear()
         root = cv.standard_form.solve_form_II_root(3.0, 2.0, c, cp)
         assert 1.0 <= root[0] <= 1.0 + 4.0 * math.ulp(1.0)
@@ -514,16 +514,16 @@ class TestSolveRoot:
 
     def test_exact_zero_at_the_bracket_end(self, residual_calls):
         # c' = 0 and c = sqrt((n^2 - 1)(m^2 - 1) / nm) = 2 put f(n) at 0
-        # exactly: n is returned with no step, after f(n) and r2 (no guard
-        # call: both modes are away from vacuum).
+        # exactly: n is returned with f(n)'s r2 and no step, after f(n) alone
+        # (f(1) is exact: both modes are away from vacuum).
         assert cv.standard_form.solve_form_II_root(3.0, 2.0, 2.0, 0.0) == (3.0, 2.0)
-        assert len(residual_calls) == 2
+        assert len(residual_calls) == 1
 
     def test_root_at_n_inside_the_allowance(self, residual_calls):
         # c one ulp above 2: f(n) = 1.1e-15 > 0 lies in the rounding allowance,
         # so no sign change is stored and every step bisects towards n.
         c = math.nextafter(2.0, 3.0)
-        assert 0.0 < cv.standard_form._balance_residual(3.0, 2.0, c, 0.0, 3.0) < 1e-14
+        assert 0.0 < cv.standard_form._balance_residual(3.0, 2.0, c, 0.0, 3.0)[0] < 1e-14
         residual_calls.clear()
         root = cv.standard_form.solve_form_II_root(3.0, 2.0, c, 0.0)
         assert 3.0 - 4.0 * math.ulp(3.0) <= root[0] <= 3.0
@@ -539,8 +539,9 @@ class TestSolveRoot:
         evaluated = []
 
         def logged(*args):
-            evaluated.append((args[-1], residual(*args)))
-            return evaluated[-1][1]
+            f, r2 = residual(*args)
+            evaluated.append((args[-1], f))
+            return f, r2
 
         monkeypatch.setattr(cv.standard_form, "_balance_residual", logged)
         checked = 0
@@ -579,12 +580,13 @@ class TestSolveRoot:
             solved += 1
             if n != m:  # n = m gives the same call twice
                 assert roots[1] == roots[0][::-1]
-            r1 = roots[0][0] if n >= m else roots[0][1]
+            r1, r2 = roots[0] if n >= m else roots[0][::-1]
             assert 1.0 <= r1 <= big
+            assert r2.hex() == cv.standard_form.solve_r2_given_r1(big, small, r1).hex()
             signs = _residual_signs(big, small, c, cp, r1)
             assert 0.0 in signs or signs == {-1.0, 1.0}, (n, m, c, cp, r1)
         assert solved > 1500 and 0 < unbracketed < 40
-        assert sum(evals) / len(evals) <= 6.96  # measured 6.46
+        assert sum(evals) / len(evals) <= 6.00  # measured 5.50
 
     @pytest.mark.parametrize(
         "f, root",
@@ -603,9 +605,9 @@ class TestSolveRoot:
         bound = evaluation_bound(3.0)
 
         def curved(n, m, abs_c, abs_cp, r1):
-            cv.standard_form.solve_r2_given_r1(n, m, r1)
+            r2 = cv.standard_form.solve_r2_given_r1(n, m, r1)
             assert len(residual_calls) <= bound
-            return f(r1)
+            return f(r1), r2
 
         monkeypatch.setattr(cv.standard_form, "_balance_residual", curved)
         r1, _ = cv.standard_form.solve_form_II_root(3.0, 2.0, f(1.0), 0.0)
@@ -629,8 +631,9 @@ class TestSolveRoot:
             rhs = math.sqrt(max(t_up, 0.0)) - math.sqrt(max(t_dn, 0.0))
             for abs_c, abs_cp in itertools.product((-0.0, 0.0, 1.0), repeat=2):
                 want = (s * abs_c - abs_cp / s) - rhs
-                got = cv.standard_form._balance_residual(n, m, abs_c, abs_cp, r1)
+                got, got_r2 = cv.standard_form._balance_residual(n, m, abs_c, abs_cp, r1)
                 assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+                assert got_r2 is r2[0]
         zeros = {math.copysign(1.0, t) for t in radicands if t == 0.0}
         assert any(map(math.isnan, radicands)) and zeros == {-1.0, 1.0}
         assert any(-1e-15 < t < 0.0 for t in radicands)

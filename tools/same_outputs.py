@@ -32,6 +32,9 @@ prints one sha256 per section of outputs, then one over all of them:
   of each accepted one to a random state and ``llubo_invariants`` before
   and after; and ``ModeSpec`` covariances, accepted (bytes and writeable
   flag) or rejected;
+* ``near vacuum``: the decision, or the exception type and message, for the
+  layouts of the first 2000 draws of ROADMAP item 14's probe
+  (``near_vacuum_forms("probe", ...)`` of ``tests/_util.py``);
 * ``decisions``: only the decision of each ``verdicts`` state and scan
   point, and the exit code of each ``state-file CLI`` call, so a change that
   moves outputs by rounding can show that no verdict moved.
@@ -61,6 +64,7 @@ CLI_RANDOM_FILES = 40
 SOLVER_DRAWS = 3000
 EDGE_SEEDS = 100
 LOCAL_OP_DRAWS = 300
+NEAR_VACUUM_DRAWS = 2000
 
 
 def _hex(x) -> str:
@@ -135,14 +139,14 @@ def _verdict_lines(cv):
             )
 
 
-def _edge_family_matrices(seed: int) -> dict:
-    """``edge_family_matrices(seed)`` of this checkout's ``tests/_util.py``."""
+def _util():
+    """This checkout's ``tests/_util.py``."""
     tests = str(Path(__file__).resolve().parent.parent / "tests")
     if tests not in sys.path:
         sys.path.insert(0, tests)
-    from _util import edge_family_matrices
+    import _util
 
-    return edge_family_matrices(seed)
+    return _util
 
 
 def _state_files(cv, folder: Path):
@@ -213,7 +217,7 @@ def _state_files(cv, folder: Path):
         rot(0.7) @ np.diag([math.exp(-6.0), math.exp(6.0)]) @ rot(0.2),
     )
     docs.append(("squeezed-e6", cv.apply_llubo(cv.sample_random_physical(0), op).m.tolist()))
-    large = _edge_family_matrices(760)["large_squeeze"]
+    large = _util().edge_family_matrices(760)["large_squeeze"]
     docs.append(("unbracketed-large-squeeze", (0.5 * (large + large.T)).tolist()))
     asym = np.eye(4)
     asym[0, 1] = 0.5
@@ -345,7 +349,7 @@ def _oracle_lines(cv):
     for seed in range(RANDOM_STATES):
         yield cv.ppt_decision(cv.sample_random_physical(seed)).value
     for seed in range(EDGE_SEEDS):
-        for name, m in _edge_family_matrices(seed).items():
+        for name, m in _util().edge_family_matrices(seed).items():
             try:
                 yield f"{name} {cv.ppt_decision(cv.validate(0.5 * (m + m.T))).value}"
             except cv.CvsepError as exc:
@@ -411,6 +415,17 @@ def _local_op_lines(cv):
         yield _rejected_or(cv, lambda: cv.ModeSpec(0.1, -0.2, cov), lambda s: _read_only(s.cov))
 
 
+def _near_vacuum_lines(cv):
+    util = _util()
+    for args in util.near_vacuum_forms("probe", NEAR_VACUUM_DRAWS):
+        shown = _rejected_or(
+            cv,
+            lambda: cv.decide_separability(cv.validate(util.layout(*args))),
+            lambda verdict: verdict.decision.value,
+        )
+        yield f"{' '.join(_hex(x) for x in args)} {shown}"
+
+
 def _decision_lines(cv):
     for seed in range(RANDOM_STATES):
         yield cv.decide_separability(cv.sample_random_physical(seed)).decision.value
@@ -429,6 +444,7 @@ SECTIONS = (
     ("solver", _solver_lines),
     ("oracle", _oracle_lines),
     ("local ops", _local_op_lines),
+    ("near vacuum", _near_vacuum_lines),
     ("decisions", _decision_lines),
 )
 

@@ -4,9 +4,9 @@
 
 Imports cvsep from ``SRC_DIR`` (the ``src`` directory of a checkout) and
 counts the calls to ``standard_form.solve_r2_given_r1`` made inside each
-``solve_form_II_root`` call, as the benchmark's ``--trace 1`` does: the
-steps, ``f(n)``, the guard and the returned ``r2`` each count one.  The
-solver runs on the form-I scalars ``(n, m, c, c')`` of
+``solve_form_II_root`` call, as the benchmark's ``--trace 1`` does: one per
+residual evaluation, that is ``f(1)`` where it is not exact, ``f(n)`` and
+each step.  The solver runs on the form-I scalars ``(n, m, c, c')`` of
 ``sample_random_physical(0..2999)``, of ``symmetric_layout`` (alike modes,
 where the solver's first point is the root) and of each symmetrized
 ``edge_family_matrices`` family (both from ``tests/_util.py``) of seeds
