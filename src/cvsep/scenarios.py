@@ -153,6 +153,6 @@ def scan_boundary(
     points = []
     for t in times:
         form = to_standard_form_II(_thermal_state(r, eta, nbar, t))
-        _, decision, _, _, _, margin = _decide_form_II(form, EPS_DECIDE)
-        points.append(ScanPoint(t, margin, decision))
+        fields = _decide_form_II(form, EPS_DECIDE)
+        points.append(ScanPoint(t, fields["margin"], fields["decision"]))
     return points

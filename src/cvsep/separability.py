@@ -169,9 +169,9 @@ def _form_spectrum(form: StandardFormII) -> tuple[float, float]:
     return min(lam_x, lam_p), scale
 
 
-def _decide_form_II(form: StandardFormII, tol_decide: float) -> tuple:
-    """Decision core: ``(lam_min, decision, witness, total_variance, bound,
-    margin)`` of ``form`` as plain values, with every check of
+def _decide_form_II(form: StandardFormII, tol_decide: float) -> dict:
+    """Decision core: a fresh dict of the :class:`SeparabilityVerdict`
+    fields of ``form``, in declaration order, with every check of
     :func:`decide_separability` after its reduction.  ``witness`` is the
     optimal pair's ``(a, sign_u, sign_v)``, or ``None`` for a degenerate
     form, whose variance data belong to the fallback ``a = 1`` pair."""
@@ -218,7 +218,15 @@ def _decide_form_II(form: StandardFormII, tol_decide: float) -> tuple:
         if decision is Decision.SEPARABLE and margin > slack:
             raise CvsepError("witness margin contradicts spectral decision")
 
-    return lam_min, decision, witness, total, bound, margin
+    return {
+        "decision": decision,
+        "total_variance": total,
+        "bound": bound,
+        "witness": witness,
+        "margin": margin,
+        "form": form,
+        "min_eigenvalue": lam_min,
+    }
 
 
 def decide_separability(
@@ -234,8 +242,8 @@ def decide_separability(
     elsewhere below the band.  Non-degenerate forms also carry the optimal
     witness pair, whose variance margin is asserted consistent with the
     spectral decision.  Separable verdicts carry a P-representation
-    certificate, built when first read.  The verdict wraps the values of a
-    private decision core on form II, which ``scan_boundary`` calls directly.
+    certificate, built when first read.  The verdict freezes the record a
+    private decision core returns from form II; ``scan_boundary`` reads it.
 
     The state passed :func:`~cvsep.core.validate`, so this never raises
     ``NotPhysical``.
@@ -246,23 +254,10 @@ def decide_separability(
             from 1 (local squeezes beyond about e^6.7 per mode).
     """
     _check_tol("tol_decide", tol_decide)
-    form = to_standard_form_II(state)
-    lam_min, decision, witness, total, bound, margin = _decide_form_II(form, tol_decide)
-    return _frozen(
-        SeparabilityVerdict,
-        {
-            "decision": decision,
-            "total_variance": total,
-            "bound": bound,
-            # _witness ran EprPair's checks.
-            "witness": None if witness is None else _frozen(
-                EprPair, {"a": witness[0], "sign_u": witness[1], "sign_v": witness[2]}
-            ),
-            "margin": margin,
-            "form": form,
-            "min_eigenvalue": lam_min,
-        },
-    )
+    fields = _decide_form_II(to_standard_form_II(state), tol_decide)
+    if (w := fields["witness"]) is not None:  # _witness ran EprPair's checks.
+        fields["witness"] = _frozen(EprPair, {"a": w[0], "sign_u": w[1], "sign_v": w[2]})
+    return _frozen(SeparabilityVerdict, fields)
 
 
 def p_representation(form: StandardFormII) -> PRepresentation:

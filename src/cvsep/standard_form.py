@@ -16,7 +16,7 @@ from math import sqrt, ulp
 
 import numpy as np
 
-from .core import CorrelationMatrix, Llubo, _check_unit_det, _frozen
+from .core import CorrelationMatrix, Llubo, _frozen
 from .exceptions import DegenerateForm, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
@@ -265,19 +265,16 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     ``|c| = |c'|`` family), the transform is form I's own.
     """
     n, m, c, cp, h1, h2 = state._form_I
-    # Form I's blocks are checked before the solve, as Llubo._fresh checks them.
-    _check_unit_det("h1", h1)
-    _check_unit_det("h2", h2)
+    # Form I's transform is checked before the solve; it is form II's where
+    # r1 = r2 = 1, since _squeezed(h, 1.0) is h.
+    transform = Llubo._fresh(h1, h2)
     # Form I has c >= |c'| >= 0.
     degenerate = c < EPS_FORM or n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM
     if degenerate:
         r1, r2 = 1.0, 1.0
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
-    # Form I's transform is exact when r1 = r2 = 1: _squeezed(h, 1.0) is h.
-    if r1 == r2 == 1.0:
-        transform = _frozen(Llubo, {"_e1": h1, "_e2": h2})
-    else:
+    if r1 != 1.0 or r2 != 1.0:
         transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
     geo = math.sqrt(r1 * r2)
     return _frozen(

@@ -109,6 +109,21 @@ class TestConstructEprPair:
         with pytest.raises(cv.ZeroCoefficient, match=f"^{re.escape(msg)}$"):
             cv.separability._decide_form_II(form, cv.EPS_DECIDE)
 
+    def test_witness_contradicting_an_entangled_spectrum_raises(self):
+        # Hand-built, not balanced: the x sector of M - I has eigenvalue
+        # -0.2, yet the optimal pair (a = 1) misses the bound by 0.8.  The
+        # SEPARABLE half of the check can fire only by rounding: the margin
+        # is minus a sum of one quadratic form per sector of M - I, so it is
+        # <= 0 wherever both sectors are positive semidefinite.
+        form = make_form(2.0, 2.0, 2.0, 2.0, c1=1.2, c2=0.0)
+        assert cv.separability._form_spectrum(form)[0] == pytest.approx(-0.2)
+        pair = cv.separability.construct_epr_pair(form)
+        res = cv.total_variance_check(cv.validate(form.matrix()), pair)
+        assert res.bound - res.total_variance == pytest.approx(-0.8)
+        msg = "witness margin contradicts spectral decision"
+        with pytest.raises(cv.CvsepError, match=f"^{msg}$"):
+            cv.separability._decide_form_II(form, cv.EPS_DECIDE)
+
 
 class TestDecideSeparability:
     def test_tmsv_entangled_with_closed_form_margin(self):
@@ -328,6 +343,8 @@ class TestBuiltValues:
             for r, nbar, t in rng.uniform((0.1, 0.0, 0.0), (3.0, 2.0, 2.0), (20, 3)).tolist()
         ]
         states = thermal + [cv.sample_random_physical(seed) for seed in range(40)]
+        # A product state: degenerate, SEPARABLE by structure, witness None.
+        states.append(cv.validate(np.diag([2.0, 2.0, 3.0, 3.0])))
         built = 0
         for state in states:
             form_I = cv.to_standard_form_I(state)
@@ -340,6 +357,8 @@ class TestBuiltValues:
             assert verdict.certificate is cert and vars(verdict)["certificate"] is cert
             built += cert is not None
         assert 0 < built < len(states)
+        assert verdict.form.degenerate and verdict.witness is None  # the product state
+        assert verdict.decision is cv.Decision.SEPARABLE and verdict.min_eigenvalue == 1.0
 
     def test_witness_pairs(self):
         # A verdict's witness skips EprPair's __init__, whose checks the

@@ -700,7 +700,6 @@ class TestInternalTransforms:
             check(name, entries)
 
         monkeypatch.setattr(cv.core, "_check_unit_det", counted)
-        monkeypatch.setattr(cv.standard_form, "_check_unit_det", counted)
         thermal = [
             cv.evolve_thermal(cv.ThermalScenario(r=r, eta=1.0, nbar=0.5, t=t))
             for r in (0.3, 2.0) for t in (0.0, 0.2, 1.0)
