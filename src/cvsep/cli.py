@@ -65,6 +65,40 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps`` with a 2-space indent, for str-keyed dicts,
+    lists, tuples, str, int, float, bool and None, but strict JSON: a
+    non-finite float is ``null``. Unlike ``json.dumps``, it keeps json's C
+    string escaper when indenting."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _state_document(state: CorrelationMatrix) -> dict:
     return {
         "matrix": state._rows,
@@ -168,7 +202,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     state = load_state_file(args.path)
     verdict = decide_separability(state, tol_decide=tol)
     if args.json:
-        print(json.dumps(_verdict_document(state, verdict, tol), indent=2))
+        print(_json_text(_verdict_document(state, verdict, tol)))
         return _DECISION_EXIT[verdict.decision]
     print(f"decision: {verdict.decision.value.capitalize()}")
     print(f"total variance: {_fmt(verdict.total_variance)}")
@@ -287,7 +321,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-    _write_out(args.out, json.dumps(_state_document(state), indent=2) + "\n")
+    _write_out(args.out, _json_text(_state_document(state)) + "\n")
     return 0
 
 

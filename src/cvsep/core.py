@@ -514,14 +514,17 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
     """The four local invariants (det G1, det G2, det C, det M).
 
     The three 2x2 determinants are ``ad - bc`` on the state's floats (the
-    same IEEE operations as on numpy scalars); ``det M`` is ``np.linalg.det``.
+    same IEEE operations as on numpy scalars); ``det M`` is ``np.linalg.det``,
+    which overflows to inf without a warning on accepted states beyond ~1e77.
     """
     (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state._rows
+    with np.errstate(over="ignore"):
+        det_m = float(np.linalg.det(state.m))
     return LluboInvariants(
         det_g1=a1 * d1 - b1 * c1,
         det_g2=a2 * d2 - b2 * c2,
         det_c=p * s - q * r,
-        det_m=float(np.linalg.det(state.m)),
+        det_m=det_m,
     )
 
 

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvsep as cv
 from cvsep import cli
@@ -283,6 +285,106 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["decision"] == "boundary"
         assert doc["certificate"] is None
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_overflowed_invariant_prints_strict_json(self, scale, tmp_path, capsys):
+        # Accepted and separable, but det M overflows to inf: the report
+        # writes it as null, and no numpy warning reaches stderr.
+        m = scale * np.array(
+            [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
+        )
+        path = write_state(tmp_path / "large.json", m)
+        assert cli.main(["check", path, "--json"]) == cli.EXIT_SEPARABLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out, parse_constant=_reject_constant)
+        assert doc["decision"] == "separable"
+        assert doc["invariants"]["det_m"] is None
+        assert cli.main(["check", path]) == cli.EXIT_SEPARABLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[5].endswith(", det M = inf")
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _finite_or_none(value):
+    """``value`` with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308])
+    | st.text()
+    | st.text(alphabet='"\\/\x00\x08\n\x1f\x7fé \U0001f600 a')
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_json_values)
+    def test_matches_json_dumps_indent_2(self, value):
+        assert cli._json_text(value) == json.dumps(_finite_or_none(value), indent=2)
+
+    @pytest.mark.parametrize("value", [np.zeros(2), np.float32(1.0), {1, 2}, object()])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text([value])
+
+    @pytest.mark.parametrize(
+        "name, decision",
+        [("mixture", "separable"), ("random", "entangled"), ("threshold", "boundary"),
+         ("vacuum", "separable")],
+    )
+    def test_reports_match_json_dumps(self, name, decision, tmp_path, capsys):
+        # The threshold state's certificate and the vacuum's witness are None.
+        state = {
+            "mixture": lambda: cv.ensemble_covariance(cv.sample_separable_ensemble(11, 4)),
+            "random": lambda: cv.sample_random_physical(10),
+            "threshold": lambda: cv.evolve_thermal(cv.ThermalScenario(
+                r=1.0, eta=1.0, nbar=1.0, t=cv.threshold_time(1.0, 1.0, 1.0)
+            )),
+            "vacuum": lambda: cv.validate(np.eye(4)),
+        }[name]()
+        path = write_state(tmp_path / "state.json", state.m)
+        cli.main(["check", path, "--json"])
+        verdict = cv.decide_separability(state)
+        assert verdict.decision.value == decision
+        doc = cli._verdict_document(state, verdict, cv.EPS_DECIDE)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    def test_sample_matches_json_dumps(self, capsys):
+        assert cli.main(["sample", "--seed", "3"]) == 0
+        doc = {
+            "matrix": cv.sample_random_physical(3).m.tolist(),
+            "ordering": "x1p1x2p2",
+            "scaling": "vacuum-identity",
+        }
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestReduce:

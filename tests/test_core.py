@@ -551,6 +551,17 @@ class TestLluboInvariants:
                 assert det == blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
             assert inv.det_m == float(np.linalg.det(m))
 
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_overflowed_det_m_is_inf_without_warning(self, scale):
+        # An accepted state whose det M overflows; the suite turns a
+        # RuntimeWarning into an error.
+        m = scale * np.array(
+            [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
+        )
+        inv = cv.llubo_invariants(cv.validate(m))
+        assert inv.det_m == math.inf
+        assert inv.det_g1 == m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
     def test_unchanged_by_random_llubo(self):
         rng = np.random.default_rng(4)
         for seed in range(30):

@@ -7,8 +7,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = (
-    "scans", "verdicts", "state-file CLI", "scenario CLI", "solver", "oracle", "local ops",
-    "near vacuum", "decisions", "total",
+    "scans", "verdicts", "state-file CLI", "scenario CLI", "sample CLI", "solver", "oracle",
+    "local ops", "near vacuum", "decisions", "total",
 )
 
 

@@ -19,6 +19,10 @@ prints one sha256 per section of outputs, then one over all of them:
 * ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
   ``cvsep scan`` over a grid of arguments, including rejected ones and
   arguments at the float range's edges;
+* ``sample CLI``: stdout, stderr, exit code and the ``--out`` file's bytes
+  of ``cvsep sample`` for both kinds over seeds and component counts,
+  written to stdout and to a file, including rejected arguments and an
+  unwritable output path;
 * ``solver``: ``solve_form_II_root`` results, or the exception type and
   message, on a grid of mode and coefficient values (vacuum modes, ``n < 1``,
   NaN, infinite and overflowing entries) and on seeded draws with
@@ -315,6 +319,39 @@ def _scenario_cli_lines(cv):
         yield f"{' '.join(argv)} {code}\n{out.getvalue()}\0{err.getvalue()}"
 
 
+def _sample_argvs(missing_dir: str):
+    for seed in ("0", "1", "7", "2626"):
+        yield ["sample", "--seed", seed]
+        for components in ("1", "2", "5"):
+            yield ["sample", "--seed", seed, "--kind", "separable",
+                   "--max-components", components]
+    yield ["sample"]
+    yield ["sample", "--kind", "separable"]
+    # Rejected usages.
+    yield ["sample", "--seed", "-1"]
+    yield ["sample", "--seed", "-1", "--kind", "separable"]
+    yield ["sample", "--kind", "separable", "--max-components", "0"]
+    yield ["sample", "--seed", "x"]
+    yield ["sample", "--out", f"{missing_dir}/state.json"]
+
+
+def _sample_cli_lines(cv):
+    from cvsep import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "state.json"
+        for argv in _sample_argvs(str(Path(tmp) / "missing")):
+            for extra in ([], ["--out", str(out_path)]):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(argv + extra)
+                written = out_path.read_bytes().hex() if out_path.exists() else "-"
+                out_path.unlink(missing_ok=True)
+                line = f"{' '.join(argv + extra)} {code}\n{out.getvalue()}\0{err.getvalue()}"
+                # The temporary directory differs between runs.
+                yield f"{line}\0{written}".replace(tmp, "TMP")
+
+
 def _solver_inputs():
     modes = (0.5, 1.0, 1.0 + 2e-8, 2.0, 3.0, 1e160, 1e200, 1e300, math.nan, math.inf)
     coefficients = (0.0, -0.0, 0.1, 0.5, 1.0, -1.2, 1.5, -1.5, math.nan, math.inf)
@@ -441,6 +478,7 @@ SECTIONS = (
     ("verdicts", _verdict_lines),
     ("state-file CLI", _cli_lines),
     ("scenario CLI", _scenario_cli_lines),
+    ("sample CLI", _sample_cli_lines),
     ("solver", _solver_lines),
     ("oracle", _oracle_lines),
     ("local ops", _local_op_lines),
