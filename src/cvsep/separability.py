@@ -133,13 +133,14 @@ def _witness(form: StandardFormII) -> tuple[float, int, int]:
     check of it and of ``EprPair``, in that order."""
     if form.degenerate:
         raise DegenerateForm("trivial form has no optimal pair")
-    if form.n1 - 1.0 <= EPS_FORM or form.m1 - 1.0 <= EPS_FORM:
+    dn1, dn2, dm1, dm2 = form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0
+    if dn1 <= EPS_FORM or dm1 <= EPS_FORM:
         raise DegenerateForm("a mode at vacuum purity has no optimal pair")
     if form.c1 == 0.0:
         raise DegenerateForm("vanishing intermode coefficient")
-    a0_sq = math.sqrt((form.m1 - 1.0) / (form.n1 - 1.0))
-    if form.n2 - 1.0 > EPS_FORM and form.m2 - 1.0 > EPS_FORM:
-        alt = math.sqrt((form.m2 - 1.0) / (form.n2 - 1.0))
+    a0_sq = math.sqrt(dm1 / dn1)
+    if dn2 > EPS_FORM and dm2 > EPS_FORM:
+        alt = math.sqrt(dm2 / dn2)
         if abs(a0_sq - alt) > EPS_FORM * max(1.0, a0_sq):
             raise CvsepError(
                 f"inconsistent standard form: a0^2 = {a0_sq!r} vs {alt!r}"
@@ -156,16 +157,10 @@ def _block_min_eig(p: float, q: float, r: float) -> float:
 
 def _form_spectrum(form: StandardFormII) -> tuple[float, float]:
     """(min eigenvalue of M_II - I, entry scale of M_II - I)."""
-    lam_x = _block_min_eig(form.n1 - 1.0, form.c1, form.m1 - 1.0)
-    lam_p = _block_min_eig(form.n2 - 1.0, form.c2, form.m2 - 1.0)
-    scale = max(
-        abs(form.n1 - 1.0),
-        abs(form.n2 - 1.0),
-        abs(form.m1 - 1.0),
-        abs(form.m2 - 1.0),
-        abs(form.c1),
-        abs(form.c2),
-    )
+    dn1, dn2, dm1, dm2 = form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0
+    lam_x = _block_min_eig(dn1, form.c1, dm1)
+    lam_p = _block_min_eig(dn2, form.c2, dm2)
+    scale = max(abs(dn1), abs(dn2), abs(dm1), abs(dm2), abs(form.c1), abs(form.c2))
     return min(lam_x, lam_p), scale
 
 

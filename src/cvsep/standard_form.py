@@ -196,11 +196,12 @@ def solve_form_II_root(
     swapped = n < m
     if swapped:
         n, m = m, n
-    exact = n - 1.0 >= EPS_FORM and m - 1.0 >= EPS_FORM and math.isfinite((n - 1.0) * (m - 1.0))
-    if exact and abs_c - abs_cp <= 0.0:
-        return 1.0, 1.0
+    dn, dm = n - 1.0, m - 1.0
+    exact = dn >= EPS_FORM and dm >= EPS_FORM and math.isfinite(dn * dm)
     # f(1): exact, or evaluated, which raises as the guards do or gives NaN.
     f_lo = abs_c - abs_cp if exact else _balance_residual(n, m, abs_c, abs_cp, 1.0)[0]
+    if f_lo <= 0.0:
+        return 1.0, 1.0
     f_n, r2_hi = _balance_residual(n, m, abs_c, abs_cp, n)
     # A small positive f(n) is rounding at a root exactly at n; an infinite
     # |c| makes both f(n) and that allowance +inf.
@@ -212,7 +213,7 @@ def solve_form_II_root(
     f_hi = f_n if f_n < 0.0 else math.nan
     err_lo, err_hi, r2_lo = abs(f_lo), abs(f_n), 1.0
     moved = 0  # +1 after lo moved, -1 after hi moved
-    cap = (n - 1.0) * _SQRT_HALF
+    cap = dn * _SQRT_HALF
     # x is the next point, NaN to bisect: first the root of alike modes.
     q = sqrt(n * m)
     x = sqrt(max((q - abs_cp) / (q - abs_c), 0.0)) if q > abs_c else math.inf
@@ -303,17 +304,12 @@ def balance_residuals(form: StandardFormII) -> tuple[float, float]:
     Ratio residual is reported as 0 when either denominator is within
     ``EPS_FORM`` of zero (the condition is vacuous there).
     """
-    d1, d2 = form.m1 - 1.0, form.m2 - 1.0
-    if d1 > EPS_FORM and d2 > EPS_FORM:
-        ratio = (form.n1 - 1.0) / d1 - (form.n2 - 1.0) / d2
+    dn1, dn2, dm1, dm2 = form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0
+    if dm1 > EPS_FORM and dm2 > EPS_FORM:
+        ratio = dn1 / dm1 - dn2 / dm2
     else:
         ratio = 0.0
-    gap = (
-        abs(form.c1)
-        - abs(form.c2)
-        - (
-            math.sqrt(max((form.n1 - 1.0) * (form.m1 - 1.0), 0.0))
-            - math.sqrt(max((form.n2 - 1.0) * (form.m2 - 1.0), 0.0))
-        )
+    gap = abs(form.c1) - abs(form.c2) - (
+        math.sqrt(max(dn1 * dm1, 0.0)) - math.sqrt(max(dn2 * dm2, 0.0))
     )
     return float(ratio), float(gap)

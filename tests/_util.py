@@ -230,3 +230,15 @@ def edge_family_matrices(seed):
         b = blockdiag(*random_llubo_blocks(rng, max_log_squeeze))
         out[name] = b @ base @ b.T
     return out
+
+
+def accepted_edge_states(cv, seeds):
+    """``(family, state)`` for each ``edge_family_matrices`` item of ``seeds``
+    that ``cv.validate`` accepts once symmetrized, in seed order."""
+    for seed in seeds:
+        for family, m in edge_family_matrices(seed).items():
+            try:
+                state = cv.validate(0.5 * (m + m.T))
+            except cv.CvsepError:
+                continue
+            yield family, state

@@ -7,6 +7,7 @@ import pytest
 
 import cvsep as cv
 from _util import (
+    accepted_edge_states,
     blockdiag,
     complex_min_eig,
     edge_family_matrices,
@@ -16,18 +17,6 @@ from _util import (
     strong_local_squeezes,
     tmsv_layout,
 )
-
-
-def _edge_states(seeds):
-    """Validated, symmetrized ``edge_family_matrices`` (rejected ones dropped)."""
-    out = []
-    for seed in seeds:
-        for m in edge_family_matrices(seed).values():
-            try:
-                out.append(cv.validate(0.5 * (m + m.T)))
-            except cv.CvsepError:
-                pass
-    return out
 
 
 class TestPptDecision:
@@ -70,7 +59,7 @@ class TestPptDecision:
         # PPT class, and the exact oracle's answer, cannot change.
         s = np.diag([2.0**k1, 2.0**-k1, 2.0**k2, 2.0**-k2])
         states = [cv.sample_random_physical(seed) for seed in range(100)]
-        states += _edge_states(range(4))
+        states += [state for _, state in accepted_edge_states(cv, range(4))]
         for state in states:
             moved = cv.validate(s @ state.m @ s.T)
             np.testing.assert_array_equal(moved.m / np.outer(np.diag(s), np.diag(s)), state.m)

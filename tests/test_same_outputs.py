@@ -1,9 +1,12 @@
-"""Smoke test of ``tools/same_outputs.py``, the outputs-unchanged check."""
+"""Smoke tests of ``tools/same_outputs.py``, the outputs-unchanged check, and
+of the checkout loader it shares with ``tools/solver_evals.py``."""
 
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = (
@@ -27,3 +30,17 @@ def test_prints_one_digest_per_section():
     assert [line.partition(": ")[0] for line in lines] == list(SECTIONS)
     for line in lines:
         assert re.fullmatch(r"[a-zA-Z -]+: [0-9a-f]{64}", line), line
+
+
+@pytest.mark.parametrize("tool", ["same_outputs.py", "solver_evals.py"])
+@pytest.mark.parametrize("args", [[], ["src", "src"]], ids=["no-argument", "two-arguments"])
+def test_usage_exits_64(tool, args):
+    # Both tools read their one SRC_DIR argument through the same loader.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / tool), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (64, "")
+    assert done.stderr == f"usage: python3 tools/{tool} SRC_DIR\n"

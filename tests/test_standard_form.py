@@ -13,9 +13,9 @@ import cvsep as cv
 from _util import (
     COSH1,
     SINH1,
+    accepted_edge_states,
     blockdiag,
     complex_min_eig,
-    edge_family_matrices,
     layout,
     random_llubo_blocks,
     rot2,
@@ -140,12 +140,7 @@ class TestFormI:
         # returns them), read directly because strong squeezes make its
         # transform raise InvalidLlubo.
         states = [cv.sample_random_physical(seed) for seed in range(1000)]
-        for seed in range(100):
-            for matrix in edge_family_matrices(seed).values():
-                try:
-                    states.append(cv.validate(0.5 * (matrix + matrix.T)))
-                except cv.CvsepError:
-                    pass
+        states += [state for _, state in accepted_edge_states(cv, range(100))]
         accepted = len(states)
         for matrix in strong_local_squeezes([state.m for state in states[:1000]]):
             try:
@@ -278,6 +273,26 @@ class TestFormII:
             checked += 1
         assert checked > 2900
 
+    @pytest.mark.parametrize(
+        "n1, n2, m1, m2, c1, c2, ratio, gap",
+        [
+            # m1 - 1 or m2 - 1 within EPS_FORM: the ratio is vacuous.
+            (2.5, 1.75, 1.0 + 5e-9, 1.6, 0.3, -0.2, "0x0.0p+0", "0x1.8a9d9e920aa55p-1"),
+            (2.5, 1.75, 1.6, 1.0, 0.3, -0.2, "0x0.0p+0", "-0x1.b2869e0393a64p-1"),
+            # (n1 - 1)(m1 - 1) < 0: the clamp gives that root 0.
+            (0.5, 1.75, 1.5, 1.6, 0.3, -0.2, "-0x1.2000000000000p+1", "0x1.8aa8f87832596p-1"),
+            (2.5, 1.75, math.nan, 1.6, 0.3, -0.2, "0x0.0p+0", "nan"),
+            (2.5, 1.75, 1.6, 1.4, -0.7, 0.1, "0x1.3fffffffffff8p-1", "0x1.97a1e52fd2838p-3"),
+        ],
+    )
+    def test_residuals_of_hand_built_forms(self, n1, n2, m1, m2, c1, c2, ratio, gap):
+        # Forms no reduction returns, pinned bit for bit.
+        form = cv.StandardFormII(
+            n1=n1, n2=n2, m1=m1, m2=m2, c1=c1, c2=c2, r1=1.0, r2=1.0,
+            transform=cv.Llubo.identity(), degenerate=False,
+        )
+        assert [x.hex() for x in cv.balance_residuals(form)] == [ratio, gap]
+
     def test_invariants_preserved_through_form_ii(self):
         for seed in range(40):
             state = cv.sample_random_physical(seed)
@@ -368,12 +383,7 @@ def evaluation_bound(n):
 def _contract_forms():
     """Accepted, non-degenerate form-I scalars of seeded random and edge states."""
     states = [cv.sample_random_physical(seed) for seed in range(1000)]
-    for seed in range(200):
-        for matrix in edge_family_matrices(seed).values():
-            try:
-                states.append(cv.validate(0.5 * (matrix + matrix.T)))
-            except cv.CvsepError:
-                pass
+    states += [state for _, state in accepted_edge_states(cv, range(200))]
     eps = cv.standard_form.EPS_FORM
     for state in states:
         n, m, c, cp = state._form_I[:4]

@@ -143,7 +143,7 @@ def _verdict_lines(cv):
             )
 
 
-def _util():
+def util():
     """This checkout's ``tests/_util.py``."""
     tests = str(Path(__file__).resolve().parent.parent / "tests")
     if tests not in sys.path:
@@ -155,6 +155,7 @@ def _util():
 
 def _state_files(cv, folder: Path):
     """Write the state files the CLI is run on; return their (name, path) pairs."""
+    rot = util().rot2
     docs = []
     for seed in range(CLI_RANDOM_FILES):
         docs.append((f"random{seed}", cv.sample_random_physical(seed).m.tolist()))
@@ -166,10 +167,9 @@ def _state_files(cv, folder: Path):
         docs.append((f"thermal{r}-{nbar}-{t}", state.m.tolist()))
     docs.append(("vacuum", np.eye(4).tolist()))
     # Near-vacuum squeezed pair (n - 1 ~ 5e-7) under local rotations and squeezes.
-    c1, s1, c2, s2 = math.cos(0.3), math.sin(0.3), math.cos(0.2), math.sin(0.2)
     op = cv.Llubo(
-        np.array([[c1, s1], [-s1, c1]]) @ np.diag([math.exp(-0.6), math.exp(0.6)]),
-        np.array([[c2, s2], [-s2, c2]]) @ np.diag([math.exp(-0.4), math.exp(0.4)]),
+        rot(0.3) @ np.diag([math.exp(-0.6), math.exp(0.6)]),
+        rot(0.2) @ np.diag([math.exp(-0.4), math.exp(0.4)]),
     )
     docs.append(("near-vacuum", cv.apply_llubo(cv.tmsv_matrix(5e-4), op).m.tolist()))
     # Anticorrelated mean scatter, d = 0.3: c' = 0, balance root exactly at r1 = n.
@@ -195,9 +195,7 @@ def _state_files(cv, folder: Path):
     # n = m = 2, c' = -c with n^2 - c^2 = 0.81 (det M = 0.6561 < 1, although
     # Simon's inequality holds), rotated and squeezed by e^6 on both modes.
     c = math.sqrt(4.0 - 0.81)
-    h = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
-    h = h @ np.diag([math.exp(6.0), math.exp(-6.0)])
-    b = np.kron(np.eye(2), h)
+    b = np.kron(np.eye(2), rot(0.4) @ np.diag([math.exp(6.0), math.exp(-6.0)]))
     degenerate = np.array(
         [[2.0, 0.0, c, 0.0], [0.0, 2.0, 0.0, -c], [c, 0.0, 2.0, 0.0], [0.0, -c, 0.0, 2.0]]
     )
@@ -213,15 +211,12 @@ def _state_files(cv, folder: Path):
         docs.append((f"signed-zero{g1}", signed_zero.tolist()))
     # Errors raised while deciding: local squeezes of e^6 round form I's
     # transform off det 1, and an accepted large_squeeze item has no bracket.
-    def rot(t):
-        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-
     op = cv.Llubo(
         rot(0.3) @ np.diag([math.exp(6.0), math.exp(-6.0)]) @ rot(1.1),
         rot(0.7) @ np.diag([math.exp(-6.0), math.exp(6.0)]) @ rot(0.2),
     )
     docs.append(("squeezed-e6", cv.apply_llubo(cv.sample_random_physical(0), op).m.tolist()))
-    large = _util().edge_family_matrices(760)["large_squeeze"]
+    large = util().edge_family_matrices(760)["large_squeeze"]
     docs.append(("unbracketed-large-squeeze", (0.5 * (large + large.T)).tolist()))
     asym = np.eye(4)
     asym[0, 1] = 0.5
@@ -259,19 +254,25 @@ def _state_files(cv, folder: Path):
     return paths
 
 
-def _cli_runs(cv):
-    """``(argv label, exit code, stdout and stderr)`` of each state-file call."""
+def _run(argv):
+    """``(exit code, stdout, stderr)`` of ``cvsep.cli.main(argv)``."""
     from cvsep import cli
 
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_runs(cv):
+    """``(argv label, exit code, stdout and stderr)`` of each state-file call."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, path in _state_files(cv, Path(tmp)):
             for extra in (["check"], ["check", "--json"], ["reduce", "--form", "I"],
                           ["reduce", "--form", "II"]):
-                out, err = io.StringIO(), io.StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    code = cli.main([extra[0], path, *extra[1:]])
+                code, out, err = _run([extra[0], path, *extra[1:]])
                 # The temporary directory differs between runs.
-                text = (out.getvalue() + "\0" + err.getvalue()).replace(path, name)
+                text = (out + "\0" + err).replace(path, name)
                 yield f"{' '.join(extra)} {name}", code, text
 
 
@@ -310,13 +311,9 @@ def _scenario_argvs():
 
 
 def _scenario_cli_lines(cv):
-    from cvsep import cli
-
     for argv in _scenario_argvs():
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-        yield f"{' '.join(argv)} {code}\n{out.getvalue()}\0{err.getvalue()}"
+        code, out, err = _run(argv)
+        yield f"{' '.join(argv)} {code}\n{out}\0{err}"
 
 
 def _sample_argvs(missing_dir: str):
@@ -336,18 +333,14 @@ def _sample_argvs(missing_dir: str):
 
 
 def _sample_cli_lines(cv):
-    from cvsep import cli
-
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "state.json"
         for argv in _sample_argvs(str(Path(tmp) / "missing")):
             for extra in ([], ["--out", str(out_path)]):
-                out, err = io.StringIO(), io.StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    code = cli.main(argv + extra)
+                code, out, err = _run(argv + extra)
                 written = out_path.read_bytes().hex() if out_path.exists() else "-"
                 out_path.unlink(missing_ok=True)
-                line = f"{' '.join(argv + extra)} {code}\n{out.getvalue()}\0{err.getvalue()}"
+                line = f"{' '.join(argv + extra)} {code}\n{out}\0{err}"
                 # The temporary directory differs between runs.
                 yield f"{line}\0{written}".replace(tmp, "TMP")
 
@@ -386,7 +379,7 @@ def _oracle_lines(cv):
     for seed in range(RANDOM_STATES):
         yield cv.ppt_decision(cv.sample_random_physical(seed)).value
     for seed in range(EDGE_SEEDS):
-        for name, m in _util().edge_family_matrices(seed).items():
+        for name, m in util().edge_family_matrices(seed).items():
             try:
                 yield f"{name} {cv.ppt_decision(cv.validate(0.5 * (m + m.T))).value}"
             except cv.CvsepError as exc:
@@ -408,9 +401,7 @@ def _read_only(a) -> str:
 
 def _local_op_lines(cv):
     yield _read_only(cv.core.OMEGA)
-
-    def rot(t):
-        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+    rot = util().rot2
 
     def show_op(op):
         inv = op.inverse()
@@ -453,11 +444,11 @@ def _local_op_lines(cv):
 
 
 def _near_vacuum_lines(cv):
-    util = _util()
-    for args in util.near_vacuum_forms("probe", NEAR_VACUUM_DRAWS):
+    helpers = util()
+    for args in helpers.near_vacuum_forms("probe", NEAR_VACUUM_DRAWS):
         shown = _rejected_or(
             cv,
-            lambda: cv.decide_separability(cv.validate(util.layout(*args))),
+            lambda: cv.decide_separability(cv.validate(helpers.layout(*args))),
             lambda verdict: verdict.decision.value,
         )
         yield f"{' '.join(_hex(x) for x in args)} {shown}"
@@ -502,18 +493,27 @@ def digests(cv) -> list[tuple[str, str]]:
     return out
 
 
-def main(argv: list[str]) -> int:
+def load_cvsep(argv: list[str], tool: str):
+    """cvsep imported from the one ``SRC_DIR`` in ``argv``.
+
+    Exits 64 with ``tool``'s usage line for any other ``argv``, and 1 where
+    ``import cvsep`` finds it outside ``SRC_DIR``.
+    """
     if len(argv) != 1:
-        print("usage: python3 tools/same_outputs.py SRC_DIR", file=sys.stderr)
-        return 64
+        print(f"usage: python3 tools/{tool} SRC_DIR", file=sys.stderr)
+        sys.exit(64)
     src = Path(argv[0]).resolve()
     sys.path.insert(0, str(src))
     import cvsep
 
     if not Path(cvsep.__file__).resolve().is_relative_to(src):
         print(f"cvsep was imported from {cvsep.__file__}, not {src}", file=sys.stderr)
-        return 1
-    for name, value in digests(cvsep):
+        sys.exit(1)
+    return cvsep
+
+
+def main(argv: list[str]) -> int:
+    for name, value in digests(load_cvsep(argv, "same_outputs.py")):
         print(f"{name}: {value}")
     return 0
 

@@ -20,36 +20,22 @@ from __future__ import annotations
 
 import math
 import sys
-from pathlib import Path
+
+from same_outputs import load_cvsep, util
 
 RANDOM_STATES = 3000
 EDGE_SEEDS = 300
 
 
-def _util():
-    """This checkout's ``tests/_util.py``."""
-    tests = str(Path(__file__).resolve().parent.parent / "tests")
-    if tests not in sys.path:
-        sys.path.insert(0, tests)
-    import _util
-
-    return _util
-
-
 def _sources(cv):
     """``{source name: [accepted states]}``."""
-    util = _util()
+    helpers = util()
     sources = {
         "random": [cv.sample_random_physical(seed) for seed in range(RANDOM_STATES)],
-        "symmetric": [cv.validate(util.symmetric_layout(seed)) for seed in range(EDGE_SEEDS)],
+        "symmetric": [cv.validate(helpers.symmetric_layout(seed)) for seed in range(EDGE_SEEDS)],
     }
-    for seed in range(EDGE_SEEDS):
-        for family, matrix in util.edge_family_matrices(seed).items():
-            try:
-                state = cv.validate(0.5 * (matrix + matrix.T))
-            except cv.CvsepError:
-                continue
-            sources.setdefault(family, []).append(state)
+    for family, state in helpers.accepted_edge_states(cv, range(EDGE_SEEDS)):
+        sources.setdefault(family, []).append(state)
     return sources
 
 
@@ -91,16 +77,7 @@ def _summary(evals: list[int]) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/solver_evals.py SRC_DIR", file=sys.stderr)
-        return 64
-    src = Path(argv[0]).resolve()
-    sys.path.insert(0, str(src))
-    import cvsep
-
-    if not Path(cvsep.__file__).resolve().is_relative_to(src):
-        print(f"cvsep was imported from {cvsep.__file__}, not {src}", file=sys.stderr)
-        return 1
+    cvsep = load_cvsep(argv, "solver_evals.py")
     every = []
     for name, states in _sources(cvsep).items():
         evals, raised = count_evaluations(cvsep, states)
