@@ -151,7 +151,7 @@ def load_state_file(path: str) -> CorrelationMatrix:
 def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
     form = dict(vars(verdict.form))
     del form["transform"]
-    doc = {
+    return {
         "decision": verdict.decision.value,
         "total_variance": verdict.total_variance,
         "bound": verdict.bound,
@@ -160,20 +160,16 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
         "witness": None if verdict.witness is None else dict(vars(verdict.witness)),
         "invariants": dict(vars(llubo_invariants(state))),
         "standard_form_ii": form,
-        "certificate": None,
-        "tol_decide": tol,
-        "state": _state_document(state),
-    }
-    if verdict.certificate is not None:
-        cert = verdict.certificate
-        doc["certificate"] = {
+        "certificate": None if (cert := verdict.certificate) is None else {
             "covariance": cert.covariance.tolist(),
             "transform_back": {
                 "h1": cert.transform_back.h1.tolist(),
                 "h2": cert.transform_back.h2.tolist(),
             },
-        }
-    return doc
+        },
+        "tol_decide": tol,
+        "state": _state_document(state),
+    }
 
 
 def _print_matrix(rows: Iterable[Iterable[float]]) -> None:
@@ -201,29 +197,29 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, str(exc))
     state = load_state_file(args.path)
     verdict = decide_separability(state, tol_decide=tol)
+    doc = _verdict_document(state, verdict, tol)
     if args.json:
-        print(_json_text(_verdict_document(state, verdict, tol)))
+        print(_json_text(doc))
         return _DECISION_EXIT[verdict.decision]
-    print(f"decision: {verdict.decision.value.capitalize()}")
-    print(f"total variance: {_fmt(verdict.total_variance)}")
-    print(f"bound (a^2 + 1/a^2): {_fmt(verdict.bound)}")
-    print(f"margin: {_fmt(verdict.margin)}")
-    if abs(verdict.margin) <= tol and verdict.decision is not Decision.BOUNDARY:
+    print(f"decision: {doc['decision'].capitalize()}")
+    print(f"total variance: {_fmt(doc['total_variance'])}")
+    print(f"bound (a^2 + 1/a^2): {_fmt(doc['bound'])}")
+    print(f"margin: {_fmt(doc['margin'])}")
+    boundary = doc["decision"] == Decision.BOUNDARY.value
+    if abs(doc["margin"]) <= doc["tol_decide"] and not boundary:
         print("note: margin is boundary-adjacent at the decision tolerance")
-    if verdict.witness is not None:
-        w = verdict.witness
-        print(f"witness: a = {_fmt(w.a)}, sign_u = {w.sign_u:+d}, sign_v = {w.sign_v:+d}")
-    else:
+    w = doc["witness"]
+    if w is None:
         print("witness: none (degenerate standard form; spectral decision only)")
-    inv = llubo_invariants(state)
-    print(
-        "invariants: det G1 = {}, det G2 = {}, det C = {}, det M = {}".format(
-            _fmt(inv.det_g1), _fmt(inv.det_g2), _fmt(inv.det_c), _fmt(inv.det_m)
-        )
-    )
-    if verdict.certificate is not None:
+    else:
+        a, sign_u, sign_v = _fmt(w["a"]), w["sign_u"], w["sign_v"]
+        print(f"witness: a = {a}, sign_u = {sign_u:+d}, sign_v = {sign_v:+d}")
+    inv = doc["invariants"]
+    dets = (_fmt(inv[key]) for key in ("det_g1", "det_g2", "det_c", "det_m"))
+    print("invariants: det G1 = {}, det G2 = {}, det C = {}, det M = {}".format(*dets))
+    if doc["certificate"] is not None:
         print("P-certificate covariance (label coordinates):")
-        _print_matrix(verdict.certificate.covariance)
+        _print_matrix(doc["certificate"]["covariance"])
     return _DECISION_EXIT[verdict.decision]
 
 

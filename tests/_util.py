@@ -10,7 +10,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 COSH1 = 1.5430806348152437  # cosh(1)
 SINH1 = 1.1752011936438014  # sinh(1)
@@ -31,7 +30,11 @@ MODE_SWAP = np.array(
 
 def non_number_identities(size):
     """The ``size`` x ``size`` identity as booleans, numeric strings and
-    ``Fraction`` objects, as pytest params: each casts to a float identity."""
+    ``Fraction`` objects, as pytest params: each casts to a float identity.
+
+    The tools load this module without pytest, so only this helper imports it."""
+    import pytest
+
     eye = np.eye(size, dtype=bool)
     return [
         pytest.param(eye, id="bool"),

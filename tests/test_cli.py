@@ -290,10 +290,7 @@ class TestCheck:
     def test_overflowed_invariant_prints_strict_json(self, scale, tmp_path, capsys):
         # Accepted and separable, but det M overflows to inf: the report
         # writes it as null, and no numpy warning reaches stderr.
-        m = scale * np.array(
-            [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
-        )
-        path = write_state(tmp_path / "large.json", m)
+        path = write_state(tmp_path / "large.json", scale * _HALF_CORRELATED)
         assert cli.main(["check", path, "--json"]) == cli.EXIT_SEPARABLE
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -304,6 +301,12 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[5].endswith(", det M = inf")
+
+
+#: Scaled by 1e100 or more: accepted and separable, but det M overflows to inf.
+_HALF_CORRELATED = np.array(
+    [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
+)
 
 
 def _reject_constant(name):
@@ -358,10 +361,11 @@ class TestJsonText:
     @pytest.mark.parametrize(
         "name, decision",
         [("mixture", "separable"), ("random", "entangled"), ("threshold", "boundary"),
-         ("vacuum", "separable")],
+         ("vacuum", "separable"), ("large", "separable")],
     )
-    def test_reports_match_json_dumps(self, name, decision, tmp_path, capsys):
-        # The threshold state's certificate and the vacuum's witness are None.
+    def test_reports_match_json_dumps(self, name, decision, tmp_path, capsys, monkeypatch):
+        # The threshold state's certificate and the vacuum's witness are None;
+        # the large state's det M overflows to inf.
         state = {
             "mixture": lambda: cv.ensemble_covariance(cv.sample_separable_ensemble(11, 4)),
             "random": lambda: cv.sample_random_physical(10),
@@ -369,13 +373,54 @@ class TestJsonText:
                 r=1.0, eta=1.0, nbar=1.0, t=cv.threshold_time(1.0, 1.0, 1.0)
             )),
             "vacuum": lambda: cv.validate(np.eye(4)),
+            "large": lambda: cv.validate(1e100 * _HALF_CORRELATED),
         }[name]()
         path = write_state(tmp_path / "state.json", state.m)
-        cli.main(["check", path, "--json"])
         verdict = cv.decide_separability(state)
         assert verdict.decision.value == decision
         doc = cli._verdict_document(state, verdict, cv.EPS_DECIDE)
-        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+        # Both reports are gathered once: one llubo_invariants call per check.
+        calls = []
+        monkeypatch.setattr(
+            cli, "llubo_invariants", lambda s: calls.append(s) or cv.llubo_invariants(s)
+        )
+        cli.main(["check", path, "--json"])
+        assert capsys.readouterr().out == json.dumps(_finite_or_none(doc), indent=2) + "\n"
+        assert len(calls) == 1
+        # The text report renders that document's fields.
+        cli.main(["check", path])
+        assert len(calls) == 2
+        lines = capsys.readouterr().out.splitlines()
+        if doc["certificate"] is not None:
+            assert lines[-5] == "P-certificate covariance (label coordinates):"
+            assert [line.split() for line in lines[-4:]] == [
+                [cli._fmt(x) for x in row] for row in doc["certificate"]["covariance"]
+            ]
+            lines = lines[:-5]
+        fields = dict(
+            part.rpartition(" = ")[::2] if " = " in part else part.split(": ")
+            for line in lines
+            for part in line.split(", ")
+        )
+        fields.pop("note", None)
+        inv, w = doc["invariants"], doc["witness"]
+        expected = {
+            "decision": decision.capitalize(),
+            "total variance": cli._fmt(doc["total_variance"]),
+            "bound (a^2 + 1/a^2)": cli._fmt(doc["bound"]),
+            "margin": cli._fmt(doc["margin"]),
+            "invariants: det G1": cli._fmt(inv["det_g1"]),
+            "det G2": cli._fmt(inv["det_g2"]),
+            "det C": cli._fmt(inv["det_c"]),
+            "det M": cli._fmt(inv["det_m"]),
+        }
+        if w is None:
+            expected["witness"] = "none (degenerate standard form; spectral decision only)"
+        else:
+            expected["witness: a"] = cli._fmt(w["a"])
+            expected["sign_u"] = f"{w['sign_u']:+d}"
+            expected["sign_v"] = f"{w['sign_v']:+d}"
+        assert fields == expected
 
     def test_sample_matches_json_dumps(self, capsys):
         assert cli.main(["sample", "--seed", "3"]) == 0

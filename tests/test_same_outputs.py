@@ -44,3 +44,20 @@ def test_usage_exits_64(tool, args):
     )
     assert (done.returncode, done.stdout) == (64, "")
     assert done.stderr == f"usage: python3 tools/{tool} SRC_DIR\n"
+
+
+def test_tools_run_without_the_test_extra():
+    # pytest and hypothesis are the `test` extra; the tools must not need them.
+    script = "\n".join([
+        "import sys",
+        "sys.modules['pytest'] = sys.modules['hypothesis'] = None",
+        f"sys.path.insert(0, {str(ROOT / 'tools')!r})",
+        "import same_outputs, solver_evals",
+        "same_outputs.util()",
+        f"sys.exit(solver_evals.main([{str(ROOT / 'src')!r}]))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout.splitlines()[-1].split()[0] == "all"
