@@ -148,6 +148,12 @@ def load_state_file(path: str) -> CorrelationMatrix:
         raise CliError(EXIT_UNPHYSICAL, f"{path}: {exc}")
 
 
+def _block_rows(entries: tuple) -> list:
+    """A 2x2 block's row-major float entries as ``[[a, b], [c, d]]``."""
+    a, b, c, d = entries
+    return [[a, b], [c, d]]
+
+
 def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
     form = dict(vars(verdict.form))
     del form["transform"]
@@ -161,10 +167,10 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
         "invariants": dict(vars(llubo_invariants(state))),
         "standard_form_ii": form,
         "certificate": None if (cert := verdict.certificate) is None else {
-            "covariance": cert.covariance.tolist(),
+            "covariance": [list(row) for row in cert._rows],
             "transform_back": {
-                "h1": cert.transform_back.h1.tolist(),
-                "h2": cert.transform_back.h2.tolist(),
+                "h1": _block_rows(cert.transform_back._e1),
+                "h2": _block_rows(cert.transform_back._e2),
             },
         },
         "tol_decide": tol,

@@ -514,18 +514,45 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
     """The four local invariants (det G1, det G2, det C, det M).
 
     The three 2x2 determinants are ``ad - bc`` on the state's floats (the
-    same IEEE operations as on numpy scalars); ``det M`` is ``np.linalg.det``,
-    which overflows to inf without a warning on accepted states beyond ~1e77.
+    same IEEE operations as on numpy scalars); ``det M`` is the signed
+    product of the pivots of an LU factorization with partial pivoting on
+    the same floats, as LAPACK's ``dgetrf`` does it, and backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9).  It
+    overflows to inf on accepted states beyond ~1e77.
     """
     (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state._rows
-    with np.errstate(over="ignore"):
-        det_m = float(np.linalg.det(state.m))
     return LluboInvariants(
         det_g1=a1 * d1 - b1 * c1,
         det_g2=a2 * d2 - b2 * c2,
         det_c=p * s - q * r,
-        det_m=det_m,
+        det_m=_lu_det(state._rows),
     )
+
+
+def _lu_det(rows: list[list[float]]) -> float:
+    """Determinant of the 4x4 ``rows`` by LU with partial pivoting: each
+    step swaps the row with the largest ``|pivot|`` up, flipping the sign,
+    and the result is the product of the pivots, or 0.0 at a zero pivot."""
+    a = [list(row) for row in rows]
+    det = 1.0
+    for k in range(4):
+        top, big = k, abs(a[k][k])
+        for i in range(k + 1, 4):
+            if abs(a[i][k]) > big:
+                top, big = i, abs(a[i][k])
+        if top != k:
+            a[k], a[top] = a[top], a[k]
+            det = -det
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot == 0.0:
+            return 0.0
+        det *= pivot
+        for row in a[k + 1:]:
+            f = row[k] / pivot
+            for j in range(k + 1, 4):
+                row[j] -= f * row_k[j]
+    return det
 
 
 def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
 from .core import _check_coefficient, _frozen, _rows_array, _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
-from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
+from .standard_form import EPS_FORM, StandardFormII, to_standard_form_II
 
 EPS_DECIDE = 1e-7  # half-width of the boundary band (relative to form scale)
 
@@ -39,18 +39,35 @@ class TotalVarianceResult(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PRepresentation:
     """Gaussian parameters of a positive P-distribution.
 
     ``covariance`` is the covariance of the coherent-state labels in
     quadrature coordinates, ``(M - I)/2`` of the reduced matrix;
     ``transform_back`` maps label space back to the original frame, so ``transform_back (2*cov + I) transform_back^T``
-    reconstructs the input matrix.
+    reconstructs the input matrix.  The covariance is held as row tuples of
+    Python floats and built as a read-only array on first read.
     """
 
-    covariance: np.ndarray
+    _rows: tuple
     transform_back: Llubo
+
+    def __init__(self, covariance: np.ndarray, transform_back: Llubo) -> None:
+        rows = tuple(map(tuple, np.asarray(covariance, dtype=float).tolist()))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "transform_back", transform_back)
+
+    @functools.cached_property
+    def covariance(self) -> np.ndarray:
+        """Label covariance, a read-only 4x4 array."""
+        return _rows_array(self._rows)
+
+    def __repr__(self) -> str:
+        return (
+            f"PRepresentation(covariance={self.covariance!r}, "
+            f"transform_back={self.transform_back!r})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +290,15 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         raise NotInSeparableRegime(
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
-    cov = _rows_array(0.5 * _layout(
-        form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0, form.c1, form.c2
-    ))
-    return PRepresentation(covariance=cov, transform_back=form.transform.inverse())
+    # 0.5 * (form.matrix() - I) entry by entry, by the same IEEE operations.
+    x1, p1 = 0.5 * (form.n1 - 1.0), 0.5 * (form.n2 - 1.0)
+    x2, p2 = 0.5 * (form.m1 - 1.0), 0.5 * (form.m2 - 1.0)
+    cx, cp = 0.5 * form.c1, 0.5 * form.c2
+    rows = (
+        (x1, 0.0, cx, 0.0), (0.0, p1, 0.0, cp), (cx, 0.0, x2, 0.0), (0.0, cp, 0.0, p2)
+    )
+    back = form.transform.inverse()
+    return _frozen(PRepresentation, {"_rows": rows, "transform_back": back})
 
 
 def reconstruct_analytic(cert: PRepresentation) -> np.ndarray:

@@ -115,6 +115,12 @@ def _complex_det(a):
     return re, im
 
 
+def exact_det(rows):
+    """Determinant of a 4x4 matrix of floats, exactly, as a ``Fraction``."""
+    a = [[(Fraction(x), 0) for x in row] for row in rows]
+    return _complex_det(a)[0]
+
+
 def exact_ppt(m):
     """Whether the floats of ``m`` are exactly PPT: ``M~ + i*Omega >= 0``.
 

@@ -422,6 +422,47 @@ class TestJsonText:
             expected["sign_v"] = f"{w['sign_v']:+d}"
         assert fields == expected
 
+    def test_report_builds_no_array(self):
+        # The report reads the floats the state, the certificate and its
+        # transform hold: it builds none of their arrays, and its rows equal
+        # those arrays bit for bit (float.hex, so a -0.0 cannot hide).
+        def hexes(rows):
+            return [[float.hex(x) for x in row] for row in rows]
+
+        for seed in range(30):
+            state = cv.ensemble_covariance(cv.sample_separable_ensemble(seed, 5))
+            verdict = cv.decide_separability(state)
+            cert = verdict.certificate
+            doc = cli._verdict_document(state, verdict, cv.EPS_DECIDE)
+            back = cert.transform_back
+            assert "m" not in vars(state)
+            assert "covariance" not in vars(cert)
+            assert "h1" not in vars(back) and "h2" not in vars(back)
+            got = doc["certificate"]
+            assert hexes(got["covariance"]) == hexes(cert.covariance.tolist())
+            assert hexes(got["transform_back"]["h1"]) == hexes(back.h1.tolist())
+            assert hexes(got["transform_back"]["h2"]) == hexes(back.h2.tolist())
+
+    def test_check_makes_no_array_or_lapack_call(self, tmp_path, capsys, monkeypatch):
+        # Both reports of a separable state, with every array builder cvsep
+        # owns and np.linalg.det made to fail.
+        state = cv.ensemble_covariance(cv.sample_separable_ensemble(4, 5))
+        path = write_state(tmp_path / "mixture.json", state.m)
+        expected = []
+        for argv in (["check", path, "--json"], ["check", path]):
+            assert cli.main(argv) == cli.EXIT_SEPARABLE
+            expected.append(capsys.readouterr().out)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("array built on the check path")
+
+        monkeypatch.setattr(cv.core, "_rows_array", fail)
+        monkeypatch.setattr(cv.separability, "_rows_array", fail)
+        monkeypatch.setattr(np.linalg, "det", fail)
+        for argv, out in zip((["check", path, "--json"], ["check", path]), expected):
+            assert cli.main(argv) == cli.EXIT_SEPARABLE
+            assert capsys.readouterr() == (out, "")
+
     def test_sample_matches_json_dumps(self, capsys):
         assert cli.main(["sample", "--seed", "3"]) == 0
         doc = {

@@ -2,6 +2,8 @@
 
 import math
 import re
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from _util import (
     SINH1,
     blockdiag,
     complex_min_eig,
+    exact_det,
     layout,
     non_number_identities,
     random_llubo_blocks,
     rot2,
+    strong_local_squeezes,
     tmsv_layout,
 )
 
@@ -549,7 +553,40 @@ class TestLluboInvariants:
             blocks = (m[:2, :2], m[2:, 2:], m[:2, 2:])
             for det, blk in zip((inv.det_g1, inv.det_g2, inv.det_c), blocks):
                 assert det == blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            assert inv.det_m == float(np.linalg.det(m))
+        # det M against the exact determinant of the state's own floats, on
+        # random states and on separable mixtures: every relative error is
+        # below 1e-12, and the median is no worse than LAPACK's
+        # (np.linalg.det) on the same states.
+        families = (
+            lambda seed: cv.sample_random_physical(seed),
+            lambda seed: cv.ensemble_covariance(cv.sample_separable_ensemble(seed, 5)),
+        )
+        for family in families:
+            ours, lapack = [], []
+            for seed in range(400):
+                state = family(seed)
+                exact = exact_det(state._rows)
+                for errs, det in (
+                    (ours, cv.llubo_invariants(state).det_m),
+                    (lapack, float(np.linalg.det(state.m))),
+                ):
+                    errs.append(abs(Fraction(det) - exact) / abs(exact))
+            assert max(ours) < Fraction(1e-12)
+            assert statistics.median(ours) <= statistics.median(lapack)
+
+    def test_det_m_of_strong_squeezes_is_not_zero(self):
+        # Under strong local squeezes a Schur complement's diagonal entry can
+        # round to exactly 0, and the row swaps step around it: without them
+        # 11 of these states give det M = 0.0 (numpy 2.4's np.linalg.det: 6).
+        matrices = strong_local_squeezes(
+            [cv.sample_random_physical(seed).m for seed in range(100)]
+        )
+        for m in matrices:
+            try:
+                state = cv.validate(m)
+            except cv.NotPhysical:
+                continue
+            assert cv.llubo_invariants(state).det_m != 0.0
 
     @pytest.mark.parametrize("scale", [1e100, 1e150])
     def test_overflowed_det_m_is_inf_without_warning(self, scale):

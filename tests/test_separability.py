@@ -15,6 +15,7 @@ from _util import (
     layout,
     near_vacuum_forms,
     random_llubo_blocks,
+    rot2,
     tmsv_layout,
 )
 
@@ -454,6 +455,33 @@ class TestPRepresentation:
         form = cv.to_standard_form_II(cv.validate(np.eye(4)))
         cert = cv.p_representation(form)
         np.testing.assert_array_equal(cert.covariance, np.zeros((4, 4)))
+
+    def test_public_constructor_and_covariance(self):
+        arr = np.arange(16, dtype=np.float32).reshape(4, 4) - 5.5
+        op = cv.Llubo(rot2(0.3), rot2(-1.1))
+        cert = cv.PRepresentation(covariance=arr, transform_back=op)
+        cov = cert.covariance
+        assert cov.dtype == np.float64 and cov.shape == (4, 4)
+        assert not cov.flags.writeable and not np.shares_memory(cov, arr)
+        np.testing.assert_array_equal(cov, arr)
+        assert cert.covariance is cov and cert.transform_back is op
+        text = repr(cert)
+        assert text.startswith("PRepresentation(covariance=array(")
+        assert ", transform_back=Llubo(h1=" in text
+
+    def test_covariance_is_half_the_excess_over_identity(self):
+        # (M_II - I)/2 of the form, bit for bit: the same IEEE operations
+        # as halving the form's matrix minus the identity.
+        count = 0
+        for seed in range(60):
+            verdict = cv.decide_separability(cv.sample_random_physical(seed))
+            if verdict.certificate is None:
+                continue
+            count += 1
+            cov = cv.p_representation(verdict.form).covariance
+            expected = 0.5 * (verdict.form.matrix() - np.eye(4))
+            assert cov.tobytes() == expected.tobytes()
+        assert count > 10
 
     def test_symmetric_edge_form_spectrum(self):
         # n = m = 2, c = -c' = 1 sits exactly on the separable edge.
