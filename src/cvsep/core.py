@@ -517,8 +517,8 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
     same IEEE operations as on numpy scalars); ``det M`` is the signed
     product of the pivots of an LU factorization with partial pivoting on
     the same floats, as LAPACK's ``dgetrf`` does it, and backward stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9).  It
-    overflows to inf on accepted states beyond ~1e77.
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9).  It is
+    inf only where det M itself exceeds the float range.
     """
     (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state._rows
     return LluboInvariants(
@@ -532,9 +532,13 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
 def _lu_det(rows: list[list[float]]) -> float:
     """Determinant of the 4x4 ``rows`` by LU with partial pivoting: each
     step swaps the row with the largest ``|pivot|`` up, flipping the sign,
-    and the result is the product of the pivots, or 0.0 at a zero pivot."""
+    and the result is the product of the pivots, or 0.0 at a zero pivot.
+    The product keeps its binary exponent apart, so no partial product
+    overflows or underflows: it is inf only where the determinant itself
+    exceeds the float range, and it has the plain product's bits wherever
+    that product stays in the normal range."""
     a = [list(row) for row in rows]
-    det = 1.0
+    det, exp = 1.0, 0
     for k in range(4):
         top, big = k, abs(a[k][k])
         for i in range(k + 1, 4):
@@ -547,12 +551,16 @@ def _lu_det(rows: list[list[float]]) -> float:
         pivot = row_k[k]
         if pivot == 0.0:
             return 0.0
-        det *= pivot
+        det, e = math.frexp(det * pivot)
+        exp += e
         for row in a[k + 1:]:
             f = row[k] / pivot
             for j in range(k + 1, 4):
                 row[j] -= f * row_k[j]
-    return det
+    try:
+        return math.ldexp(det, exp)
+    except OverflowError:
+        return math.copysign(math.inf, det)
 
 
 def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:

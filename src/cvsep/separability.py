@@ -20,7 +20,7 @@ import numpy as np
 from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
 from .core import _check_coefficient, _frozen, _rows_array, _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
-from .standard_form import EPS_FORM, StandardFormII, to_standard_form_II
+from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
 EPS_DECIDE = 1e-7  # half-width of the boundary band (relative to form scale)
 
@@ -291,11 +291,13 @@ def p_representation(form: StandardFormII) -> PRepresentation:
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
     # 0.5 * (form.matrix() - I) entry by entry, by the same IEEE operations.
-    x1, p1 = 0.5 * (form.n1 - 1.0), 0.5 * (form.n2 - 1.0)
-    x2, p2 = 0.5 * (form.m1 - 1.0), 0.5 * (form.m2 - 1.0)
-    cx, cp = 0.5 * form.c1, 0.5 * form.c2
-    rows = (
-        (x1, 0.0, cx, 0.0), (0.0, p1, 0.0, cp), (cx, 0.0, x2, 0.0), (0.0, cp, 0.0, p2)
+    rows = _layout(
+        0.5 * (form.n1 - 1.0),
+        0.5 * (form.n2 - 1.0),
+        0.5 * (form.m1 - 1.0),
+        0.5 * (form.m2 - 1.0),
+        0.5 * form.c1,
+        0.5 * form.c2,
     )
     back = form.transform.inverse()
     return _frozen(PRepresentation, {"_rows": rows, "transform_back": back})

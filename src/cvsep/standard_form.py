@@ -25,15 +25,14 @@ _SQRT_HALF = math.sqrt(0.5)
 
 def _layout(
     n1: float, n2: float, m1: float, m2: float, c1: float, c2: float
-) -> np.ndarray:
-    """Layout with x sector [[n1, c1], [c1, m1]] and p sector [[n2, c2], [c2, m2]]."""
-    return np.array(
-        [
-            [n1, 0.0, c1, 0.0],
-            [0.0, n2, 0.0, c2],
-            [c1, 0.0, m1, 0.0],
-            [0.0, c2, 0.0, m2],
-        ]
+) -> tuple:
+    """Rows of the layout with x sector [[n1, c1], [c1, m1]] and p sector
+    [[n2, c2], [c2, m2]]."""
+    return (
+        (n1, 0.0, c1, 0.0),
+        (0.0, n2, 0.0, c2),
+        (c1, 0.0, m1, 0.0),
+        (0.0, c2, 0.0, m2),
     )
 
 
@@ -50,7 +49,7 @@ class StandardFormI:
 
     def matrix(self) -> np.ndarray:
         """The induced 4x4 layout."""
-        return _layout(self.n, self.n, self.m, self.m, self.c, self.c_prime)
+        return np.array(_layout(self.n, self.n, self.m, self.m, self.c, self.c_prime))
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class StandardFormII:
 
     def matrix(self) -> np.ndarray:
         """The induced 4x4 layout."""
-        return _layout(self.n1, self.n2, self.m1, self.m2, self.c1, self.c2)
+        return np.array(_layout(self.n1, self.n2, self.m1, self.m2, self.c1, self.c2))
 
 
 def to_standard_form_I(state: CorrelationMatrix) -> StandardFormI:

@@ -599,6 +599,15 @@ class TestLluboInvariants:
         assert inv.det_m == math.inf
         assert inv.det_g1 == m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
+    def test_finite_det_m_past_an_overflowing_partial_product(self):
+        # A thermal mode times a squeezed one: the pivots 1e150, 1e150, 1e10
+        # multiply past the float range before 1.1e-10 brings det M back in.
+        state = cv.validate(np.diag([1e150, 1e150, 1e10, 1.1e-10]))
+        exact = exact_det(state._rows)
+        det_m = cv.llubo_invariants(state).det_m
+        assert math.isfinite(det_m)
+        assert abs(Fraction(det_m) - exact) / exact < Fraction(1e-15)
+
     def test_unchanged_by_random_llubo(self):
         rng = np.random.default_rng(4)
         for seed in range(30):
