@@ -255,9 +255,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             )
         )
     print("transform h1:")
-    _print_matrix(form.transform.h1)
+    _print_matrix(_block_rows(form.transform._e1))
     print("transform h2:")
-    _print_matrix(form.transform.h2)
+    _print_matrix(_block_rows(form.transform._e2))
     return 0
 
 

@@ -511,56 +511,42 @@ def apply_llubo(state: CorrelationMatrix, op: Llubo) -> CorrelationMatrix:
 
 
 def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
-    """The four local invariants (det G1, det G2, det C, det M).
+    """The four local invariants (det G1, det G2, det C, det M) of the
+    state's floats, each the float nearest its exact value: +0.0 where that
+    value is 0, and +-inf only where it is beyond the float range.
 
-    The three 2x2 determinants are ``ad - bc`` on the state's floats (the
-    same IEEE operations as on numpy scalars); ``det M`` is the signed
-    product of the pivots of an LU factorization with partial pivoting on
-    the same floats, as LAPACK's ``dgetrf`` does it, and backward stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9).  It is
-    inf only where det M itself exceeds the float range.
+    Every float is an integer times a power of two, so the 16 entries times
+    one shared power of two are integers.  Rows 1-2 and rows 3-4 give six
+    2x2 minors each: det G1, det C and det G2 are three of them, and det M
+    is Laplace's expansion by complementary minors.  Each value is rounded
+    once, by int true division, which is correctly rounded.
     """
-    (a1, b1, p, q), (c1, d1, r, s), (_, _, a2, b2), (_, _, c2, d2) = state._rows
+    ratios = [x.as_integer_ratio() for row in state._rows for x in row]
+    scale = max(den for _, den in ratios)
+    (a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p) = (
+        num * (scale // den) for num, den in ratios
+    )
+    ab, ac, ad = a * f - b * e, a * g - c * e, a * h - d * e
+    bc, bd, cd = b * g - c * f, b * h - d * f, c * h - d * g
+    ij, ik, il = i * n - j * m, i * o - k * m, i * p - l * m
+    jk, jl, kl = j * o - k * n, j * p - l * n, k * p - l * o
+    det_m = ab * kl - ac * jl + ad * jk + bc * il - bd * ik + cd * ij
+    scale2 = scale * scale
     return LluboInvariants(
-        det_g1=a1 * d1 - b1 * c1,
-        det_g2=a2 * d2 - b2 * c2,
-        det_c=p * s - q * r,
-        det_m=_lu_det(state._rows),
+        det_g1=_nearest(ab, scale2),
+        det_g2=_nearest(kl, scale2),
+        det_c=_nearest(cd, scale2),
+        det_m=_nearest(det_m, scale2 * scale2),
     )
 
 
-def _lu_det(rows: list[list[float]]) -> float:
-    """Determinant of the 4x4 ``rows`` by LU with partial pivoting: each
-    step swaps the row with the largest ``|pivot|`` up, flipping the sign,
-    and the result is the product of the pivots, or 0.0 at a zero pivot.
-    The product keeps its binary exponent apart, so no partial product
-    overflows or underflows: it is inf only where the determinant itself
-    exceeds the float range, and it has the plain product's bits wherever
-    that product stays in the normal range."""
-    a = [list(row) for row in rows]
-    det, exp = 1.0, 0
-    for k in range(4):
-        top, big = k, abs(a[k][k])
-        for i in range(k + 1, 4):
-            if abs(a[i][k]) > big:
-                top, big = i, abs(a[i][k])
-        if top != k:
-            a[k], a[top] = a[top], a[k]
-            det = -det
-        row_k = a[k]
-        pivot = row_k[k]
-        if pivot == 0.0:
-            return 0.0
-        det, e = math.frexp(det * pivot)
-        exp += e
-        for row in a[k + 1:]:
-            f = row[k] / pivot
-            for j in range(k + 1, 4):
-                row[j] -= f * row_k[j]
+def _nearest(num: int, den: int) -> float:
+    """The float nearest ``num / den`` for a positive ``den``, +-inf beyond
+    the float range."""
     try:
-        return math.ldexp(det, exp)
+        return num / den
     except OverflowError:
-        return math.copysign(math.inf, det)
+        return math.inf if num > 0 else -math.inf
 
 
 def variance_pair(state: CorrelationMatrix, pair: EprPair) -> float:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import CorrelationMatrix, EprPair, Llubo, variance_pair
-from .core import _check_coefficient, _frozen, _rows_array, _total_variance
+from .core import _check_coefficient, _frozen, _real_array, _rows_array, _total_variance
 from .exceptions import CvsepError, DegenerateForm, NotInSeparableRegime
 from .standard_form import EPS_FORM, StandardFormII, _layout, to_standard_form_II
 
@@ -48,14 +48,20 @@ class PRepresentation:
     ``transform_back`` maps label space back to the original frame, so ``transform_back (2*cov + I) transform_back^T``
     reconstructs the input matrix.  The covariance is held as row tuples of
     Python floats and built as a read-only array on first read.
+
+    Raises:
+        ValueError: ``covariance`` is not real (complex, boolean, string or
+            object) or not 4x4.
     """
 
     _rows: tuple
     transform_back: Llubo
 
     def __init__(self, covariance: np.ndarray, transform_back: Llubo) -> None:
-        rows = tuple(map(tuple, np.asarray(covariance, dtype=float).tolist()))
-        object.__setattr__(self, "_rows", rows)
+        arr = _real_array(covariance, ValueError, "covariance")
+        if arr.shape != (4, 4):
+            raise ValueError(f"covariance must be 4x4, got {arr.shape}")
+        object.__setattr__(self, "_rows", tuple(map(tuple, arr.tolist())))
         object.__setattr__(self, "transform_back", transform_back)
 
     @functools.cached_property

@@ -302,6 +302,15 @@ class TestCheck:
         assert captured.err == ""
         assert captured.out.splitlines()[5].endswith(", det M = inf")
 
+    def test_ill_conditioned_det_m_is_the_nearest_float(self, tmp_path, capsys):
+        # A strongly squeezed state whose det M cancels from products of ~5e28
+        # down to ~526: the report prints the float nearest the exact value.
+        m = edge_family_matrices(27)["large_squeeze"]
+        path = write_state(tmp_path / "squeezed.json", 0.5 * (m + m.T))
+        assert cli.main(["check", path, "--json"]) == cli.EXIT_BOUNDARY
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["invariants"]["det_m"] == 526.0178555222932
+
 
 #: Scaled by 1e100 or more: accepted and separable, but det M overflows to inf.
 _HALF_CORRELATED = np.array(
@@ -444,23 +453,29 @@ class TestJsonText:
             assert hexes(got["transform_back"]["h2"]) == hexes(back.h2.tolist())
 
     def test_check_makes_no_array_or_lapack_call(self, tmp_path, capsys, monkeypatch):
-        # Both reports of a separable state, with every array builder cvsep
-        # owns and np.linalg.det made to fail.
+        # Both reports of a separable state, and both of its reductions,
+        # with every array builder cvsep owns and np.linalg.det made to fail.
         state = cv.ensemble_covariance(cv.sample_separable_ensemble(4, 5))
         path = write_state(tmp_path / "mixture.json", state.m)
+        runs = (
+            (["check", path, "--json"], cli.EXIT_SEPARABLE),
+            (["check", path], cli.EXIT_SEPARABLE),
+            (["reduce", path, "--form", "I"], 0),
+            (["reduce", path], 0),
+        )
         expected = []
-        for argv in (["check", path, "--json"], ["check", path]):
-            assert cli.main(argv) == cli.EXIT_SEPARABLE
+        for argv, code in runs:
+            assert cli.main(argv) == code
             expected.append(capsys.readouterr().out)
 
         def fail(*args, **kwargs):
-            raise AssertionError("array built on the check path")
+            raise AssertionError("array built on the check or reduce path")
 
         monkeypatch.setattr(cv.core, "_rows_array", fail)
         monkeypatch.setattr(cv.separability, "_rows_array", fail)
         monkeypatch.setattr(np.linalg, "det", fail)
-        for argv, out in zip((["check", path, "--json"], ["check", path]), expected):
-            assert cli.main(argv) == cli.EXIT_SEPARABLE
+        for (argv, code), out in zip(runs, expected):
+            assert cli.main(argv) == code
             assert capsys.readouterr() == (out, "")
 
     def test_sample_matches_json_dumps(self, capsys):

@@ -2,7 +2,6 @@
 
 import math
 import re
-import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +14,7 @@ from _util import (
     COSH1,
     OMEGA4,
     SINH1,
+    accepted_edge_states,
     blockdiag,
     complex_min_eig,
     exact_det,
@@ -545,39 +545,50 @@ class TestLluboInvariants:
         # (nm - c^2)(nm - c'^2) = (cosh^2 - sinh^2)^2 = 1 by the identity.
         assert inv.det_m == pytest.approx(1.0, abs=1e-12)
 
-    def test_block_determinants_match_numpy_scalars(self):
-        # Bit for bit, so `cvsep check --json` prints the same invariants.
-        for seed in range(50):
-            m = cv.sample_random_physical(seed).m
-            inv = cv.llubo_invariants(cv.validate(m))
-            blocks = (m[:2, :2], m[2:, 2:], m[:2, 2:])
-            for det, blk in zip((inv.det_g1, inv.det_g2, inv.det_c), blocks):
-                assert det == blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-        # det M against the exact determinant of the state's own floats, on
-        # random states and on separable mixtures: every relative error is
-        # below 1e-12, and the median is no worse than LAPACK's
-        # (np.linalg.det) on the same states.
-        families = (
-            lambda seed: cv.sample_random_physical(seed),
-            lambda seed: cv.ensemble_covariance(cv.sample_separable_ensemble(seed, 5)),
+    def test_each_invariant_is_the_nearest_float_of_its_exact_value(self):
+        # The exact invariants of the state's own floats, as Fractions: the
+        # three block determinants from 2x2 products, det M by cofactor
+        # expansion.  float() of a Fraction is correctly rounded, and the
+        # hex strings tell a +0.0 from a -0.0.
+        def minor(rows, i, j):
+            (a, b), (c, d) = (map(Fraction, rows[r][j : j + 2]) for r in (i, i + 1))
+            return a * d - b * c
+
+        def check(states):
+            count = 0
+            for state in states:
+                rows = state._rows
+                exact = (minor(rows, 0, 0), minor(rows, 2, 2), minor(rows, 0, 2))
+                exact += (exact_det(rows),)
+                got = cv.llubo_invariants(state).as_tuple()
+                assert [x.hex() for x in got] == [float(x).hex() for x in exact], rows
+                count += 1
+            return count
+
+        def accepted(matrices):
+            for m in matrices:
+                try:
+                    yield cv.validate(m)
+                except cv.NotPhysical:
+                    continue
+
+        assert check(cv.sample_random_physical(seed) for seed in range(400)) == 400
+        mixtures = (
+            cv.ensemble_covariance(cv.sample_separable_ensemble(seed, 5))
+            for seed in range(400)
         )
-        for family in families:
-            ours, lapack = [], []
-            for seed in range(400):
-                state = family(seed)
-                exact = exact_det(state._rows)
-                for errs, det in (
-                    (ours, cv.llubo_invariants(state).det_m),
-                    (lapack, float(np.linalg.det(state.m))),
-                ):
-                    errs.append(abs(Fraction(det) - exact) / abs(exact))
-            assert max(ours) < Fraction(1e-12)
-            assert statistics.median(ours) <= statistics.median(lapack)
+        assert check(mixtures) == 400
+        assert check(state for _, state in accepted_edge_states(cv, range(100))) == 600
+        squeezed = strong_local_squeezes(
+            [cv.sample_random_physical(seed).m for seed in range(100)]
+        )
+        assert check(accepted(squeezed)) > 0
 
     def test_det_m_of_strong_squeezes_is_not_zero(self):
-        # Under strong local squeezes a Schur complement's diagonal entry can
-        # round to exactly 0, and the row swaps step around it: without them
-        # 11 of these states give det M = 0.0 (numpy 2.4's np.linalg.det: 6).
+        # Under strong local squeezes det M cancels from much larger terms:
+        # an LU without row swaps gives det M = 0.0 on 11 of these states
+        # (numpy 2.4's np.linalg.det: 6), where a Schur complement's
+        # diagonal entry rounds to exactly 0.
         matrices = strong_local_squeezes(
             [cv.sample_random_physical(seed).m for seed in range(100)]
         )
@@ -600,8 +611,9 @@ class TestLluboInvariants:
         assert inv.det_g1 == m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
     def test_finite_det_m_past_an_overflowing_partial_product(self):
-        # A thermal mode times a squeezed one: the pivots 1e150, 1e150, 1e10
-        # multiply past the float range before 1.1e-10 brings det M back in.
+        # A thermal mode times a squeezed one: the diagonal's running product
+        # 1e150 * 1e150 * 1e10 passes the float range before 1.1e-10 brings
+        # det M back in.
         state = cv.validate(np.diag([1e150, 1e150, 1e10, 1.1e-10]))
         exact = exact_det(state._rows)
         det_m = cv.llubo_invariants(state).det_m

@@ -469,6 +469,24 @@ class TestPRepresentation:
         assert text.startswith("PRepresentation(covariance=array(")
         assert ", transform_back=Llubo(h1=" in text
 
+    @pytest.mark.parametrize(
+        "covariance",
+        [
+            np.eye(4) + 1j * np.eye(4),
+            np.eye(4, dtype=bool),
+            np.full((4, 4), "0.5"),
+            np.full((4, 4), None),
+            np.eye(3),
+            np.eye(4).ravel(),
+        ],
+        ids=["complex", "boolean", "string", "object", "3x3", "flat"],
+    )
+    def test_public_constructor_rejects(self, covariance):
+        # Rejected rather than cast (a complex matrix would lose its
+        # imaginary part), or accepted only to fail in reconstruct_analytic.
+        with pytest.raises(ValueError, match="covariance"):
+            cv.PRepresentation(covariance, cv.Llubo.identity())
+
     def test_covariance_is_half_the_excess_over_identity(self):
         # (M_II - I)/2 of the form, bit for bit: the same IEEE operations
         # as halving the form's matrix minus the identity.
