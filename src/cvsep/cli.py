@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -68,35 +69,17 @@ def _fmt(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """The text of ``json.dumps`` with a 2-space indent, for str-keyed dicts,
-    lists, tuples, str, int, float, bool and None, but strict JSON: a
-    non-finite float is ``null``. Unlike ``json.dumps``, it keeps json's C
-    string escaper when indenting."""
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+def _num(x: float) -> str:
+    """A float as ``json.dumps`` writes it, but ``null`` where it is not finite."""
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+def _rows_text(rows, level: int) -> str:
+    """Float rows as ``json.dumps(rows, indent=2)`` nests them ``level`` deep."""
+    pad = "\n" + "  " * level
+    row_pad, num_pad = pad + "  ", pad + "    "
+    items = [f"[{num_pad}{(',' + num_pad).join(map(_num, r))}{row_pad}]" for r in rows]
+    return f"[{row_pad}{(',' + row_pad).join(items)}{pad}]"
 
 
 def _state_document(state: CorrelationMatrix) -> dict:
@@ -105,6 +88,17 @@ def _state_document(state: CorrelationMatrix) -> dict:
         "ordering": ORDERING_TAG,
         "scaling": SCALING_TAG,
     }
+
+
+def _state_text(doc: dict, level: int = 0) -> str:
+    """A ``_state_document`` as ``json.dumps(doc, indent=2)`` nests it
+    ``level`` deep, with ``null`` for a non-finite float."""
+    pad = "\n" + "  " * level
+    return (
+        f'{{{pad}  "matrix": {_rows_text(doc["matrix"], level + 1)},'
+        f'{pad}  "ordering": {_quote(doc["ordering"])},'
+        f'{pad}  "scaling": {_quote(doc["scaling"])}{pad}}}'
+    )
 
 
 def load_state_file(path: str) -> CorrelationMatrix:
@@ -178,6 +172,54 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
     }
 
 
+def _report_text(doc: dict) -> str:
+    """A ``_verdict_document`` as ``json.dumps(doc, indent=2)`` writes it,
+    with ``null`` for a non-finite float, by the document's fixed layout."""
+    witness, inv, form, cert = (
+        doc["witness"], doc["invariants"], doc["standard_form_ii"], doc["certificate"]
+    )
+    if witness is not None:
+        witness = (
+            f'{{\n    "a": {_num(witness["a"])},\n    "sign_u": {witness["sign_u"]},'
+            f'\n    "sign_v": {witness["sign_v"]}\n  }}'
+        )
+    if cert is not None:
+        back = cert["transform_back"]
+        cert = (
+            f'{{\n    "covariance": {_rows_text(cert["covariance"], 2)},'
+            f'\n    "transform_back": {{\n      "h1": {_rows_text(back["h1"], 3)},'
+            f'\n      "h2": {_rows_text(back["h2"], 3)}\n    }}\n  }}'
+        )
+    return f"""{{
+  "decision": {_quote(doc["decision"])},
+  "total_variance": {_num(doc["total_variance"])},
+  "bound": {_num(doc["bound"])},
+  "margin": {_num(doc["margin"])},
+  "min_eigenvalue": {_num(doc["min_eigenvalue"])},
+  "witness": {"null" if witness is None else witness},
+  "invariants": {{
+    "det_g1": {_num(inv["det_g1"])},
+    "det_g2": {_num(inv["det_g2"])},
+    "det_c": {_num(inv["det_c"])},
+    "det_m": {_num(inv["det_m"])}
+  }},
+  "standard_form_ii": {{
+    "n1": {_num(form["n1"])},
+    "n2": {_num(form["n2"])},
+    "m1": {_num(form["m1"])},
+    "m2": {_num(form["m2"])},
+    "c1": {_num(form["c1"])},
+    "c2": {_num(form["c2"])},
+    "r1": {_num(form["r1"])},
+    "r2": {_num(form["r2"])},
+    "degenerate": {"true" if form["degenerate"] else "false"}
+  }},
+  "certificate": {"null" if cert is None else cert},
+  "tol_decide": {_num(doc["tol_decide"])},
+  "state": {_state_text(doc["state"], 1)}
+}}"""
+
+
 def _print_matrix(rows: Iterable[Iterable[float]]) -> None:
     for row in rows:
         print("  " + "  ".join(f"{_fmt(v):>15s}" for v in row))
@@ -205,7 +247,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = decide_separability(state, tol_decide=tol)
     doc = _verdict_document(state, verdict, tol)
     if args.json:
-        print(_json_text(doc))
+        print(_report_text(doc))
         return _DECISION_EXIT[verdict.decision]
     print(f"decision: {doc['decision'].capitalize()}")
     print(f"total variance: {_fmt(doc['total_variance'])}")
@@ -323,7 +365,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-    _write_out(args.out, _json_text(_state_document(state)) + "\n")
+    _write_out(args.out, _state_text(_state_document(state)) + "\n")
     return 0
 
 
@@ -389,6 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the interpreter's
+    flush at exit does not fail again on the output it still holds."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no real descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # parse_args only reads the parser and returns a fresh Namespace, so one
@@ -401,13 +455,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
         # Resolved per call rather than stored in the cached parser, so a
         # replaced cmd_* function (a test double, a tracer) still takes effect.
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except CvsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNPHYSICAL
+    except OSError as exc:
+        # Every file a command opens maps its own OSError to a CliError, so
+        # this one came from stdout: a closed pipe, a full disk.
+        _drop_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CANTWRITE
     except Exception as exc:  # a bug: report it, never exit with a verdict code
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,8 +1,13 @@
 """Command-line interface tests: exit codes, reports, file formats."""
 
+import errno
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,16 @@ from hypothesis import strategies as st
 
 import cvsep as cv
 from cvsep import cli
-from _util import edge_family_matrices, rot2, tmsv_layout
+from _util import (
+    NEAR_VACUUM,
+    accepted_edge_states,
+    edge_family_matrices,
+    layout,
+    near_vacuum_forms,
+    rot2,
+    strong_local_squeezes,
+    tmsv_layout,
+)
 
 
 def write_state(path, matrix, ordering="x1p1x2p2", scaling="vacuum-identity"):
@@ -333,39 +347,60 @@ def _finite_or_none(value):
     return value
 
 
-_json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308])
-    | st.text()
-    | st.text(alphabet='"\\/\x00\x08\n\x1f\x7fé \U0001f600 a')
-)
-_json_values = st.recursive(
-    _json_leaves,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(st.text(), inner, max_size=4)
-    ),
-    max_leaves=24,
-)
+_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+
+
+def _float_rows(size):
+    row = st.lists(_floats, min_size=size, max_size=size)
+    return st.lists(row, min_size=size, max_size=size)
+
+
+def _float_fields(*keys):
+    return {key: _floats for key in keys}
+
+
+def _dicts(fields):
+    """Dicts of ``fields``' values, keyed in ``fields``' order."""
+    return st.fixed_dictionaries(fields).map(lambda d: {key: d[key] for key in fields})
+
+
+#: Documents shaped like ``cli._state_document``'s and ``cli._verdict_document``'s,
+#: with any float, finite or not, in every float slot.
+_state_docs = _dicts({
+    "matrix": _float_rows(4),
+    "ordering": st.just(cli.ORDERING_TAG),
+    "scaling": st.just(cli.SCALING_TAG),
+})
+_report_docs = _dicts({
+    "decision": st.sampled_from([d.value for d in cv.Decision]),
+    **_float_fields("total_variance", "bound", "margin", "min_eigenvalue"),
+    "witness": st.none() | _dicts({
+        "a": _floats, "sign_u": st.sampled_from([1, -1]), "sign_v": st.sampled_from([1, -1]),
+    }),
+    "invariants": _dicts(_float_fields("det_g1", "det_g2", "det_c", "det_m")),
+    "standard_form_ii": _dicts({
+        **_float_fields("n1", "n2", "m1", "m2", "c1", "c2", "r1", "r2"),
+        "degenerate": st.booleans(),
+    }),
+    "certificate": st.none() | _dicts({
+        "covariance": _float_rows(4),
+        "transform_back": _dicts({"h1": _float_rows(2), "h2": _float_rows(2)}),
+    }),
+    "tol_decide": _floats,
+    "state": _state_docs,
+})
 
 
 class TestJsonText:
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(_json_values)
-    def test_matches_json_dumps_indent_2(self, value):
-        assert cli._json_text(value) == json.dumps(_finite_or_none(value), indent=2)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_report_docs)
+    def test_report_matches_json_dumps_indent_2(self, doc):
+        assert cli._report_text(doc) == json.dumps(_finite_or_none(doc), indent=2)
 
-    @pytest.mark.parametrize("value", [np.zeros(2), np.float32(1.0), {1, 2}, object()])
-    def test_rejects_what_json_rejects(self, value):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError):
-            cli._json_text([value])
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_state_docs)
+    def test_state_block_matches_json_dumps_indent_2(self, doc):
+        assert cli._state_text(doc) == json.dumps(_finite_or_none(doc), indent=2)
 
     @pytest.mark.parametrize(
         "name, decision",
@@ -486,6 +521,64 @@ class TestJsonText:
             "scaling": "vacuum-identity",
         }
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def _round_trips(out):
+    """Whether ``out`` is its own JSON re-encoded with a 2-space indent: a
+    null reads back as None and a float's repr as that float."""
+    doc = json.loads(out, parse_constant=_reject_constant)
+    return json.dumps(doc, indent=2) + "\n" == out
+
+
+def _accepted(matrices):
+    for m in matrices:
+        try:
+            yield cv.validate(m)
+        except cv.CvsepError:
+            continue
+
+
+class TestReportRoundTrip:
+    def test_check_reports_round_trip(self, tmp_path, capsys):
+        states = [state for _, state in accepted_edge_states(cv, range(50))]
+        states += _accepted(
+            strong_local_squeezes([cv.sample_random_physical(s).m for s in range(50)])
+        )
+        for family in NEAR_VACUUM:
+            states += _accepted(layout(*f) for f in near_vacuum_forms(family, 200))
+        states += [cv.ensemble_covariance(cv.sample_separable_ensemble(s, 5)) for s in range(50)]
+        states += [cv.sample_random_physical(s) for s in range(50)]
+        states.append(cv.evolve_thermal(cv.ThermalScenario(
+            r=1.0, eta=1.0, nbar=1.0, t=cv.threshold_time(1.0, 1.0, 1.0)
+        )))
+        states.append(cv.validate(1e100 * _HALF_CORRELATED))
+        path = tmp_path / "state.json"
+        docs = []
+        for state in states:
+            write_state(path, state.m)
+            try:
+                code = cli._DECISION_EXIT[cv.decide_separability(state).decision]
+            except cv.CvsepError:
+                code = cli.EXIT_UNPHYSICAL
+            assert cli.main(["check", "--json", str(path)]) == code
+            out = capsys.readouterr().out
+            if code == cli.EXIT_UNPHYSICAL:
+                assert out == ""
+                continue
+            assert _round_trips(out), out
+            docs.append(json.loads(out))
+        threshold, large = docs[-2:]
+        assert threshold["decision"] == "boundary" and threshold["certificate"] is None
+        assert large["invariants"]["det_m"] is None
+        # Every decision, and a degenerate form, which has no witness.
+        assert {doc["decision"] for doc in docs} == {d.value for d in cv.Decision}
+        assert any(doc["witness"] is None for doc in docs)
+
+    @pytest.mark.parametrize("kind", ["random", "separable"])
+    def test_sample_round_trips(self, kind, capsys):
+        for seed in range(20):
+            assert cli.main(["sample", "--seed", str(seed), "--kind", kind]) == 0
+            assert _round_trips(capsys.readouterr().out)
 
 
 class TestReduce:
@@ -727,6 +820,61 @@ class TestSample:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not out_path.exists()
+
+
+class _FailingStdout:
+    """A stdout with no file descriptor whose ``write`` or ``flush`` raises."""
+
+    def __init__(self, exc, on):
+        self.exc, self.on = exc, on
+
+    def write(self, text):
+        if self.on == "write":
+            raise self.exc
+        return len(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise self.exc
+
+
+class TestStdoutFailure:
+    @pytest.mark.parametrize("on", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "exc",
+        [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+         OSError(errno.ENOSPC, "No space left on device")],
+        ids=["EPIPE", "ENOSPC"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["check", "--json"], ["check"], ["sample"]], ids=["json", "text", "sample"]
+    )
+    def test_failed_write_exits_73(self, argv, exc, on, vacuum_file, capsys, monkeypatch):
+        if argv[0] == "check":
+            argv = [*argv, vacuum_file]
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc, on))
+        assert cli.main(argv) == cli.EXIT_CANTWRITE == 73
+        assert capsys.readouterr().err == f"error: cannot write output: {exc}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["check", "--json"], ["check"], ["reduce"], ["sample"]],
+        ids=["json", "text", "reduce", "sample"],
+    )
+    def test_full_device_exits_73_with_one_line(self, argv, vacuum_file):
+        if argv[0] in ("check", "reduce"):
+            argv = [*argv, vacuum_file]
+        # Block-buffered stdout, so the interpreter still holds the output at exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "cvsep.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert done.returncode == cli.EXIT_CANTWRITE
+        # No second report at interpreter exit ("Exception ignored ...").
+        assert done.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 class TestInternalError:
