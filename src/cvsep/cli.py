@@ -104,8 +104,11 @@ def _state_text(doc: dict, level: int = 0) -> str:
 def load_state_file(path: str) -> CorrelationMatrix:
     """Read and validate a state file, mapping failures to exit codes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.loads(fh.read())
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.readall().decode("utf-8")
+        # Text mode's newline translation, so a JSON error gives the
+        # position a text-mode read would.
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError:
         raise CliError(EXIT_NOFILE, f"state file not found: {path}")
     except OSError as exc:
@@ -379,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's own parser by name, for main's direct dispatch.
+    parser.commands = sub.choices
 
     p_check = sub.add_parser("check", help="decide separability of a state file")
     p_check.add_argument("path", help="state file (JSON)")
@@ -450,9 +455,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsing a command's arguments with that
+    command's own parser: the top parser hands it every argument after the
+    command name unchanged, so only what is left over needs the top parser."""
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # -h, no or an unknown command, a leading "--"
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        try:
+            args = _parse_args(argv)
+        except SystemExit:
+            # argparse's help ignores a failed write and exits 0; flush it
+            # here, so that a failure takes the exit-73 path below.
+            sys.stdout.flush()
+            raise
         # Resolved per call rather than stored in the cached parser, so a
         # replaced cmd_* function (a test double, a tracer) still takes effect.
         code = globals()[f"cmd_{args.command}"](args)

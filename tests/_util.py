@@ -28,6 +28,18 @@ MODE_SWAP = np.array(
 )
 
 
+#: Argument lists whose parse ``test_cli`` pins against argparse's own route
+#: and ``tools/same_outputs.py`` digests; ``f`` stands for a state file.
+USAGE_ARGVS = [
+    [], ["-h"], ["--version"], ["nosuch"], ["CHECK"], ["chec"],
+    ["check"], ["check", "-h"], ["check", "--js", "f"], ["check", "-j", "f"],
+    ["check", "--tol-decide=1e-6", "f"], ["check", "--tol-decide", "x", "f"],
+    ["check", "f", "extra"], ["check", "f", "f"], ["check", "--", "f"], ["--", "check", "f"],
+    ["reduce", "--form", "III", "f"], ["threshold", "-1", "1", "1"],
+    ["scan", "1", "1", "1", "2", "5"], ["sample", "--seed", "-1"],
+]
+
+
 def non_number_identities(size):
     """The ``size`` x ``size`` identity as booleans, numeric strings and
     ``Fraction`` objects, as pytest params: each casts to a float identity.

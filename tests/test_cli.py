@@ -18,6 +18,7 @@ import cvsep as cv
 from cvsep import cli
 from _util import (
     NEAR_VACUUM,
+    USAGE_ARGVS,
     accepted_edge_states,
     edge_family_matrices,
     layout,
@@ -270,6 +271,57 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: not valid JSON (")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_json_error_position_after_line_breaks(self, tmp_path, capsys, newline):
+        # The reader translates newlines as text mode does, so the error's
+        # line and (char N) are the ones a text-mode read reports.
+        path = tmp_path / "broken.json"
+        path.write_bytes(newline.join(["{", '  "matrix": [1,', "  oops", "}"]).encode())
+        with pytest.raises(json.JSONDecodeError) as text_mode:
+            json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(json.JSONDecodeError) as raw:
+            json.loads(path.read_bytes().decode("utf-8"))
+        assert str(text_mode.value) != str(raw.value)
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid JSON ({text_mode.value})\n"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_line_breaks_decide_like_lf(self, tmp_path, capsys, newline, flags):
+        state = cv.evolve_thermal(cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=0.5))
+        doc = {"matrix": state.m.tolist(), "ordering": "x1p1x2p2",
+               "scaling": "vacuum-identity"}
+        text = json.dumps(doc, indent=2)
+        lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        runs = [(cli.main(["check", str(p), *flags]), capsys.readouterr()) for p in (lf, other)]
+        assert runs[0] == runs[1]
+
+    def test_invalid_utf8_reports_its_byte_position(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{\r\n  "matrix": "\xe9t\xe9"\r\n}')
+        with pytest.raises(UnicodeDecodeError) as text_mode:
+            path.read_text(encoding="utf-8")
+        assert text_mode.value.start == 16
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid JSON ({text_mode.value})\n"
+
+    def test_utf8_bom_is_parse_error(self, tmp_path, capsys):
+        path = Path(write_state(tmp_path / "bom.json", np.eye(4)))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert cli.main(["check", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not valid JSON (Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0))\n"
+        )
 
     def test_json_key_order(self, tmp_path, capsys):
         state = cv.evolve_thermal(cv.ThermalScenario(r=1.0, eta=1.0, nbar=1.0, t=0.5))
@@ -858,11 +910,13 @@ class TestStdoutFailure:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(
-        "argv", [["check", "--json"], ["check"], ["reduce"], ["sample"]],
-        ids=["json", "text", "reduce", "sample"],
+        "argv",
+        [["check", "--json"], ["check"], ["reduce"], ["sample"], ["--help"],
+         ["check", "--help"]],
+        ids=["json", "text", "reduce", "sample", "help", "check-help"],
     )
     def test_full_device_exits_73_with_one_line(self, argv, vacuum_file):
-        if argv[0] in ("check", "reduce"):
+        if argv[0] in ("check", "reduce") and argv[-1] != "--help":
             argv = [*argv, vacuum_file]
         # Block-buffered stdout, so the interpreter still holds the output at exit.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -940,6 +994,21 @@ class TestDecisionErrors:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+    def test_dispatch_matches_the_full_parser(self, argv, capsys):
+        # main parses a command's arguments with that command's parser; the
+        # reference is the top-level parser's own route.
+        def outcome(parse):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+            except cli.CliError as exc:
+                result = ("error", exc.code, str(exc))
+            return result, capsys.readouterr()
+
+        assert outcome(cli._parse_args) == outcome(cli.build_parser().parse_args)
+
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 

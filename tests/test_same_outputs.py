@@ -10,8 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = (
-    "scans", "verdicts", "state-file CLI", "scenario CLI", "sample CLI", "solver", "oracle",
-    "local ops", "near vacuum", "decisions", "total",
+    "scans", "verdicts", "state-file CLI", "scenario CLI", "usage CLI", "sample CLI", "solver",
+    "oracle", "local ops", "near vacuum", "decisions", "total",
 )
 
 

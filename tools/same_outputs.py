@@ -15,10 +15,15 @@ prints one sha256 per section of outputs, then one over all of them:
   ``check``, ``check --json``, ``reduce --form I`` and ``reduce --form II``
   on state files written to a temporary directory, including rejected ones
   (malformed matrices, files that are not UTF-8 or nest too deeply) and
-  ones whose decision raises;
+  ones whose decision raises, then on the reader's edge cases (CRLF and CR
+  line breaks in valid and broken JSON, a UTF-8 BOM, invalid UTF-8 after
+  the first byte, a directory);
 * ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
   ``cvsep scan`` over a grid of arguments, including rejected ones and
   arguments at the float range's edges;
+* ``usage CLI``: stdout, stderr and exit code of ``cvsep.cli.main`` for
+  help (``-h`` of the top parser and of each command) and for the argument
+  lists of ``tests/_util.USAGE_ARGVS``, accepted and rejected;
 * ``sample CLI``: stdout, stderr, exit code and the ``--out`` file's bytes
   of ``cvsep sample`` for both kinds over seeds and component counts,
   written to stdout and to a file, including rejected arguments and an
@@ -45,7 +50,8 @@ prints one sha256 per section of outputs, then one over all of them:
 
 Floats enter the digests bit for bit (``float.hex``, ``ndarray.tobytes``), so
 two trees print the same digest only if every output is identical; the
-section digests show which outputs differ.
+section digests show which outputs differ. argparse's usage and help text
+are wrapped at 80 columns whatever the terminal's width.
 """
 
 from __future__ import annotations
@@ -55,10 +61,12 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -254,31 +262,86 @@ def _state_files(cv, folder: Path):
     return paths
 
 
+# The vacuum's state file, as ``json.dumps(doc, indent=2)`` writes it.
+VACUUM_TEXT = json.dumps(
+    {"matrix": np.eye(4).tolist(), "ordering": "x1p1x2p2", "scaling": "vacuum-identity"},
+    indent=2,
+)
+
+
+def _reader_files(folder: Path):
+    """Write state files at the edges of the reader's decoding; return their
+    (name, path) pairs."""
+    text = VACUUM_TEXT
+    broken = "{\n  \"matrix\": [1,\n  oops\n}"
+    files = [
+        ("crlf", text.replace("\n", "\r\n").encode()),
+        ("cr", text.replace("\n", "\r").encode()),
+        ("crlf-broken", broken.replace("\n", "\r\n").encode()),
+        ("cr-broken", broken.replace("\n", "\r").encode()),
+        ("bom", b"\xef\xbb\xbf" + text.encode()),
+        ("bad-utf-8", b'{\r\n  "matrix": "\xe9t\xe9"\r\n}'),
+    ]
+    paths = []
+    for name, data in files:
+        path = folder / f"{name}.json"
+        path.write_bytes(data)
+        paths.append((name, str(path)))
+    directory = folder / "directory.json"
+    directory.mkdir()
+    return paths + [("directory", str(directory))]
+
+
 def _run(argv):
     """``(exit code, stdout, stderr)`` of ``cvsep.cli.main(argv)``."""
     from cvsep import cli
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
+def _state_file_runs(files):
+    """``(argv label, exit code, stdout and stderr)`` of each state-file call
+    on the ``(name, path)`` pairs ``files``."""
+    for name, path in files:
+        for extra in (["check"], ["check", "--json"], ["reduce", "--form", "I"],
+                      ["reduce", "--form", "II"]):
+            code, out, err = _run([extra[0], path, *extra[1:]])
+            # The temporary directory differs between runs.
+            text = (out + "\0" + err).replace(path, name)
+            yield f"{' '.join(extra)} {name}", code, text
+
+
 def _cli_runs(cv):
-    """``(argv label, exit code, stdout and stderr)`` of each state-file call."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, path in _state_files(cv, Path(tmp)):
-            for extra in (["check"], ["check", "--json"], ["reduce", "--form", "I"],
-                          ["reduce", "--form", "II"]):
-                code, out, err = _run([extra[0], path, *extra[1:]])
-                # The temporary directory differs between runs.
-                text = (out + "\0" + err).replace(path, name)
-                yield f"{' '.join(extra)} {name}", code, text
+        yield from _state_file_runs(_state_files(cv, Path(tmp)))
 
 
 def _cli_lines(cv):
-    for label, code, text in _cli_runs(cv):
-        yield f"{label} {code}\n{text}"
+    # The reader's edge cases stay out of ``decisions``, which digests only
+    # the ``_cli_runs`` exit codes.
+    with tempfile.TemporaryDirectory() as tmp:
+        files = _state_files(cv, Path(tmp)) + _reader_files(Path(tmp))
+        for label, code, text in _state_file_runs(files):
+            yield f"{label} {code}\n{text}"
+
+
+def _usage_cli_lines(cv):
+    # USAGE_ARGVS holds the top parser's -h and check's.
+    helps = [[command, "-h"] for command in ("reduce", "threshold", "scan", "sample")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "f.json")
+        Path(path).write_text(VACUUM_TEXT)
+        for argv in helps + util().USAGE_ARGVS:
+            argv = [path if arg == "f" else arg for arg in argv]
+            code, out, err = _run(argv)
+            # The temporary directory differs between runs.
+            yield f"{' '.join(argv)} {code}\n{out}\0{err}".replace(tmp, "TMP")
 
 
 def _scenario_argvs():
@@ -469,6 +532,7 @@ SECTIONS = (
     ("verdicts", _verdict_lines),
     ("state-file CLI", _cli_lines),
     ("scenario CLI", _scenario_cli_lines),
+    ("usage CLI", _usage_cli_lines),
     ("sample CLI", _sample_cli_lines),
     ("solver", _solver_lines),
     ("oracle", _oracle_lines),
@@ -482,13 +546,16 @@ def digests(cv) -> list[tuple[str, str]]:
     """``(section, sha256)`` for each section, then ``("total", sha256)``."""
     total = hashlib.sha256()
     out = []
-    for name, lines in SECTIONS:
-        h = hashlib.sha256()
-        for line in lines(cv):
-            data = line.encode("utf-8") + b"\n"
-            h.update(data)
-            total.update(data)
-        out.append((name, h.hexdigest()))
+    # argparse wraps usage and help at $COLUMNS, or else at the terminal's
+    # width, so fix it for the digests to repeat.
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for name, lines in SECTIONS:
+            h = hashlib.sha256()
+            for line in lines(cv):
+                data = line.encode("utf-8") + b"\n"
+                h.update(data)
+                total.update(data)
+            out.append((name, h.hexdigest()))
     out.append(("total", total.hexdigest()))
     return out
 
