@@ -75,10 +75,16 @@ def _num(x: float) -> str:
 
 
 def _rows_text(rows, level: int) -> str:
-    """Float rows as ``json.dumps(rows, indent=2)`` nests them ``level`` deep."""
+    """Float rows as ``json.dumps(rows, indent=2)`` nests them ``level`` deep,
+    with ``null`` for a non-finite float.  A row of finite floats, the usual
+    case, is written by ``float.__repr__`` mapped and joined in C; only a row
+    holding a non-finite float goes through ``_num``."""
     pad = "\n" + "  " * level
     row_pad, num_pad = pad + "  ", pad + "    "
-    items = [f"[{num_pad}{(',' + num_pad).join(map(_num, r))}{row_pad}]" for r in rows]
+    items = []
+    for r in rows:
+        num = float.__repr__ if all(map(math.isfinite, r)) else _num
+        items.append(f"[{num_pad}{(',' + num_pad).join(map(num, r))}{row_pad}]")
     return f"[{row_pad}{(',' + row_pad).join(items)}{pad}]"
 
 
@@ -131,12 +137,12 @@ def load_state_file(path: str) -> CorrelationMatrix:
     ):
         raise CliError(EXIT_PARSE, f"{path}: matrix must be 4x4 (4 rows of 4 entries)")
     # JSON true/false, strings and null are not numbers.
-    if not all(type(x) in (int, float) for row in matrix for x in row):
+    if not set(map(type, matrix[0] + matrix[1] + matrix[2] + matrix[3])) <= {int, float}:
         raise CliError(
             EXIT_PARSE, f"{path}: matrix is not numeric (entries must be JSON numbers)"
         )
     try:
-        rows = [[float(x) for x in row] for row in matrix]
+        rows = [list(map(float, row)) for row in matrix]
     except OverflowError as exc:  # an integer beyond the float range
         raise CliError(EXIT_PARSE, f"{path}: matrix is not numeric ({exc})")
     try:
@@ -177,13 +183,24 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
 
 def _report_text(doc: dict) -> str:
     """A ``_verdict_document`` as ``json.dumps(doc, indent=2)`` writes it,
-    with ``null`` for a non-finite float, by the document's fixed layout."""
+    with ``null`` for a non-finite float, by the document's fixed layout.
+    One finiteness test over the scalar slots (18 with a witness) picks
+    their writer: ``float.__repr__`` where all are finite, else ``_num``."""
     witness, inv, form, cert = (
         doc["witness"], doc["invariants"], doc["standard_form_ii"], doc["certificate"]
     )
+    scalars = [
+        doc["total_variance"], doc["bound"], doc["margin"], doc["min_eigenvalue"],
+        inv["det_g1"], inv["det_g2"], inv["det_c"], inv["det_m"],
+        form["n1"], form["n2"], form["m1"], form["m2"],
+        form["c1"], form["c2"], form["r1"], form["r2"], doc["tol_decide"],
+    ]
+    if witness is not None:
+        scalars.append(witness["a"])
+    num = float.__repr__ if all(map(math.isfinite, scalars)) else _num
     if witness is not None:
         witness = (
-            f'{{\n    "a": {_num(witness["a"])},\n    "sign_u": {witness["sign_u"]},'
+            f'{{\n    "a": {num(witness["a"])},\n    "sign_u": {witness["sign_u"]},'
             f'\n    "sign_v": {witness["sign_v"]}\n  }}'
         )
     if cert is not None:
@@ -195,30 +212,30 @@ def _report_text(doc: dict) -> str:
         )
     return f"""{{
   "decision": {_quote(doc["decision"])},
-  "total_variance": {_num(doc["total_variance"])},
-  "bound": {_num(doc["bound"])},
-  "margin": {_num(doc["margin"])},
-  "min_eigenvalue": {_num(doc["min_eigenvalue"])},
+  "total_variance": {num(doc["total_variance"])},
+  "bound": {num(doc["bound"])},
+  "margin": {num(doc["margin"])},
+  "min_eigenvalue": {num(doc["min_eigenvalue"])},
   "witness": {"null" if witness is None else witness},
   "invariants": {{
-    "det_g1": {_num(inv["det_g1"])},
-    "det_g2": {_num(inv["det_g2"])},
-    "det_c": {_num(inv["det_c"])},
-    "det_m": {_num(inv["det_m"])}
+    "det_g1": {num(inv["det_g1"])},
+    "det_g2": {num(inv["det_g2"])},
+    "det_c": {num(inv["det_c"])},
+    "det_m": {num(inv["det_m"])}
   }},
   "standard_form_ii": {{
-    "n1": {_num(form["n1"])},
-    "n2": {_num(form["n2"])},
-    "m1": {_num(form["m1"])},
-    "m2": {_num(form["m2"])},
-    "c1": {_num(form["c1"])},
-    "c2": {_num(form["c2"])},
-    "r1": {_num(form["r1"])},
-    "r2": {_num(form["r2"])},
+    "n1": {num(form["n1"])},
+    "n2": {num(form["n2"])},
+    "m1": {num(form["m1"])},
+    "m2": {num(form["m2"])},
+    "c1": {num(form["c1"])},
+    "c2": {num(form["c2"])},
+    "r1": {num(form["r1"])},
+    "r2": {num(form["r2"])},
     "degenerate": {"true" if form["degenerate"] else "false"}
   }},
   "certificate": {"null" if cert is None else cert},
-  "tol_decide": {_num(doc["tol_decide"])},
+  "tol_decide": {num(doc["tol_decide"])},
   "state": {_state_text(doc["state"], 1)}
 }}"""
 

@@ -515,29 +515,34 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
     state's floats, each the float nearest its exact value: +0.0 where that
     value is 0, and +-inf only where it is beyond the float range.
 
-    Every float is an integer times a power of two, so the 16 entries times
-    one shared power of two are integers.  Rows 1-2 and rows 3-4 give six
-    2x2 minors each: det G1, det C and det G2 are three of them, and det M
-    is Laplace's expansion by complementary minors.  Each value is rounded
+    Every float is an integer times a power of two, so the entries shifted
+    by one shared power of two are integers.  :func:`_validate_rows` builds
+    every state's rows exactly symmetric, so only the 10 entries on and
+    above the diagonal are converted.  Rows 1-2 and rows 3-4 give six 2x2
+    minors each: det G1, det C and det G2 are three of them, and det M is
+    Laplace's expansion by complementary minors.  Each value is rounded
     once, by int true division, which is correctly rounded.
     """
-    ratios = [x.as_integer_ratio() for row in state._rows for x in row]
+    (a, b, c, d), (_, f, g, h), (*_, k, l), (*_, p) = state._rows
+    ratios = [x.as_integer_ratio() for x in (a, b, c, d, f, g, h, k, l, p)]
+    # Each denominator is a power of two, so scale // den is a shift.
     scale = max(den for _, den in ratios)
-    (a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p) = (
-        num * (scale // den) for num, den in ratios
-    )
-    ab, ac, ad = a * f - b * e, a * g - c * e, a * h - d * e
+    top = scale.bit_length()
+    a, b, c, d, f, g, h, k, l, p = (num << (top - den.bit_length()) for num, den in ratios)
+    ab, ac, ad = a * f - b * b, a * g - c * b, a * h - d * b
     bc, bd, cd = b * g - c * f, b * h - d * f, c * h - d * g
-    ij, ik, il = i * n - j * m, i * o - k * m, i * p - l * m
-    jk, jl, kl = j * o - k * n, j * p - l * n, k * p - l * o
-    det_m = ab * kl - ac * jl + ad * jk + bc * il - bd * ik + cd * ij
+    # Rows 3-4 are (c, g, k, l) and (d, h, l, p).  Their minors are named by
+    # columns i, j, k, l; the one on columns i, j is cd.
+    ik, il = c * l - k * d, c * p - l * d
+    jk, jl, kl = g * l - k * h, g * p - l * h, k * p - l * l
+    det_m = ab * kl - ac * jl + ad * jk + bc * il - bd * ik + cd * cd
     scale2 = scale * scale
-    return LluboInvariants(
-        det_g1=_nearest(ab, scale2),
-        det_g2=_nearest(kl, scale2),
-        det_c=_nearest(cd, scale2),
-        det_m=_nearest(det_m, scale2 * scale2),
-    )
+    return _frozen(LluboInvariants, {
+        "det_g1": _nearest(ab, scale2),
+        "det_g2": _nearest(kl, scale2),
+        "det_c": _nearest(cd, scale2),
+        "det_m": _nearest(det_m, scale2 * scale2),
+    })
 
 
 def _nearest(num: int, den: int) -> float:

@@ -100,6 +100,33 @@ def near_vacuum_forms(family, count):
         yield float(n), float(m), float(c), float(cp)
 
 
+#: Scaled by 1e100 or more: accepted and separable, but det M overflows to inf.
+HALF_CORRELATED = np.array(
+    [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
+)
+HALF_CORRELATED.flags.writeable = False
+
+
+def float_edge_matrices():
+    """Accepted matrices at the edges of the report writer's floats and of
+    ``llubo_invariants``' shift to integers, by name: ``HALF_CORRELATED``
+    scaled by 1e100 and by 1e150 (det M beyond the float range), one with
+    -0.0 and subnormal entries, and one with both next to 1e150 entries
+    (a 2^-1074 entry, the largest shift)."""
+    signed = np.diag([1.3, 1.3, 2.4, 2.4])
+    signed[0, 1] = signed[1, 0] = 5e-324
+    signed[1, 3] = signed[3, 1] = signed[0, 2] = signed[2, 0] = -0.0
+    extreme = 1e150 * HALF_CORRELATED
+    extreme[0, 1] = extreme[1, 0] = 5e-324
+    extreme[2, 3] = extreme[3, 2] = -0.0
+    return {
+        "half-correlated-1e100": 1e100 * HALF_CORRELATED,
+        "half-correlated-1e150": 1e150 * HALF_CORRELATED,
+        "signed-zero-subnormal": signed,
+        "subnormal-1e150": extreme,
+    }
+
+
 def tmsv_layout(r):
     return layout(math.cosh(2 * r), math.cosh(2 * r), math.sinh(2 * r), -math.sinh(2 * r))
 

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, reports, file formats."""
 
+import copy
 import errno
 import json
 import math
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvsep as cv
 from cvsep import cli
 from _util import (
+    HALF_CORRELATED,
     NEAR_VACUUM,
     USAGE_ARGVS,
     accepted_edge_states,
@@ -356,7 +358,7 @@ class TestCheck:
     def test_overflowed_invariant_prints_strict_json(self, scale, tmp_path, capsys):
         # Accepted and separable, but det M overflows to inf: the report
         # writes it as null, and no numpy warning reaches stderr.
-        path = write_state(tmp_path / "large.json", scale * _HALF_CORRELATED)
+        path = write_state(tmp_path / "large.json", scale * HALF_CORRELATED)
         assert cli.main(["check", path, "--json"]) == cli.EXIT_SEPARABLE
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -376,12 +378,6 @@ class TestCheck:
         assert cli.main(["check", path, "--json"]) == cli.EXIT_BOUNDARY
         doc = json.loads(capsys.readouterr().out)
         assert doc["invariants"]["det_m"] == 526.0178555222932
-
-
-#: Scaled by 1e100 or more: accepted and separable, but det M overflows to inf.
-_HALF_CORRELATED = np.array(
-    [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
-)
 
 
 def _reject_constant(name):
@@ -443,14 +439,41 @@ _report_docs = _dicts({
 })
 
 
+def _separable_report():
+    """A separable mixture's report: witness and certificate, every float finite."""
+    state = cv.ensemble_covariance(cv.sample_separable_ensemble(4, 5))
+    return cli._verdict_document(state, cv.decide_separability(state), cv.EPS_DECIDE)
+
+
+def _with_one_non_finite_each(doc):
+    """A copy of report ``doc`` with exactly one non-finite float in each
+    float block (in a different row of each) and in the ``det_m`` slot."""
+    doc = copy.deepcopy(doc)
+    doc["invariants"]["det_m"] = math.inf
+    doc["state"]["matrix"][0][1] = math.nan
+    doc["certificate"]["covariance"][3][2] = -math.inf
+    doc["certificate"]["transform_back"]["h1"][1][0] = math.inf
+    doc["certificate"]["transform_back"]["h2"][0][0] = math.nan
+    return doc
+
+
+#: Both branches of each of the writers' finiteness tests, whatever the draws.
+_FINITE_REPORT = _separable_report()
+_NON_FINITE_REPORT = _with_one_non_finite_each(_FINITE_REPORT)
+
+
 class TestJsonText:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_report_docs)
+    @example(_FINITE_REPORT)
+    @example(_NON_FINITE_REPORT)
     def test_report_matches_json_dumps_indent_2(self, doc):
         assert cli._report_text(doc) == json.dumps(_finite_or_none(doc), indent=2)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(_state_docs)
+    @example(_FINITE_REPORT["state"])
+    @example(_NON_FINITE_REPORT["state"])
     def test_state_block_matches_json_dumps_indent_2(self, doc):
         assert cli._state_text(doc) == json.dumps(_finite_or_none(doc), indent=2)
 
@@ -469,7 +492,7 @@ class TestJsonText:
                 r=1.0, eta=1.0, nbar=1.0, t=cv.threshold_time(1.0, 1.0, 1.0)
             )),
             "vacuum": lambda: cv.validate(np.eye(4)),
-            "large": lambda: cv.validate(1e100 * _HALF_CORRELATED),
+            "large": lambda: cv.validate(1e100 * HALF_CORRELATED),
         }[name]()
         path = write_state(tmp_path / "state.json", state.m)
         verdict = cv.decide_separability(state)
@@ -603,7 +626,7 @@ class TestReportRoundTrip:
         states.append(cv.evolve_thermal(cv.ThermalScenario(
             r=1.0, eta=1.0, nbar=1.0, t=cv.threshold_time(1.0, 1.0, 1.0)
         )))
-        states.append(cv.validate(1e100 * _HALF_CORRELATED))
+        states.append(cv.validate(1e100 * HALF_CORRELATED))
         path = tmp_path / "state.json"
         docs = []
         for state in states:

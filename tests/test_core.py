@@ -1,5 +1,6 @@
 """Core type and operation tests: validation, local operations, variances."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -10,15 +11,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cvsep as cv
+from cvsep import cli
 from _util import (
     COSH1,
+    HALF_CORRELATED,
+    NEAR_VACUUM,
     OMEGA4,
     SINH1,
     accepted_edge_states,
     blockdiag,
     complex_min_eig,
     exact_det,
+    float_edge_matrices,
     layout,
+    near_vacuum_forms,
     non_number_identities,
     random_llubo_blocks,
     rot2,
@@ -532,6 +538,15 @@ class TestApplyLlubo:
             assert complex_min_eig(out.m) >= -1e-9 * np.max(np.diag(out.m))
 
 
+def _validated(matrices):
+    """The states ``validate`` builds from ``matrices``, skipping rejected ones."""
+    for m in matrices:
+        try:
+            yield cv.validate(m)
+        except cv.NotPhysical:
+            continue
+
+
 class TestLluboInvariants:
     def test_vacuum(self):
         inv = cv.llubo_invariants(cv.validate(np.eye(4)))
@@ -554,6 +569,12 @@ class TestLluboInvariants:
             (a, b), (c, d) = (map(Fraction, rows[r][j : j + 2]) for r in (i, i + 1))
             return a * d - b * c
 
+        def nearest(x):
+            try:
+                return float(x)
+            except OverflowError:
+                return math.inf if x > 0 else -math.inf
+
         def check(states):
             count = 0
             for state in states:
@@ -561,16 +582,9 @@ class TestLluboInvariants:
                 exact = (minor(rows, 0, 0), minor(rows, 2, 2), minor(rows, 0, 2))
                 exact += (exact_det(rows),)
                 got = cv.llubo_invariants(state).as_tuple()
-                assert [x.hex() for x in got] == [float(x).hex() for x in exact], rows
+                assert [x.hex() for x in got] == [nearest(x).hex() for x in exact], rows
                 count += 1
             return count
-
-        def accepted(matrices):
-            for m in matrices:
-                try:
-                    yield cv.validate(m)
-                except cv.NotPhysical:
-                    continue
 
         assert check(cv.sample_random_physical(seed) for seed in range(400)) == 400
         mixtures = (
@@ -582,7 +596,64 @@ class TestLluboInvariants:
         squeezed = strong_local_squeezes(
             [cv.sample_random_physical(seed).m for seed in range(100)]
         )
-        assert check(accepted(squeezed)) > 0
+        assert check(_validated(squeezed)) > 0
+        # The extremes of the shift to integers: -0.0, a subnormal (2^-1074,
+        # the largest shift) next to 1e150-scaled entries, and det M beyond
+        # the float range.
+        edges = {name: cv.validate(m) for name, m in float_edge_matrices().items()}
+        assert math.copysign(1.0, edges["signed-zero-subnormal"]._rows[1][3]) == -1.0
+        assert edges["subnormal-1e150"]._rows[0][1] == 5e-324
+        assert check(edges.values()) == 4
+
+    def test_every_state_has_exactly_symmetric_rows(self, tmp_path, monkeypatch):
+        # llubo_invariants reads only the entries on and above the diagonal,
+        # so each state the library builds must mirror them bit for bit
+        # (float.hex, so a -0.0 cannot hide).
+        def symmetric(state):
+            hexes = [[x.hex() for x in row] for row in state._rows]
+            return hexes == [list(col) for col in zip(*hexes)]
+
+        states = [cv.sample_random_physical(seed) for seed in range(100)]
+        states += [
+            cv.ensemble_covariance(cv.sample_separable_ensemble(seed, 5))
+            for seed in range(100)
+        ]
+        states += [state for _, state in accepted_edge_states(cv, range(50))]
+        states += _validated(
+            strong_local_squeezes([cv.sample_random_physical(seed).m for seed in range(50)])
+        )
+        for family in NEAR_VACUUM:
+            states += _validated(layout(*f) for f in near_vacuum_forms(family, 100))
+        rng = np.random.default_rng(7)
+        states += [
+            cv.apply_llubo(cv.sample_random_physical(seed), cv.Llubo(*random_llubo_blocks(rng)))
+            for seed in range(50)
+        ]
+        # Each scan point's state, as scan_boundary builds it.
+        thermal_state = cv.scenarios._thermal_state
+        scanned = []
+        monkeypatch.setattr(
+            cv.scenarios, "_thermal_state",
+            lambda *args: scanned.append(thermal_state(*args)) or scanned[-1],
+        )
+        cv.scan_boundary(1.0, 1.0, 1.0, 2.0, 40)
+        cv.scan_boundary(0.3, 0.5, 0.0, 3.0, 40)
+        assert len(scanned) == 80
+        states += scanned
+        # State files asymmetric within EPS_SYM, one in a signed zero.
+        near = cv.sample_random_physical(3).m.tolist()
+        near[0][2] += 4e-11
+        near[3][1] -= 3e-11
+        zeros = np.diag([1.3, 1.3, 2.4, 2.4]).tolist()
+        zeros[1][3], zeros[3][1] = -0.0, 0.0
+        for name, matrix in (("near", near), ("zeros", zeros)):
+            path = tmp_path / f"{name}.json"
+            doc = {"matrix": matrix, "ordering": cli.ORDERING_TAG, "scaling": cli.SCALING_TAG}
+            path.write_text(json.dumps(doc))
+            states.append(cli.load_state_file(str(path)))
+        assert near[0][2] != near[2][0] and near[3][1] != near[1][3]
+        assert len(states) > 700
+        assert all(map(symmetric, states))
 
     def test_det_m_of_strong_squeezes_is_not_zero(self):
         # Under strong local squeezes det M cancels from much larger terms:
@@ -603,9 +674,7 @@ class TestLluboInvariants:
     def test_overflowed_det_m_is_inf_without_warning(self, scale):
         # An accepted state whose det M overflows; the suite turns a
         # RuntimeWarning into an error.
-        m = scale * np.array(
-            [[1, 0, 0.5, 0], [0, 1, 0, -0.5], [0.5, 0, 1, 0], [0, -0.5, 0, 1]]
-        )
+        m = scale * HALF_CORRELATED
         inv = cv.llubo_invariants(cv.validate(m))
         assert inv.det_m == math.inf
         assert inv.det_g1 == m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

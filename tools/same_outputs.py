@@ -17,7 +17,9 @@ prints one sha256 per section of outputs, then one over all of them:
   (malformed matrices, files that are not UTF-8 or nest too deeply) and
   ones whose decision raises, then on the reader's edge cases (CRLF and CR
   line breaks in valid and broken JSON, a UTF-8 BOM, invalid UTF-8 after
-  the first byte, a directory);
+  the first byte, a directory) and on the report writer's edge cases (a
+  ``det_m`` beyond the float range, which ``--json`` prints as ``null``;
+  -0.0 and subnormal entries, also next to 1e150 ones);
 * ``scenario CLI``: stdout, stderr and exit code of ``cvsep threshold`` and
   ``cvsep scan`` over a grid of arguments, including rejected ones and
   arguments at the float range's edges;
@@ -292,6 +294,18 @@ def _reader_files(folder: Path):
     return paths + [("directory", str(directory))]
 
 
+def _writer_files(folder: Path):
+    """Write state files at the edges of the report writer's float formatting
+    (``tests/_util.float_edge_matrices``); return their (name, path) pairs."""
+    paths = []
+    for name, matrix in util().float_edge_matrices().items():
+        path = folder / f"{name}.json"
+        doc = {"matrix": matrix.tolist(), "ordering": "x1p1x2p2", "scaling": "vacuum-identity"}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append((name, str(path)))
+    return paths
+
+
 def _run(argv):
     """``(exit code, stdout, stderr)`` of ``cvsep.cli.main(argv)``."""
     from cvsep import cli
@@ -323,10 +337,11 @@ def _cli_runs(cv):
 
 
 def _cli_lines(cv):
-    # The reader's edge cases stay out of ``decisions``, which digests only
-    # the ``_cli_runs`` exit codes.
+    # The reader's and the writer's edge cases stay out of ``decisions``,
+    # which digests only the ``_cli_runs`` exit codes.
     with tempfile.TemporaryDirectory() as tmp:
-        files = _state_files(cv, Path(tmp)) + _reader_files(Path(tmp))
+        folder = Path(tmp)
+        files = _state_files(cv, folder) + _reader_files(folder) + _writer_files(folder)
         for label, code, text in _state_file_runs(files):
             yield f"{label} {code}\n{text}"
 
