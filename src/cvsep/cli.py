@@ -61,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise CliError(EXIT_USAGE, message)
 
+    # argparse's own ignores a failed write; this one fails as every
+    # report does, so main exits 73.
+    def print_help(self, file=None) -> None:
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
@@ -88,22 +95,15 @@ def _rows_text(rows, level: int) -> str:
     return f"[{row_pad}{(',' + row_pad).join(items)}{pad}]"
 
 
-def _state_document(state: CorrelationMatrix) -> dict:
-    return {
-        "matrix": state._rows,
-        "ordering": ORDERING_TAG,
-        "scaling": SCALING_TAG,
-    }
-
-
-def _state_text(doc: dict, level: int = 0) -> str:
-    """A ``_state_document`` as ``json.dumps(doc, indent=2)`` nests it
-    ``level`` deep, with ``null`` for a non-finite float."""
+def _state_text(rows, level: int = 0) -> str:
+    """The state file ``{"matrix": rows}`` with its two tags, as ``json.dumps``
+    with ``indent=2`` nests it ``level`` deep, with ``null`` for a
+    non-finite float."""
     pad = "\n" + "  " * level
     return (
-        f'{{{pad}  "matrix": {_rows_text(doc["matrix"], level + 1)},'
-        f'{pad}  "ordering": {_quote(doc["ordering"])},'
-        f'{pad}  "scaling": {_quote(doc["scaling"])}{pad}}}'
+        f'{{{pad}  "matrix": {_rows_text(rows, level + 1)},'
+        f'{pad}  "ordering": {_quote(ORDERING_TAG)},'
+        f'{pad}  "scaling": {_quote(SCALING_TAG)}{pad}}}'
     )
 
 
@@ -177,7 +177,7 @@ def _verdict_document(state: CorrelationMatrix, verdict, tol: float) -> dict:
             },
         },
         "tol_decide": tol,
-        "state": _state_document(state),
+        "state": {"matrix": state._rows, "ordering": ORDERING_TAG, "scaling": SCALING_TAG},
     }
 
 
@@ -236,7 +236,7 @@ def _report_text(doc: dict) -> str:
   }},
   "certificate": {"null" if cert is None else cert},
   "tol_decide": {num(doc["tol_decide"])},
-  "state": {_state_text(doc["state"], 1)}
+  "state": {_state_text(doc["state"]["matrix"], 1)}
 }}"""
 
 
@@ -385,7 +385,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc))
-    _write_out(args.out, _state_text(_state_document(state)) + "\n")
+    _write_out(args.out, _state_text(state._rows) + "\n")
     return 0
 
 
@@ -491,13 +491,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        try:
-            args = _parse_args(argv)
-        except SystemExit:
-            # argparse's help ignores a failed write and exits 0; flush it
-            # here, so that a failure takes the exit-73 path below.
-            sys.stdout.flush()
-            raise
+        args = _parse_args(argv)
         # Resolved per call rather than stored in the cached parser, so a
         # replaced cmd_* function (a test double, a tracer) still takes effect.
         code = globals()[f"cmd_{args.command}"](args)

@@ -412,13 +412,8 @@ def _dicts(fields):
     return st.fixed_dictionaries(fields).map(lambda d: {key: d[key] for key in fields})
 
 
-#: Documents shaped like ``cli._state_document``'s and ``cli._verdict_document``'s,
-#: with any float, finite or not, in every float slot.
-_state_docs = _dicts({
-    "matrix": _float_rows(4),
-    "ordering": st.just(cli.ORDERING_TAG),
-    "scaling": st.just(cli.SCALING_TAG),
-})
+#: Documents shaped like ``cli._verdict_document``'s, with any float, finite
+#: or not, in every float slot.
 _report_docs = _dicts({
     "decision": st.sampled_from([d.value for d in cv.Decision]),
     **_float_fields("total_variance", "bound", "margin", "min_eigenvalue"),
@@ -435,7 +430,11 @@ _report_docs = _dicts({
         "transform_back": _dicts({"h1": _float_rows(2), "h2": _float_rows(2)}),
     }),
     "tol_decide": _floats,
-    "state": _state_docs,
+    "state": _dicts({
+        "matrix": _float_rows(4),
+        "ordering": st.just(cli.ORDERING_TAG),
+        "scaling": st.just(cli.SCALING_TAG),
+    }),
 })
 
 
@@ -471,11 +470,12 @@ class TestJsonText:
         assert cli._report_text(doc) == json.dumps(_finite_or_none(doc), indent=2)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(_state_docs)
-    @example(_FINITE_REPORT["state"])
-    @example(_NON_FINITE_REPORT["state"])
-    def test_state_block_matches_json_dumps_indent_2(self, doc):
-        assert cli._state_text(doc) == json.dumps(_finite_or_none(doc), indent=2)
+    @given(_float_rows(4))
+    @example(_FINITE_REPORT["state"]["matrix"])
+    @example(_NON_FINITE_REPORT["state"]["matrix"])
+    def test_state_block_matches_json_dumps_indent_2(self, rows):
+        doc = {"matrix": rows, "ordering": cli.ORDERING_TAG, "scaling": cli.SCALING_TAG}
+        assert cli._state_text(rows) == json.dumps(_finite_or_none(doc), indent=2)
 
     @pytest.mark.parametrize(
         "name, decision",
@@ -922,10 +922,13 @@ class TestStdoutFailure:
         ids=["EPIPE", "ENOSPC"],
     )
     @pytest.mark.parametrize(
-        "argv", [["check", "--json"], ["check"], ["sample"]], ids=["json", "text", "sample"]
+        "argv",
+        [["check", "--json"], ["check"], ["sample"], ["--help"], ["check", "--help"],
+         ["scan", "-h"]],
+        ids=["json", "text", "sample", "help", "check-help", "scan-h"],
     )
     def test_failed_write_exits_73(self, argv, exc, on, vacuum_file, capsys, monkeypatch):
-        if argv[0] == "check":
+        if argv[0] == "check" and argv[-1] != "--help":
             argv = [*argv, vacuum_file]
         monkeypatch.setattr(sys, "stdout", _FailingStdout(exc, on))
         assert cli.main(argv) == cli.EXIT_CANTWRITE == 73
@@ -933,16 +936,22 @@ class TestStdoutFailure:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(
-        "argv",
-        [["check", "--json"], ["check"], ["reduce"], ["sample"], ["--help"],
-         ["check", "--help"]],
-        ids=["json", "text", "reduce", "sample", "help", "check-help"],
+        "argv, unbuffered",
+        # Block-buffered stdout, where the flush fails, then unbuffered, where
+        # the write itself does.
+        [pytest.param(argv, unbuffered, id=name + suffix)
+         for unbuffered, suffix in ((None, ""), ("1", "-unbuffered"))
+         for name, argv in (
+             ("json", ["check", "--json"]), ("text", ["check"]), ("reduce", ["reduce"]),
+             ("sample", ["sample"]), ("help", ["--help"]), ("check-help", ["check", "--help"]),
+         )],
     )
-    def test_full_device_exits_73_with_one_line(self, argv, vacuum_file):
+    def test_full_device_exits_73_with_one_line(self, argv, unbuffered, vacuum_file):
         if argv[0] in ("check", "reduce") and argv[-1] != "--help":
             argv = [*argv, vacuum_file]
-        # Block-buffered stdout, so the interpreter still holds the output at exit.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         with open("/dev/full", "w") as full:
             done = subprocess.run(

@@ -297,8 +297,9 @@ class TestNearVacuum:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 14: solved near-vacuum forms cancel in n r1 - 1 and "
-        "the like, giving wrong verdicts and bare CvsepErrors",
+        reason="bare CvsepErrors from _witness's a0^2 check on near-vacuum forms "
+        "(ROADMAP items 14, 20) and ENTANGLED verdicts on inputs that are not "
+        "exactly physical (item 21)",
     )
     def test_every_verdict_is_right_or_boundary(self, mid_near_vacuum):
         wrong = [args for args, _, decision, truth in mid_near_vacuum
