@@ -14,7 +14,7 @@ from typing import List, NamedTuple
 
 from .core import CorrelationMatrix, _validate_rows
 from .separability import EPS_DECIDE, Decision, _decide_form_II
-from .standard_form import to_standard_form_II
+from .standard_form import _form_II
 
 
 #: Returned by :func:`threshold_time` when the state never disentangles.
@@ -134,8 +134,8 @@ def scan_boundary(
     change of the margin brackets the closed form within one step.
     Each point's state is built from floats as in :func:`evolve_thermal`,
     with every check of :func:`~cvsep.core.validate`, and reduced to form
-    II; the decision core of :func:`~cvsep.separability.decide_separability`
-    gives its decision and margin, with no array, form I, witness pair or
+    II's floats; the decision core of :func:`~cvsep.separability.decide_separability`
+    gives the point's decision and margin, with no array, form object, witness pair or
     verdict: each point equals ``decide_separability(evolve_thermal(...))``.
     """
     if resolution < 2:
@@ -152,7 +152,8 @@ def scan_boundary(
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []
     for t in times:
-        form = to_standard_form_II(_thermal_state(r, eta, nbar, t))
-        fields = _decide_form_II(form, EPS_DECIDE)
-        points.append(ScanPoint(t, fields["margin"], fields["decision"]))
+        state = _thermal_state(r, eta, nbar, t)
+        n1, n2, m1, m2, c1, c2, _, _, _, degenerate = _form_II(state)
+        out = _decide_form_II(n1, n2, m1, m2, c1, c2, degenerate, EPS_DECIDE)
+        points.append(ScanPoint(t, out[4], out[0]))  # margin, decision
     return points

@@ -148,18 +148,22 @@ def construct_epr_pair(form: StandardFormII) -> EprPair:
             callers must fall back to the spectral decision.
         ZeroCoefficient: ``a0**2`` or ``1/a0**2`` is not finite and nonzero.
     """
-    return EprPair(*_witness(form))
+    return EprPair(
+        *_witness(form.n1, form.n2, form.m1, form.m2, form.c1, form.c2, form.degenerate)
+    )
 
 
-def _witness(form: StandardFormII) -> tuple[float, int, int]:
-    """``(a, sign_u, sign_v)`` of :func:`construct_epr_pair`, with every
-    check of it and of ``EprPair``, in that order."""
-    if form.degenerate:
+def _witness(
+    n1: float, n2: float, m1: float, m2: float, c1: float, c2: float, degenerate: bool
+) -> tuple[float, int, int]:
+    """``(a, sign_u, sign_v)`` of :func:`construct_epr_pair` for the form of
+    these floats, with every check of it and of ``EprPair``, in that order."""
+    if degenerate:
         raise DegenerateForm("trivial form has no optimal pair")
-    dn1, dn2, dm1, dm2 = form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0
+    dn1, dn2, dm1, dm2 = n1 - 1.0, n2 - 1.0, m1 - 1.0, m2 - 1.0
     if dn1 <= EPS_FORM or dm1 <= EPS_FORM:
         raise DegenerateForm("a mode at vacuum purity has no optimal pair")
-    if form.c1 == 0.0:
+    if c1 == 0.0:
         raise DegenerateForm("vanishing intermode coefficient")
     a0_sq = math.sqrt(dm1 / dn1)
     if dn2 > EPS_FORM and dm2 > EPS_FORM:
@@ -170,7 +174,7 @@ def _witness(form: StandardFormII) -> tuple[float, int, int]:
             )
     a = math.sqrt(a0_sq)
     _check_coefficient(a)
-    return a, -1 if form.c1 > 0.0 else 1, -1 if form.c2 > 0.0 else 1
+    return a, -1 if c1 > 0.0 else 1, -1 if c2 > 0.0 else 1
 
 
 def _block_min_eig(p: float, q: float, r: float) -> float:
@@ -178,32 +182,35 @@ def _block_min_eig(p: float, q: float, r: float) -> float:
     return 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
 
 
-def _form_spectrum(form: StandardFormII) -> tuple[float, float]:
-    """(min eigenvalue of M_II - I, entry scale of M_II - I)."""
-    dn1, dn2, dm1, dm2 = form.n1 - 1.0, form.n2 - 1.0, form.m1 - 1.0, form.m2 - 1.0
-    lam_x = _block_min_eig(dn1, form.c1, dm1)
-    lam_p = _block_min_eig(dn2, form.c2, dm2)
-    scale = max(abs(dn1), abs(dn2), abs(dm1), abs(dm2), abs(form.c1), abs(form.c2))
+def _form_spectrum(
+    n1: float, n2: float, m1: float, m2: float, c1: float, c2: float
+) -> tuple[float, float]:
+    """(min eigenvalue, entry scale) of M_II - I for the form of these floats."""
+    dn1, dn2, dm1, dm2 = n1 - 1.0, n2 - 1.0, m1 - 1.0, m2 - 1.0
+    lam_x = _block_min_eig(dn1, c1, dm1)
+    lam_p = _block_min_eig(dn2, c2, dm2)
+    scale = max(abs(dn1), abs(dn2), abs(dm1), abs(dm2), abs(c1), abs(c2))
     return min(lam_x, lam_p), scale
 
 
-def _decide_form_II(form: StandardFormII, tol_decide: float) -> dict:
-    """Decision core: a fresh dict of the :class:`SeparabilityVerdict`
-    fields of ``form``, in declaration order, with every check of
-    :func:`decide_separability` after its reduction.  ``witness`` is the
-    optimal pair's ``(a, sign_u, sign_v)``, or ``None`` for a degenerate
-    form, whose variance data belong to the fallback ``a = 1`` pair."""
-    lam_min, scale = _form_spectrum(form)
+def _decide_form_II(
+    n1: float, n2: float, m1: float, m2: float, c1: float, c2: float,
+    degenerate: bool, tol_decide: float,
+) -> tuple:
+    """Decision core on form II's floats and flag: ``(decision, total_variance,
+    bound, witness, margin, min_eigenvalue)`` of its verdict, with every check
+    of :func:`decide_separability` after its reduction.  ``witness`` is
+    ``(a, sign_u, sign_v)``, or ``None`` for a degenerate form, whose variance
+    data belong to the fallback ``a = 1`` pair."""
+    lam_min, scale = _form_spectrum(n1, n2, m1, m2, c1, c2)
     band = tol_decide * scale
     # A degenerate form is form I, whose negative eigenvalue proves
     # entanglement only where it is also form II: |c| = |c'| to rounding.
-    if lam_min < -band and (
-        not form.degenerate or form.c1 - abs(form.c2) <= EPS_FORM * form.c1
-    ):
+    if lam_min < -band and (not degenerate or c1 - abs(c2) <= EPS_FORM * c1):
         decision = Decision.ENTANGLED
     elif lam_min >= band:
         decision = Decision.SEPARABLE
-    elif form.c1 == 0.0 and form.c2 == 0.0 and lam_min >= 0.0:
+    elif c1 == 0.0 and c2 == 0.0 and lam_min >= 0.0:
         # Reduced form is exactly diagonal (product state); positive
         # semidefiniteness holds structurally, not by an eigenvalue margin.
         decision = Decision.SEPARABLE
@@ -211,19 +218,18 @@ def _decide_form_II(form: StandardFormII, tol_decide: float) -> dict:
         decision = Decision.BOUNDARY
 
     try:
-        witness: Optional[tuple[float, int, int]] = _witness(form)
+        witness: Optional[tuple] = _witness(n1, n2, m1, m2, c1, c2, degenerate)
     except DegenerateForm:
         witness = None
     if witness is None:
         # a = 1 with signs opposing whatever correlations exist; the
         # correlated EPR choice (-1, +1) when they vanish.
         a = 1.0
-        sign_u = -1 if form.c1 >= 0.0 else 1
-        sign_v = 1 if form.c2 <= 0.0 else -1
+        sign_u = -1 if c1 >= 0.0 else 1
+        sign_v = 1 if c2 <= 0.0 else -1
     else:
         a, sign_u, sign_v = witness
-    tr1, tr2 = form.n1 + form.n2, form.m1 + form.m2
-    total = _total_variance(a, sign_u, sign_v, tr1, tr2, form.c1, form.c2)
+    total = _total_variance(a, sign_u, sign_v, n1 + n2, m1 + m2, c1, c2)
     bound = a * a + 1.0 / (a * a)
     margin = bound - total
 
@@ -236,15 +242,7 @@ def _decide_form_II(form: StandardFormII, tol_decide: float) -> dict:
         if decision is Decision.SEPARABLE and margin > slack:
             raise CvsepError("witness margin contradicts spectral decision")
 
-    return {
-        "decision": decision,
-        "total_variance": total,
-        "bound": bound,
-        "witness": witness,
-        "margin": margin,
-        "form": form,
-        "min_eigenvalue": lam_min,
-    }
+    return decision, total, bound, witness, margin, lam_min
 
 
 def decide_separability(
@@ -260,8 +258,8 @@ def decide_separability(
     elsewhere below the band.  Non-degenerate forms also carry the optimal
     witness pair, whose variance margin is asserted consistent with the
     spectral decision.  Separable verdicts carry a P-representation
-    certificate, built when first read.  The verdict freezes the record a
-    private decision core returns from form II; ``scan_boundary`` reads it.
+    certificate, built when first read.  The verdict freezes what a private
+    decision core computes from form II's floats; ``scan_boundary`` calls it.
 
     The state passed :func:`~cvsep.core.validate`, so this never raises
     ``NotPhysical``.
@@ -272,10 +270,17 @@ def decide_separability(
             from 1 (local squeezes beyond about e^6.7 per mode).
     """
     _check_tol("tol_decide", tol_decide)
-    fields = _decide_form_II(to_standard_form_II(state), tol_decide)
-    if (w := fields["witness"]) is not None:  # _witness ran EprPair's checks.
-        fields["witness"] = _frozen(EprPair, {"a": w[0], "sign_u": w[1], "sign_v": w[2]})
-    return _frozen(SeparabilityVerdict, fields)
+    form = to_standard_form_II(state)
+    decision, total, bound, w, margin, lam_min = _decide_form_II(
+        form.n1, form.n2, form.m1, form.m2, form.c1, form.c2, form.degenerate,
+        tol_decide,
+    )
+    if w is not None:  # _witness ran EprPair's checks.
+        w = _frozen(EprPair, {"a": w[0], "sign_u": w[1], "sign_v": w[2]})
+    return _frozen(SeparabilityVerdict, {
+        "decision": decision, "total_variance": total, "bound": bound, "witness": w,
+        "margin": margin, "form": form, "min_eigenvalue": lam_min,
+    })
 
 
 def p_representation(form: StandardFormII) -> PRepresentation:
@@ -291,19 +296,16 @@ def p_representation(form: StandardFormII) -> PRepresentation:
         NotInSeparableRegime: a sector of ``M_II - I`` has an eigenvalue
             below 0.
     """
-    lam_min, _ = _form_spectrum(form)
+    n1, n2, m1, m2, c1, c2 = form.n1, form.n2, form.m1, form.m2, form.c1, form.c2
+    lam_min, _ = _form_spectrum(n1, n2, m1, m2, c1, c2)
     if lam_min < 0.0:
         raise NotInSeparableRegime(
             f"M_II - I has eigenvalue {lam_min:.3e}; no positive P exists"
         )
     # 0.5 * (form.matrix() - I) entry by entry, by the same IEEE operations.
     rows = _layout(
-        0.5 * (form.n1 - 1.0),
-        0.5 * (form.n2 - 1.0),
-        0.5 * (form.m1 - 1.0),
-        0.5 * (form.m2 - 1.0),
-        0.5 * form.c1,
-        0.5 * form.c2,
+        0.5 * (n1 - 1.0), 0.5 * (n2 - 1.0), 0.5 * (m1 - 1.0), 0.5 * (m2 - 1.0),
+        0.5 * c1, 0.5 * c2,
     )
     back = form.transform.inverse()
     return _frozen(PRepresentation, {"_rows": rows, "transform_back": back})

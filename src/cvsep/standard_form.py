@@ -256,14 +256,9 @@ def _squeezed(h: tuple, r: float) -> tuple:
     return q * a, q * b, iq * c, iq * d
 
 
-def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
-    """Reduce to standard form II via form I plus the balance squeezes.
-
-    Degenerate inputs -- vanishing intermode block or a mode at vacuum
-    purity -- skip the solve and return the trivial ``r1 = r2 = 1`` form
-    flagged ``degenerate``.  Where ``r1 = r2 = 1`` (those, and the
-    ``|c| = |c'|`` family), the transform is form I's own.
-    """
+def _form_II(state: CorrelationMatrix) -> tuple:
+    """The fields of :func:`to_standard_form_II`, ``(n1, n2, m1, m2, c1, c2,
+    r1, r2, transform, degenerate)``, with every check of it."""
     n, m, c, cp, h1, h2 = state._form_I
     # Form I's transform is checked before the solve; it is form II's where
     # r1 = r2 = 1, since _squeezed(h, 1.0) is h.
@@ -277,21 +272,23 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     if r1 != 1.0 or r2 != 1.0:
         transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
     geo = math.sqrt(r1 * r2)
-    return _frozen(
-        StandardFormII,
-        {
-            "n1": n * r1,
-            "n2": n / r1,
-            "m1": m * r2,
-            "m2": m / r2,
-            "c1": geo * c,
-            "c2": cp / geo,
-            "r1": r1,
-            "r2": r2,
-            "transform": transform,
-            "degenerate": degenerate,
-        },
-    )
+    c1, c2 = geo * c, cp / geo
+    return n * r1, n / r1, m * r2, m / r2, c1, c2, r1, r2, transform, degenerate
+
+
+def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
+    """Reduce to standard form II via form I plus the balance squeezes.
+
+    Degenerate inputs -- vanishing intermode block or a mode at vacuum
+    purity -- skip the solve and return the trivial ``r1 = r2 = 1`` form
+    flagged ``degenerate``.  Where ``r1 = r2 = 1`` (those, and the
+    ``|c| = |c'|`` family), the transform is form I's own.
+    """
+    n1, n2, m1, m2, c1, c2, r1, r2, transform, degenerate = _form_II(state)
+    return _frozen(StandardFormII, {
+        "n1": n1, "n2": n2, "m1": m1, "m2": m2, "c1": c1, "c2": c2, "r1": r1,
+        "r2": r2, "transform": transform, "degenerate": degenerate,
+    })
 
 
 def balance_residuals(form: StandardFormII) -> tuple[float, float]:

@@ -299,9 +299,29 @@ class TestScanBoundary:
             # float.hex, not ==, so that -0.0 and 0.0 differ.
             assert [(p.t.hex(), p.margin.hex(), p.decision) for p in points] == expected
 
+    @pytest.mark.parametrize(
+        "r, eta, nbar", [(1.0, 1.0, 1.0), (0.5, 1.0, 0.0)], ids=["thermal", "vacuum-bath"]
+    )
+    def test_degenerate_points_equal_per_point_loop(self, r, eta, nbar):
+        # Up to t = 40 the grid reaches forms flagged degenerate, decided by
+        # the stopgap rule with the fallback a = 1 pair: in a thermal bath
+        # c = sinh(2r) e^-80 is below EPS_FORM, in a vacuum bath n - 1 rounds
+        # to 0.
+        t_max, resolution = 40.0, 41
+        expected, degenerate = [], []
+        for i in range(resolution):
+            t = t_max * i / (resolution - 1)
+            state = cv.evolve_thermal(cv.ThermalScenario(r=r, eta=eta, nbar=nbar, t=t))
+            verdict = cv.decide_separability(state)
+            expected.append((t.hex(), verdict.margin.hex(), verdict.decision))
+            degenerate.append(cv.to_standard_form_II(state).degenerate)
+        assert any(degenerate)
+        points = cv.scan_boundary(r, eta, nbar, t_max, resolution)
+        assert [(p.t.hex(), p.margin.hex(), p.decision) for p in points] == expected
+
     def test_points_build_no_per_point_values(self, monkeypatch):
-        # A point is decided from its form II by the decision core: no form I,
-        # witness pair or verdict, but each point's form II and transform.
+        # A point is decided from form II's floats by the decision core: no
+        # form I, form II, witness pair or verdict, but each point's transform.
         built = Counter()
         for module in (cv.core, cv.standard_form, cv.separability):
             frozen = module._frozen
@@ -321,8 +341,8 @@ class TestScanBoundary:
         points = cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
         assert len(points) == 20
         assert built["SeparabilityVerdict"] == built["EprPair"] == 0
-        assert built["StandardFormI"] == 0
-        assert built["StandardFormII"] == built["Llubo"] == 20
+        assert built["StandardFormI"] == built["StandardFormII"] == 0
+        assert built["Llubo"] == 20
 
     @pytest.mark.parametrize(
         "r, eta, nbar",

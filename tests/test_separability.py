@@ -28,6 +28,11 @@ def make_form(n1, n2, m1, m2, c1, c2, r1=1.0, r2=1.0, degenerate=False):
     )
 
 
+def form_floats(form):
+    """``(n1, n2, m1, m2, c1, c2)``, the floats the decision core reads."""
+    return form.n1, form.n2, form.m1, form.m2, form.c1, form.c2
+
+
 class TestTotalVarianceCheck:
     def test_vacuum_sits_on_the_bound(self):
         vac = cv.validate(np.eye(4))
@@ -108,7 +113,7 @@ class TestConstructEprPair:
         with pytest.raises(cv.ZeroCoefficient, match=f"^{re.escape(msg)}$"):
             cv.separability.construct_epr_pair(form)
         with pytest.raises(cv.ZeroCoefficient, match=f"^{re.escape(msg)}$"):
-            cv.separability._decide_form_II(form, cv.EPS_DECIDE)
+            cv.separability._decide_form_II(*form_floats(form), False, cv.EPS_DECIDE)
 
     def test_witness_contradicting_an_entangled_spectrum_raises(self):
         # Hand-built, not balanced: the x sector of M - I has eigenvalue
@@ -117,13 +122,13 @@ class TestConstructEprPair:
         # is minus a sum of one quadratic form per sector of M - I, so it is
         # <= 0 wherever both sectors are positive semidefinite.
         form = make_form(2.0, 2.0, 2.0, 2.0, c1=1.2, c2=0.0)
-        assert cv.separability._form_spectrum(form)[0] == pytest.approx(-0.2)
+        assert cv.separability._form_spectrum(*form_floats(form))[0] == pytest.approx(-0.2)
         pair = cv.separability.construct_epr_pair(form)
         res = cv.total_variance_check(cv.validate(form.matrix()), pair)
         assert res.bound - res.total_variance == pytest.approx(-0.8)
         msg = "witness margin contradicts spectral decision"
         with pytest.raises(cv.CvsepError, match=f"^{msg}$"):
-            cv.separability._decide_form_II(form, cv.EPS_DECIDE)
+            cv.separability._decide_form_II(*form_floats(form), False, cv.EPS_DECIDE)
 
 
 class TestDecideSeparability:
