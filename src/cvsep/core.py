@@ -104,8 +104,7 @@ class Llubo:
         caller can read them: rounding under strong squeezes can move a
         product's determinant away from 1.
         """
-        _check_unit_det("h1", e1)
-        _check_unit_det("h2", e2)
+        _check_blocks(e1, e2)
         return _frozen(cls, {"_e1": e1, "_e2": e2})
 
     @cached_property
@@ -174,6 +173,12 @@ def _check_unit_det(name: str, entries: tuple) -> None:
         if not all(map(math.isfinite, entries)):
             raise InvalidLlubo(f"{name} has non-finite entries")
         raise InvalidLlubo(f"det({name}) = {det!r} differs from 1 beyond {EPS_DET}")
+
+
+def _check_blocks(e1: tuple, e2: tuple) -> None:
+    """``Llubo(h1, h2)``'s checks on the row-major entries of cvsep's blocks."""
+    _check_unit_det("h1", e1)
+    _check_unit_det("h2", e2)
 
 
 @dataclass(frozen=True)
@@ -248,7 +253,7 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
 
     The checks run on the entries as Python floats, which the state keeps:
     it builds its array ``m`` only when a caller reads it, so
-    ``decide_separability`` and ``scan_boundary`` build none.
+    ``decide_separability`` builds none (and ``scan_boundary`` no state).
 
     Raises:
         ValueError: ``m`` is complex or not 4x4.
@@ -265,11 +270,14 @@ def validate(m: np.ndarray) -> CorrelationMatrix:
 
 
 def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
-    """:func:`validate` on a 4x4 matrix given as nested lists of floats.
+    """:func:`validate` on a 4x4 matrix given as nested lists of floats."""
+    rows, form_I = _checked_rows(rows)
+    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": form_I})
 
-    Runs every check of :func:`validate`, in its order and with its
-    messages; the state keeps the symmetrized rows.
-    """
+
+def _checked_rows(rows: list[list[float]]) -> tuple:
+    """The symmetrized rows and form I that :func:`_validate_rows` freezes,
+    with every check of :func:`validate`, in its order and with its messages."""
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise NotFinite("correlation matrix has non-finite entries")
     (a, b, c, d), (e, f, g, h), (i, j, k, s), (t, u, v, w) = rows
@@ -283,7 +291,7 @@ def _validate_rows(rows: list[list[float]]) -> CorrelationMatrix:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
         )
-    return _frozen(CorrelationMatrix, {"_rows": rows, "_form_I": _form_I_scalars(rows)})
+    return rows, _form_I_scalars(rows)
 
 
 def _require(
@@ -398,9 +406,9 @@ def _form_I_scalars(rows: list[list[float]]) -> tuple:
     :func:`_signed_svd`).  Simon's condition is tested on these
     (:func:`_check_physical`) before the transform is built: ``h_i`` are
     ``R(x)^T S1`` and ``R(y) S2``, row-major.  Called once per state, by
-    :func:`_validate_rows`, which keeps the result as the state's
-    ``_form_I``; so only validation meets its errors, and form I read from
-    a state raises none.
+    :func:`_checked_rows`, whose result a state keeps as its ``_form_I``;
+    so only validation meets its errors, and form I read from a state
+    raises none.
 
     Raises:
         NotPhysical: ``G1`` or ``G2`` not positive definite with
@@ -516,7 +524,7 @@ def llubo_invariants(state: CorrelationMatrix) -> LluboInvariants:
     value is 0, and +-inf only where it is beyond the float range.
 
     Every float is an integer times a power of two, so the entries shifted
-    by one shared power of two are integers.  :func:`_validate_rows` builds
+    by one shared power of two are integers.  :func:`_checked_rows` builds
     every state's rows exactly symmetric, so only the 10 entries on and
     above the diagonal are converted.  Rows 1-2 and rows 3-4 give six 2x2
     minors each: det G1, det C and det G2 are three of them, and det M is

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple
 
-from .core import CorrelationMatrix, _validate_rows
+from .core import CorrelationMatrix, _checked_rows, _validate_rows
 from .separability import EPS_DECIDE, Decision, _decide_form_II
 from .standard_form import _form_II
 
@@ -68,21 +68,21 @@ def evolve_thermal(scenario: ThermalScenario) -> CorrelationMatrix:
     ``n = m = cosh(2r) e^{-2 eta t} + (2 nbar + 1)(1 - e^{-2 eta t})`` and
     ``c = -c' = sinh(2r) e^{-2 eta t}``; t = 0 reproduces the squeezed
     vacuum and t -> infinity the thermal product state.  The entries are
-    computed as Python floats and pass every check of
-    :func:`~cvsep.core.validate`; the state builds its array on first read.
+    computed as Python floats, as :func:`scan_boundary` computes them, and pass every
+    check of :func:`~cvsep.core.validate`; the state builds its array on first read.
     """
-    return _thermal_state(scenario.r, scenario.eta, scenario.nbar, scenario.t)
+    r, nbar = scenario.r, scenario.nbar
+    ch, sh, bath = math.cosh(2.0 * r), math.sinh(2.0 * r), 2.0 * nbar + 1.0
+    return _validate_rows(_thermal_rows(ch, sh, bath, scenario.eta, scenario.t))
 
 
-def _thermal_state(r: float, eta: float, nbar: float, t: float) -> CorrelationMatrix:
-    """The validated form-I layout :func:`evolve_thermal` names."""
+def _thermal_rows(ch: float, sh: float, bath: float, eta: float, t: float) -> list:
+    """Rows of :func:`evolve_thermal` from ``cosh 2r``, ``sinh 2r``, ``2 nbar + 1``."""
     # eta * t first: -2 eta is -inf from eta = 8.99e307, and -inf * 0 is NaN.
     d = math.exp(-2.0 * (eta * t))
-    n = math.cosh(2.0 * r) * d + (2.0 * nbar + 1.0) * (1.0 - d)
-    c = math.sinh(2.0 * r) * d
-    return _validate_rows(
-        [[n, 0.0, c, 0.0], [0.0, n, 0.0, -c], [c, 0.0, n, 0.0], [0.0, -c, 0.0, n]]
-    )
+    n = ch * d + bath * (1.0 - d)
+    c = sh * d
+    return [[n, 0.0, c, 0.0], [0.0, n, 0.0, -c], [c, 0.0, n, 0.0], [0.0, -c, 0.0, n]]
 
 
 def threshold_time(r: float, eta: float, nbar: float) -> float:
@@ -132,11 +132,12 @@ def scan_boundary(
     ``[t_min, t_max]``, which needs ``(t_max - t_min) * (resolution - 1)``
     finite; with nbar > 0 and a grid straddling the threshold, the sign
     change of the margin brackets the closed form within one step.
-    Each point's state is built from floats as in :func:`evolve_thermal`,
-    with every check of :func:`~cvsep.core.validate`, and reduced to form
-    II's floats; the decision core of :func:`~cvsep.separability.decide_separability`
-    gives the point's decision and margin, with no array, form object, witness pair or
-    verdict: each point equals ``decide_separability(evolve_thermal(...))``.
+    Each point computes the rows of :func:`evolve_thermal` from ``cosh 2r``,
+    ``sinh 2r`` and ``2 nbar + 1``, taken once, runs every check of
+    :func:`~cvsep.core.validate` and of form II's transform, and gets its decision
+    and margin from the decision core of :func:`~cvsep.separability.decide_separability`:
+    it builds no state, transform, form, witness pair or verdict object, yet
+    equals ``decide_separability(evolve_thermal(...))``.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -148,12 +149,14 @@ def scan_boundary(
         span = math.inf
     if not span < math.inf:
         raise ValueError("(t_max - t_min) * (resolution - 1) overflows")
-    ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)  # rejects bad r, eta, nbar
+    # Reject bad r, eta, nbar first: cosh(2r) raises OverflowError from r = 355.24.
+    ThermalScenario(r=r, eta=eta, nbar=nbar, t=t_min)
+    ch, sh, bath = math.cosh(2.0 * r), math.sinh(2.0 * r), 2.0 * nbar + 1.0
     times = [t_min + (t_max - t_min) * i / (resolution - 1) for i in range(resolution)]
     points = []
     for t in times:
-        state = _thermal_state(r, eta, nbar, t)
-        n1, n2, m1, m2, c1, c2, _, _, _, degenerate = _form_II(state)
+        _, form_I = _checked_rows(_thermal_rows(ch, sh, bath, eta, t))
+        n1, n2, m1, m2, c1, c2, _, _, _, _, degenerate = _form_II(form_I)
         out = _decide_form_II(n1, n2, m1, m2, c1, c2, degenerate, EPS_DECIDE)
         points.append(ScanPoint(t, out[4], out[0]))  # margin, decision
     return points

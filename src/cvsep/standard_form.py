@@ -16,7 +16,7 @@ from math import sqrt, ulp
 
 import numpy as np
 
-from .core import CorrelationMatrix, Llubo, _frozen
+from .core import CorrelationMatrix, Llubo, _check_blocks, _frozen
 from .exceptions import DegenerateForm, RootNotBracketed
 
 EPS_FORM = 1e-8  # entry-wise fidelity of the reduced layouts
@@ -256,13 +256,12 @@ def _squeezed(h: tuple, r: float) -> tuple:
     return q * a, q * b, iq * c, iq * d
 
 
-def _form_II(state: CorrelationMatrix) -> tuple:
-    """The fields of :func:`to_standard_form_II`, ``(n1, n2, m1, m2, c1, c2,
-    r1, r2, transform, degenerate)``, with every check of it."""
-    n, m, c, cp, h1, h2 = state._form_I
-    # Form I's transform is checked before the solve; it is form II's where
-    # r1 = r2 = 1, since _squeezed(h, 1.0) is h.
-    transform = Llubo._fresh(h1, h2)
+def _form_II(form_I: tuple) -> tuple:
+    """:func:`to_standard_form_II`'s fields from form I, with every check of it;
+    the transform is returned as its checked blocks ``h1, h2``, after ``r2``."""
+    n, m, c, cp, h1, h2 = form_I
+    # Form I's blocks, checked before the solve, are form II's at r1 = r2 = 1.
+    _check_blocks(h1, h2)
     # Form I has c >= |c'| >= 0.
     degenerate = c < EPS_FORM or n - 1.0 < EPS_FORM or m - 1.0 < EPS_FORM
     if degenerate:
@@ -270,10 +269,11 @@ def _form_II(state: CorrelationMatrix) -> tuple:
     else:
         r1, r2 = solve_form_II_root(n, m, c, cp)
     if r1 != 1.0 or r2 != 1.0:
-        transform = Llubo._fresh(_squeezed(h1, r1), _squeezed(h2, r2))
+        h1, h2 = _squeezed(h1, r1), _squeezed(h2, r2)
+        _check_blocks(h1, h2)
     geo = math.sqrt(r1 * r2)
     c1, c2 = geo * c, cp / geo
-    return n * r1, n / r1, m * r2, m / r2, c1, c2, r1, r2, transform, degenerate
+    return n * r1, n / r1, m * r2, m / r2, c1, c2, r1, r2, h1, h2, degenerate
 
 
 def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
@@ -282,12 +282,13 @@ def to_standard_form_II(state: CorrelationMatrix) -> StandardFormII:
     Degenerate inputs -- vanishing intermode block or a mode at vacuum
     purity -- skip the solve and return the trivial ``r1 = r2 = 1`` form
     flagged ``degenerate``.  Where ``r1 = r2 = 1`` (those, and the
-    ``|c| = |c'|`` family), the transform is form I's own.
+    ``|c| = |c'|`` family), the transform holds form I's own blocks.  Each
+    block is checked once, and the transform is the one ``Llubo`` built.
     """
-    n1, n2, m1, m2, c1, c2, r1, r2, transform, degenerate = _form_II(state)
+    n1, n2, m1, m2, c1, c2, r1, r2, h1, h2, degenerate = _form_II(state._form_I)
     return _frozen(StandardFormII, {
-        "n1": n1, "n2": n2, "m1": m1, "m2": m2, "c1": c1, "c2": c2, "r1": r1,
-        "r2": r2, "transform": transform, "degenerate": degenerate,
+        "n1": n1, "n2": n2, "m1": m1, "m2": m2, "c1": c1, "c2": c2, "r1": r1, "r2": r2,
+        "transform": _frozen(Llubo, {"_e1": h1, "_e2": h2}), "degenerate": degenerate,
     })
 
 

@@ -609,8 +609,8 @@ class TestLluboInvariants:
         # llubo_invariants reads only the entries on and above the diagonal,
         # so each state the library builds must mirror them bit for bit
         # (float.hex, so a -0.0 cannot hide).
-        def symmetric(state):
-            hexes = [[x.hex() for x in row] for row in state._rows]
+        def symmetric(rows):
+            hexes = [[x.hex() for x in row] for row in rows]
             return hexes == [list(col) for col in zip(*hexes)]
 
         states = [cv.sample_random_physical(seed) for seed in range(100)]
@@ -629,17 +629,16 @@ class TestLluboInvariants:
             cv.apply_llubo(cv.sample_random_physical(seed), cv.Llubo(*random_llubo_blocks(rng)))
             for seed in range(50)
         ]
-        # Each scan point's state, as scan_boundary builds it.
-        thermal_state = cv.scenarios._thermal_state
+        # Each scan point's checked rows, as scan_boundary builds them.
+        checked_rows = cv.scenarios._checked_rows
         scanned = []
         monkeypatch.setattr(
-            cv.scenarios, "_thermal_state",
-            lambda *args: scanned.append(thermal_state(*args)) or scanned[-1],
+            cv.scenarios, "_checked_rows",
+            lambda rows: scanned.append(checked_rows(rows)) or scanned[-1],
         )
         cv.scan_boundary(1.0, 1.0, 1.0, 2.0, 40)
         cv.scan_boundary(0.3, 0.5, 0.0, 3.0, 40)
         assert len(scanned) == 80
-        states += scanned
         # State files asymmetric within EPS_SYM, one in a signed zero.
         near = cv.sample_random_physical(3).m.tolist()
         near[0][2] += 4e-11
@@ -652,8 +651,9 @@ class TestLluboInvariants:
             path.write_text(json.dumps(doc))
             states.append(cli.load_state_file(str(path)))
         assert near[0][2] != near[2][0] and near[3][1] != near[1][3]
-        assert len(states) > 700
-        assert all(map(symmetric, states))
+        assert len(states) + len(scanned) > 700
+        assert all(symmetric(state._rows) for state in states)
+        assert all(symmetric(rows) for rows, _ in scanned)
 
     def test_det_m_of_strong_squeezes_is_not_zero(self):
         # Under strong local squeezes det M cancels from much larger terms:

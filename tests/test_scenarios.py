@@ -319,9 +319,50 @@ class TestScanBoundary:
         points = cv.scan_boundary(r, eta, nbar, t_max, resolution)
         assert [(p.t.hex(), p.margin.hex(), p.decision) for p in points] == expected
 
+    @pytest.mark.parametrize(
+        "r, eta, nbar, t_max, estimated",
+        [
+            (1.0, 1.0, 0.5, 2.0, True),
+            (10.0, 1.0, 3.0, 1.0, True),
+            (0.5, 1.0, 0.0, 40.0, False),
+        ],
+        ids=["tmsv-at-t0", "r10", "vacuum-bath"],
+    )
+    def test_points_build_form_I_bit_for_bit(
+        self, monkeypatch, r, eta, nbar, t_max, estimated
+    ):
+        # A point's rows come from cosh 2r, sinh 2r and 2 nbar + 1 taken once
+        # per scan: its checked rows and form I must be evolve_thermal's state
+        # bit for bit (float.hex, so a -0.0 cannot hide).  At t = 0 the
+        # squeezed vacuum has det M = 1, which some r meet only within the
+        # rounding estimates of _check_physical.
+        def hexes(rows, form_I):
+            n, m, c, cp, h1, h2 = form_I
+            return [[x.hex() for x in row] for row in [*rows, (n, m, c, cp), h1, h2]]
+
+        checked_rows = cv.scenarios._checked_rows
+        scanned = []
+        monkeypatch.setattr(
+            cv.scenarios, "_checked_rows",
+            lambda rows: scanned.append(checked_rows(rows)) or scanned[-1],
+        )
+        points = cv.scan_boundary(r, eta, nbar, t_max, 41)
+        monkeypatch.undo()
+        assert len(scanned) == len(points) == 41
+        rounding = []
+        require = cv.core._require
+        monkeypatch.setattr(
+            cv.core, "_require", lambda *args: rounding.append(args) or require(*args)
+        )
+        for point, (rows, form_I) in zip(points, scanned):
+            state = cv.evolve_thermal(cv.ThermalScenario(r=r, eta=eta, nbar=nbar, t=point.t))
+            assert hexes(rows, form_I) == hexes(state._rows, state._form_I)
+            if point.t == 0.0:
+                assert bool(rounding) == estimated
+
     def test_points_build_no_per_point_values(self, monkeypatch):
         # A point is decided from form II's floats by the decision core: no
-        # form I, form II, witness pair or verdict, but each point's transform.
+        # state, transform, form I, form II, witness pair or verdict.
         built = Counter()
         for module in (cv.core, cv.standard_form, cv.separability):
             frozen = module._frozen
@@ -342,7 +383,7 @@ class TestScanBoundary:
         assert len(points) == 20
         assert built["SeparabilityVerdict"] == built["EprPair"] == 0
         assert built["StandardFormI"] == built["StandardFormII"] == 0
-        assert built["Llubo"] == 20
+        assert built["CorrelationMatrix"] == built["Llubo"] == 0
 
     @pytest.mark.parametrize(
         "r, eta, nbar",

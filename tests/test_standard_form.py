@@ -733,6 +733,27 @@ class TestInternalTransforms:
             assert form.r1 != 1.0
             assert checked == [*state._form_I[4:], form.transform._e1, form.transform._e2]
 
+    def test_solved_decision_freezes_one_transform(self, monkeypatch):
+        # Form I's blocks are checked but not frozen where the solve squeezes
+        # them: the form's transform is the one Llubo a decision builds.
+        frozen = cv.core._frozen
+        transforms = []
+
+        def counted(cls, fields):
+            obj = frozen(cls, fields)
+            if cls is cv.Llubo:
+                transforms.append(obj)
+            return obj
+
+        for module in (cv.core, cv.standard_form, cv.separability):
+            monkeypatch.setattr(module, "_frozen", counted)
+        for seed in range(20):
+            state = cv.sample_random_physical(seed)
+            transforms.clear()
+            form = cv.decide_separability(state).form
+            assert form.r1 != 1.0
+            assert transforms == [form.transform]
+
     @pytest.mark.parametrize(
         "r, nu, k1, k2, a1, a2, stage",
         [(0.5, 1.0, 8.0, -4.0, 1.1, -1.1, "I"), (0.7, 3.0, 8.0, -8.0, 1.3, 1.3, "II")],
