@@ -281,16 +281,26 @@ def _checked_rows(rows: list[list[float]]) -> tuple:
     if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise NotFinite("correlation matrix has non-finite entries")
     (a, b, c, d), (e, f, g, h), (i, j, k, s), (t, u, v, w) = rows
-    # Differences of finite floats are never NaN, so max is the largest.
-    asym = max(abs(b - e), abs(c - i), abs(d - t), abs(g - j), abs(h - u), abs(s - v))
-    b, c, d = 0.5 * (b + e), 0.5 * (c + i), 0.5 * (d + t)
-    g, h, s = 0.5 * (g + j), 0.5 * (h + u), 0.5 * (s + v)
-    rows = [[a, b, c, d], [b, f, g, h], [c, g, k, s], [d, h, s, w]]
-    scale = max(1.0, a, f, k, w)
-    if asym > EPS_SYM * scale:
+    # max(1, a, f, k, w) as comparisons in max's order: a builtin call
+    # costs several times as much.
+    scale = a if a > 1.0 else 1.0
+    scale = f if f > scale else scale
+    scale = k if k > scale else scale
+    scale = w if w > scale else scale
+    limit = EPS_SYM * scale
+    # Differences of finite floats are never NaN, so one of them exceeds
+    # the limit exactly where their max, the asymmetry, does.
+    if (
+        abs(b - e) > limit or abs(c - i) > limit or abs(d - t) > limit
+        or abs(g - j) > limit or abs(h - u) > limit or abs(s - v) > limit
+    ):
+        asym = max(abs(b - e), abs(c - i), abs(d - t), abs(g - j), abs(h - u), abs(s - v))
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {EPS_SYM} x max(1, max diagonal)"
         )
+    b, c, d = 0.5 * (b + e), 0.5 * (c + i), 0.5 * (d + t)
+    g, h, s = 0.5 * (g + j), 0.5 * (h + u), 0.5 * (s + v)
+    rows = [[a, b, c, d], [b, f, g, h], [c, g, k, s], [d, h, s, w]]
     return rows, _form_I_scalars(rows)
 
 
@@ -362,7 +372,9 @@ def _check_physical(n0, m0, c, cp, s1, s2, e1, e2, block) -> None:
             f"c = {c:.6g} of form I is out of range (beyond ~1.3e154); "
             "state violates the uncertainty relation"
         )
-    scale = math.ldexp(1.0, 250 - math.frexp(max(n0, m0, c))[1])
+    top = m0 if m0 > n0 else n0  # max(n0, m0, c), as _checked_rows writes max
+    top = c if c > top else top
+    scale = math.ldexp(1.0, 250 - math.frexp(top)[1])
     n, m, c, cp = n0 * scale, m0 * scale, c * scale, cp * scale
     unit2 = scale * scale  # 1, in the units of n^2 and of c^2
     unit4 = unit2 * unit2  # 1, in the units of det M
@@ -466,7 +478,7 @@ def _scalarize_block(
             f"{name} is negative definite (tr {name} = {a + d:.6g}); state "
             "violates the uncertainty relation"
         )
-    n = math.sqrt(max(det, 1.0))
+    n = math.sqrt(1.0 if 1.0 > det else det)  # max(det, 1.0)
     if n - 1.0 <= _ROUND:
         n = 1.0
     k = 2.0 * n * math.sqrt((a + d + 2.0 * n) / (4.0 * n))

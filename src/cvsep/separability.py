@@ -168,7 +168,7 @@ def _witness(
     a0_sq = math.sqrt(dm1 / dn1)
     if dn2 > EPS_FORM and dm2 > EPS_FORM:
         alt = math.sqrt(dm2 / dn2)
-        if abs(a0_sq - alt) > EPS_FORM * max(1.0, a0_sq):
+        if abs(a0_sq - alt) > EPS_FORM * (a0_sq if a0_sq > 1.0 else 1.0):
             raise CvsepError(
                 f"inconsistent standard form: a0^2 = {a0_sq!r} vs {alt!r}"
             )
@@ -189,8 +189,15 @@ def _form_spectrum(
     dn1, dn2, dm1, dm2 = n1 - 1.0, n2 - 1.0, m1 - 1.0, m2 - 1.0
     lam_x = _block_min_eig(dn1, c1, dm1)
     lam_p = _block_min_eig(dn2, c2, dm2)
-    scale = max(abs(dn1), abs(dn2), abs(dm1), abs(dm2), abs(c1), abs(c2))
-    return min(lam_x, lam_p), scale
+    # max and min as comparisons in their order, as core._checked_rows.
+    x1, x2, x3 = abs(dn1), abs(dn2), abs(dm1)
+    x4, x5, x6 = abs(dm2), abs(c1), abs(c2)
+    scale = x2 if x2 > x1 else x1
+    scale = x3 if x3 > scale else scale
+    scale = x4 if x4 > scale else scale
+    scale = x5 if x5 > scale else scale
+    scale = x6 if x6 > scale else scale
+    return (lam_p if lam_p < lam_x else lam_x), scale
 
 
 def _decide_form_II(
@@ -236,7 +243,9 @@ def _decide_form_II(
     if witness is not None:
         # The optimal pair's variance margin and the spectral test are
         # equivalent formulations; their signs must agree away from the edge.
-        slack = 1e-11 * max(1.0, scale, abs(total))
+        # max(1.0, scale, |total|), as _form_spectrum writes max.
+        slack, size = (scale if scale > 1.0 else 1.0), abs(total)
+        slack = 1e-11 * (size if size > slack else slack)
         if decision is Decision.ENTANGLED and margin < -slack:
             raise CvsepError("witness margin contradicts spectral decision")
         if decision is Decision.SEPARABLE and margin > slack:

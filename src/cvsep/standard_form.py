@@ -204,7 +204,8 @@ def solve_form_II_root(
     f_n, r2_hi = _balance_residual(n, m, abs_c, abs_cp, n)
     # A small positive f(n) is rounding at a root exactly at n; an infinite
     # |c| makes both f(n) and that allowance +inf.
-    if not f_n <= EPS_FORM * max(1.0, n * abs_c) or f_n == math.inf:
+    size = n * abs_c  # max(1.0, size), by a comparison in max's order
+    if not f_n <= EPS_FORM * (size if size > 1.0 else 1.0) or f_n == math.inf:
         raise RootNotBracketed(f"no sign change of f on [1, n]: f(n) = {f_n!r}")
     # f_lo > 0 > f_hi are the stored (scaled) end values, NaN where no sign
     # is stored; err_* and r2_* are the true |f| and the r2 at the ends.
@@ -215,7 +216,10 @@ def solve_form_II_root(
     cap = dn * _SQRT_HALF
     # x is the next point, NaN to bisect: first the root of alike modes.
     q = sqrt(n * m)
-    x = sqrt(max((q - abs_cp) / (q - abs_c), 0.0)) if q > abs_c else math.inf
+    x = math.inf
+    if q > abs_c:
+        x = (q - abs_cp) / (q - abs_c)
+        x = sqrt(0.0 if 0.0 > x else x)  # max(x, 0.0), NaN and -0.0 included
     while hi - lo > 4.0 * ulp(hi):
         step = 2.0 * ulp(hi)
         if x < lo + step:

@@ -1,5 +1,6 @@
 """Core type and operation tests: validation, local operations, variances."""
 
+import builtins
 import json
 import math
 import re
@@ -107,6 +108,28 @@ class TestValidate:
         with pytest.raises(cv.NotSymmetric):
             cv.validate(m)
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_asymmetry_at_its_limit(self, i, j):
+        # The limit is EPS_SYM x max(1, diagonal), here 3 from the third
+        # diagonal entry: reached exactly, the matrix is accepted; one float
+        # beyond it, rejected with the asymmetry named.
+        m = np.diag([1.5, 2.0, 3.0, 2.5])
+        limit = cv.core.EPS_SYM * 3.0
+        m[i, j] = limit
+        assert cv.validate(m).m[i, j] == 0.5 * limit
+        m[i, j] = above = math.nextafter(limit, math.inf)
+        message = f"^asymmetry {above:.3e} exceeds 1e-10 x max\\(1, max diagonal\\)$"
+        with pytest.raises(cv.NotSymmetric, match=message):
+            cv.validate(m)
+
+    def test_overflowing_asymmetry_rejected(self):
+        # Finite entries whose difference overflows: the asymmetry is inf.
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        message = r"^asymmetry inf exceeds 1e-10 x max\(1, max diagonal\)$"
+        with pytest.raises(cv.NotSymmetric, match=message):
+            cv.validate(m)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             cv.validate(np.eye(3))
@@ -171,6 +194,34 @@ class TestValidate:
         assert states[0].m is m and len(built) == 1
         assert not m.flags.writeable
         assert not np.shares_memory(m, inputs[0])
+
+    def test_per_state_path_calls_no_builtin_min_or_max(self, monkeypatch):
+        # The per-state path writes min and max as comparisons, which cost a
+        # fraction of a builtin call.  Random, edge and product states are
+        # built first; then validate, decide_separability and two scans (one
+        # whose t = 0 point takes _check_physical's estimate path, one in a
+        # vacuum bath) may call neither builtin.
+        inputs = [cv.sample_random_physical(s).m for s in range(40)]
+        inputs += [state.m for _, state in accepted_edge_states(cv, range(10))]
+        inputs.append(np.diag([2.0, 2.0, 3.0, 3.0]))
+        calls, decisions = [], set()
+
+        def counted(builtin):
+            return lambda *args, **kwargs: calls.append(builtin) or builtin(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "max", counted(max))
+        monkeypatch.setattr(builtins, "min", counted(min))
+        for m in inputs:
+            state = cv.validate(m)
+            try:
+                decisions.add(cv.decide_separability(state).decision)
+            except cv.RootNotBracketed:  # some accepted large squeezes (ROADMAP)
+                pass
+        cv.scan_boundary(1.0, 1.0, 0.5, 2.0, 20)
+        cv.scan_boundary(0.5, 1.0, 0.0, 40.0, 20)
+        monkeypatch.undo()
+        assert calls == []
+        assert decisions == set(cv.Decision)
 
     def test_validate_is_the_only_constructor(self):
         m = np.eye(4)

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvsep as cv
 from _util import (
@@ -240,6 +242,30 @@ class TestDecideSeparability:
         monkeypatch.setattr(cv.separability, "to_standard_form_II", no_reduction)
         with pytest.raises(ValueError, match="tol_decide"):
             cv.decide_separability(cv.validate(tmsv_layout(0.1)), tol_decide=tol)
+
+    # A small pool makes ties, and its infinities make NaN eigenvalues and
+    # scales (inf - inf).
+    _form_float = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]),
+        st.floats(),
+    )
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.tuples(*[_form_float] * 6))
+    def test_form_spectrum_is_the_builtins_bit_for_bit(self, form):
+        # The spectrum writes min and max as comparisons in their order;
+        # they must return the builtins' floats, -0.0 and NaN included.
+        n1, n2, m1, m2, c1, c2 = form
+        dn1, dn2, dm1, dm2 = n1 - 1.0, n2 - 1.0, m1 - 1.0, m2 - 1.0
+        lam_x = cv.separability._block_min_eig(dn1, c1, dm1)
+        lam_p = cv.separability._block_min_eig(dn2, c2, dm2)
+        expected = (
+            min(lam_x, lam_p),
+            max(abs(dn1), abs(dn2), abs(dm1), abs(dm2), abs(c1), abs(c2)),
+        )
+        got = cv.separability._form_spectrum(*form)
+        for x, y in zip(got, expected):
+            assert x.hex() == y.hex() or (math.isnan(x) and math.isnan(y))
 
 
 @pytest.fixture(scope="module")
