@@ -158,5 +158,6 @@ def scan_boundary(
         _, form_I = _checked_rows(_thermal_rows(ch, sh, bath, eta, t))
         n1, n2, m1, m2, c1, c2, _, _, _, _, degenerate = _form_II(form_I)
         out = _decide_form_II(n1, n2, m1, m2, c1, c2, degenerate, EPS_DECIDE)
-        points.append(ScanPoint(t, out[4], out[0]))  # margin, decision
+        # tuple.__new__ does the work of ScanPoint's Python-level __new__ in ~half its time.
+        points.append(tuple.__new__(ScanPoint, (t, out[4], out[0])))  # margin, decision
     return points

@@ -33,6 +33,10 @@ class Decision(str, enum.Enum):
     BOUNDARY = "boundary"
 
 
+# Read as globals: Decision.X costs ~110-140 ns on CPython 3.10/3.11 (EnumType), a global ~5.
+_ENTANGLED, _SEPARABLE, _BOUNDARY = Decision.ENTANGLED, Decision.SEPARABLE, Decision.BOUNDARY
+
+
 class TotalVarianceResult(NamedTuple):
     violated: bool
     total_variance: float
@@ -106,7 +110,7 @@ class SeparabilityVerdict:
         :class:`NotInSeparableRegime` as :func:`p_representation` does,
         which only a hand-built verdict can meet.
         """
-        if self.decision is not Decision.SEPARABLE:
+        if self.decision is not _SEPARABLE:
             return None
         return p_representation(self.form)
 
@@ -214,15 +218,15 @@ def _decide_form_II(
     # A degenerate form is form I, whose negative eigenvalue proves
     # entanglement only where it is also form II: |c| = |c'| to rounding.
     if lam_min < -band and (not degenerate or c1 - abs(c2) <= EPS_FORM * c1):
-        decision = Decision.ENTANGLED
+        decision = _ENTANGLED
     elif lam_min >= band:
-        decision = Decision.SEPARABLE
+        decision = _SEPARABLE
     elif c1 == 0.0 and c2 == 0.0 and lam_min >= 0.0:
         # Reduced form is exactly diagonal (product state); positive
         # semidefiniteness holds structurally, not by an eigenvalue margin.
-        decision = Decision.SEPARABLE
+        decision = _SEPARABLE
     else:
-        decision = Decision.BOUNDARY
+        decision = _BOUNDARY
 
     try:
         witness: Optional[tuple] = _witness(n1, n2, m1, m2, c1, c2, degenerate)
@@ -246,9 +250,9 @@ def _decide_form_II(
         # max(1.0, scale, |total|), as _form_spectrum writes max.
         slack, size = (scale if scale > 1.0 else 1.0), abs(total)
         slack = 1e-11 * (size if size > slack else slack)
-        if decision is Decision.ENTANGLED and margin < -slack:
+        if decision is _ENTANGLED and margin < -slack:
             raise CvsepError("witness margin contradicts spectral decision")
-        if decision is Decision.SEPARABLE and margin > slack:
+        if decision is _SEPARABLE and margin > slack:
             raise CvsepError("witness margin contradicts spectral decision")
 
     return decision, total, bound, witness, margin, lam_min

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvsep as cv
@@ -31,6 +31,15 @@ from _util import (
     rot2,
     strong_local_squeezes,
     tmsv_layout,
+)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+NON_FINITE = (math.nan, math.inf, -math.inf)
+#: Finite entries: the float range's ends, +-0.0 and subnormals included.
+_entry = st.one_of(
+    st.sampled_from([MAX_FLOAT, -MAX_FLOAT, 0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -172,6 +181,30 @@ class TestValidate:
             with pytest.raises(error, match=message):
                 cv.core._validate_rows(m.tolist())
 
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        st.lists(_entry, min_size=16, max_size=16),
+        st.lists(st.tuples(st.integers(0, 15), st.sampled_from(NON_FINITE)), max_size=3),
+    )
+    def test_not_finite_exactly_where_an_entry_is(self, entries, faults):
+        # Finiteness is tested first, entry by entry: a sum of the entries
+        # would overflow on finite ones (2 x 1.797e308) and read them as inf.
+        for k, x in faults:
+            entries[k] = x
+        rows = [entries[k:k + 4] for k in range(0, 16, 4)]
+        outcomes = []
+        for check, m in ((cv.validate, np.array(rows)), (cv.core._validate_rows, rows)):
+            try:
+                check(m)
+                outcomes.append(None)
+            except cv.CvsepError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
+        if faults:
+            assert outcomes[0] == (cv.NotFinite, "correlation matrix has non-finite entries")
+        else:
+            assert outcomes[0] is None or outcomes[0][0] is not cv.NotFinite
+
     def test_decisions_build_no_state_array(self, monkeypatch):
         inputs = [np.array(cv.sample_random_physical(s).m) for s in range(40)]
         built = []
@@ -195,22 +228,32 @@ class TestValidate:
         assert not m.flags.writeable
         assert not np.shares_memory(m, inputs[0])
 
-    def test_per_state_path_calls_no_builtin_min_or_max(self, monkeypatch):
+    def test_per_state_path_calls_no_min_or_max_and_loads_no_decision_member(
+        self, monkeypatch
+    ):
         # The per-state path writes min and max as comparisons, which cost a
-        # fraction of a builtin call.  Random, edge and product states are
-        # built first; then validate, decide_separability and two scans (one
-        # whose t = 0 point takes _check_physical's estimate path, one in a
-        # vacuum bath) may call neither builtin.
+        # fraction of a builtin call, and reads Decision's members from
+        # module globals, not through the class (EnumType's lookup is slow on
+        # CPython 3.10/3.11).  Random, edge and product states are built
+        # first; then validate, decide_separability and two scans (one whose
+        # t = 0 point takes _check_physical's estimate path, one in a vacuum
+        # bath) may call neither builtin and load no member through Decision.
         inputs = [cv.sample_random_physical(s).m for s in range(40)]
         inputs += [state.m for _, state in accepted_edge_states(cv, range(10))]
         inputs.append(np.diag([2.0, 2.0, 3.0, 3.0]))
-        calls, decisions = [], set()
+        calls, loads, decisions = [], [], set()
 
         def counted(builtin):
             return lambda *args, **kwargs: calls.append(builtin) or builtin(*args, **kwargs)
 
+        class CountedDecision:
+            def __getattr__(self, name):
+                loads.append(name)
+                return getattr(cv.Decision, name)
+
         monkeypatch.setattr(builtins, "max", counted(max))
         monkeypatch.setattr(builtins, "min", counted(min))
+        monkeypatch.setattr(cv.separability, "Decision", CountedDecision())
         for m in inputs:
             state = cv.validate(m)
             try:
@@ -221,6 +264,7 @@ class TestValidate:
         cv.scan_boundary(0.5, 1.0, 0.0, 40.0, 20)
         monkeypatch.undo()
         assert calls == []
+        assert loads == []
         assert decisions == set(cv.Decision)
 
     def test_validate_is_the_only_constructor(self):

@@ -298,6 +298,14 @@ class TestScanBoundary:
             points = cv.scan_boundary(r, eta, nbar, t_max, resolution, t_min=t_min)
             # float.hex, not ==, so that -0.0 and 0.0 differ.
             assert [(p.t.hex(), p.margin.hex(), p.decision) for p in points] == expected
+            for p in points:  # a real ScanPoint, though built with tuple.__new__
+                assert type(p) is cv.ScanPoint
+                assert p == cv.ScanPoint(p.t, p.margin, p.decision)
+                assert p._asdict() == {"t": p.t, "margin": p.margin, "decision": p.decision}
+                assert repr(p) == (
+                    f"ScanPoint(t={p.t!r}, margin={p.margin!r}, decision={p.decision!r})"
+                )
+                assert any(p.decision is d for d in cv.Decision)
 
     @pytest.mark.parametrize(
         "r, eta, nbar", [(1.0, 1.0, 1.0), (0.5, 1.0, 0.0)], ids=["thermal", "vacuum-bath"]
